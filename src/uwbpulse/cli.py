@@ -19,11 +19,11 @@ import sys
 from pathlib import Path
 
 from . import __version__, defaults
-from .errors import UwbPulseError
+from .errors import ConfigurationError, UwbPulseError
 from .modem import LinkConfig, bit_rate, simulate_ser
-from .pipeline import analyze_pulse, band_spectrum, build_family, design_pulse
-from .signals import load_pulse_csv, save_pulse_csv
-from .spectral import fcc_indoor_mask, max_compliant_scale, save_psd_csv
+from .pipeline import analyze_pulse, build_family, compliant_spectrum, design_pulse
+from .signals import Spectrum, load_pulse_csv, save_pulse_csv
+from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 
 SCHEMA_VERSION = 1
 
@@ -53,6 +53,28 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _fits_default(val, default) -> bool:
+    """Whether a config value has the type of its key's default.
+
+    Bools take bools, numbers take numbers, lists take lists of numbers
+    and strings take strings.  None marks a key left unset: it takes
+    null, a string (file paths) or a number (``shift_clocks``).
+    """
+    if isinstance(default, bool):
+        return isinstance(val, bool)
+    if _is_number(default):
+        return _is_number(val)
+    if isinstance(default, list):
+        return isinstance(val, list) and all(_is_number(x) for x in val)
+    if default is None:
+        return val is None or isinstance(val, str) or _is_number(val)
+    return isinstance(val, str)
+
+
 def _resolve_config(args, keys: dict) -> dict:
     config = dict(keys)
     if getattr(args, "config", None):
@@ -60,6 +82,12 @@ def _resolve_config(args, keys: dict) -> dict:
         unknown = set(loaded) - set(keys)
         if unknown:
             raise UwbPulseError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in loaded.items():
+            if not _fits_default(val, keys[key]):
+                raise ConfigurationError(
+                    f"config key {key!r}: {val!r} does not match the type of "
+                    f"its default {keys[key]!r}"
+                )
         config.update(loaded)
     for key in keys:
         val = getattr(args, key, None)
@@ -103,13 +131,8 @@ def cmd_design(args) -> int:
             fh.write(f"{i},{tap:.17g}\n")
     pulse_path = out / "pulse.csv"
     save_pulse_csv(pulse_path, result.pulse)
-    spec = band_spectrum(result.pulse, mask)
-    alpha = max_compliant_scale(spec, mask)
-    sel = (spec.freqs >= 0.0) & (spec.freqs <= mask.f_top)
-    from .signals import Spectrum
-
-    achieved = Spectrum(spec.freqs[sel], spec.values[sel] * alpha)
     spec_path = out / "achieved_spectrum.csv"
+    achieved = result.spectrum
     save_psd_csv(spec_path, Spectrum(achieved.freqs, achieved.power().astype(complex)))
     report_path = out / "design_report.json"
     _write_json(
@@ -256,18 +279,13 @@ def cmd_sweep(args) -> int:
             family, centered, report = build_family(
                 result.pulse, int(k), int(config["m_multiple"]), "lo"
             )
-            spec = band_spectrum(centered, mask)
-            alpha = max_compliant_scale(spec, mask)
-            from .signals import Spectrum
-            from .spectral import nesp as nesp_fn
-
-            scaled = Spectrum(spec.freqs, spec.values * alpha)
+            _, scaled = compliant_spectrum(centered, mask)
             rows.append(
                 {
                     "K": int(k),
                     "T_over_T0": report["shift_seconds"] / mask.clock,
                     "Rb_gbps": bit_rate(int(k), mask.clock) / 1e9,
-                    "nesp": nesp_fn(scaled, mask),
+                    "nesp": nesp(scaled, mask),
                     "offdiag_max": report["offdiag_max"],
                     "A": report["A"],
                     "B": report["B"],

@@ -19,11 +19,5 @@ MONOCYCLE_CLOCKS = 6
 FIR_ORDER = 25
 """Default shaping filter order L."""
 
-PASSBAND = (3.1e9, 10.6e9)
-"""Passband used for the effective-power objective, in hertz."""
-
 SYMBOL_CLOCKS = 150
 """Symbol duration in clock periods for the reference link (T_s = 150 T0)."""
-
-BAND_TOP = 14e9
-"""Upper edge of the regulated band in hertz."""

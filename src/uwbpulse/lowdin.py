@@ -28,7 +28,8 @@ from .signals import (
     SampledPulse,
     TimeGrid,
     autocorr_samples,
-    autocorr_span,
+    cosine_series,
+    dtft_power,
     gram_symbol,
     inner,
     shift_samples,
@@ -133,8 +134,6 @@ def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
     power spectrum at f * shift; both factors are finite sums, so this
     needs no truncation and works even when the generator decays slowly.
     """
-    from .signals import dtft_power
-
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
     folded = np.asarray(gram_symbol(p, shift, f * shift))
     if np.min(folded) <= 0.0:
@@ -146,10 +145,7 @@ def gram(p: SampledPulse, shift: float, m_half: int) -> ToeplitzGram:
     """Gram matrix of the 2M+1 translates from autocorrelation samples."""
     if m_half < 1:
         raise ConfigurationError("need at least one shift on each side")
-    shift_samples(p, shift)  # validates grid alignment
-    k = autocorr_span(p, shift)
-    row = autocorr_samples(p, shift, k)
-    return ToeplitzGram(row, 2 * m_half + 1, shift)
+    return ToeplitzGram(autocorr_samples(p, shift), 2 * m_half + 1, shift)
 
 
 def inverse_sqrt_spd(gm: ToeplitzGram | np.ndarray, min_eig: float = 1e-12) -> np.ndarray:
@@ -272,17 +268,14 @@ def riesz_bounds(p: SampledPulse, shift: float) -> tuple[float, float]:
     even) with one local bisection refinement around each extremum.  A
     non-positive lower bound means the translates are not a stable basis.
     """
+    r = autocorr_samples(p, shift)
     nu = np.linspace(0.0, 0.5, RIESZ_GRID)
-    vals = np.asarray(gram_symbol(p, shift, nu))
+    vals = cosine_series(r, nu)
 
     def refine(idx: int, sign: float) -> float:
-        best = sign * vals[idx]
-        step = nu[1] - nu[0]
-        for cand in (nu[idx] - step / 2.0, nu[idx] + step / 2.0):
-            if 0.0 <= cand <= 0.5:
-                v = sign * float(gram_symbol(p, shift, cand))
-                best = max(best, v)
-        return sign * best
+        cand = nu[idx] + np.array([-0.5, 0.5]) * (nu[1] - nu[0])
+        cand = cand[(cand >= 0.0) & (cand <= 0.5)]
+        return sign * float(np.max(sign * np.append(vals[idx], cosine_series(r, cand))))
 
     a = refine(int(np.argmin(vals)), -1.0)
     b = refine(int(np.argmax(vals)), 1.0)
@@ -293,8 +286,16 @@ def riesz_bounds(p: SampledPulse, shift: float) -> tuple[float, float]:
     return a, b
 
 
-def _padded_fft_len(n: int) -> int:
-    return 1 << int(math.ceil(math.log2(max(n, 2))))
+def _padded_grid(p: SampledPulse, shift: float, margin: int):
+    """``p`` zero-padded by ``margin`` shifts on each side to a power-of-two
+    length, with the pad width, the rfft frequencies and the folded power
+    spectrum at those frequencies."""
+    pad = margin * shift_samples(p, shift)
+    nfft = 1 << int(math.ceil(math.log2(max(p.grid.size + 2 * pad, 2))))
+    buf = np.zeros(nfft)
+    buf[pad : pad + p.grid.size] = p.samples
+    freqs = np.fft.rfftfreq(nfft, p.dt)
+    return buf, pad, freqs, cosine_series(autocorr_samples(p, shift), freqs * shift)
 
 
 def orthonormal_generator(
@@ -314,23 +315,10 @@ def orthonormal_generator(
     make the generator decay over astronomically many shifts).
     """
     riesz_bounds(p, shift)  # raises if unstable
-    s = shift_samples(p, shift)
-    k = autocorr_span(p, shift)
-    r = autocorr_samples(p, shift, k)
-
     margin = 128
     while True:
-        pad = margin * s
-        length = p.grid.size + 2 * pad
-        nfft = _padded_fft_len(length)
-        buf = np.zeros(nfft)
-        buf[pad : pad + p.grid.size] = p.samples
-        n0 = pad + p.grid.n0
-        spec = np.fft.rfft(buf)
-        freqs = np.fft.rfftfreq(nfft, p.dt)
-        n = np.arange(1, k + 1)
-        folded = r[0] + 2.0 * np.cos(2.0 * np.pi * np.outer(freqs * shift, n)) @ r[1:]
-        out = np.fft.irfft(spec / np.sqrt(folded), nfft)
+        buf, pad, _, folded = _padded_grid(p, shift, margin)
+        out = np.fft.irfft(np.fft.rfft(buf) / np.sqrt(folded), len(buf))
         peak = float(np.max(np.abs(out)))
         tail = max(abs(out[0]), abs(out[-1]), abs(out[pad // 2]))
         if tail <= trunc_level * peak or margin >= max_margin_shifts:
@@ -339,6 +327,7 @@ def orthonormal_generator(
 
     keep = np.nonzero(np.abs(out) > trunc_level * peak)[0]
     lo, hi = int(keep.min()), int(keep.max())
+    n0 = pad + p.grid.n0
     samples = out[lo : hi + 1].copy()
     grid = TimeGrid(p.dt, n0 - lo, len(samples))
     radius = max(n0 - lo, hi - n0) * p.dt
@@ -384,38 +373,22 @@ def lowdin_optimality_probe(
     d_base = p.energy() + base.energy() - 2.0 * inner(p, base)
     closed = 2.0 * (1.0 - inner(p, base))
 
-    s = shift_samples(p, shift)
-    margin = 256
-    pad = margin * s
-    length = p.grid.size + 2 * pad
-    nfft = _padded_fft_len(length)
-    buf = np.zeros(nfft)
-    buf[pad : pad + p.grid.size] = p.samples
-    n0 = pad + p.grid.n0
-    spec = np.fft.fft(buf)
-    freqs = np.fft.fftfreq(nfft, p.dt)
-    k = autocorr_span(p, shift)
-    r = autocorr_samples(p, shift, k)
-    n = np.arange(1, k + 1)
-    folded = r[0] + 2.0 * np.cos(2.0 * np.pi * np.outer(freqs * shift, n)) @ r[1:]
-    base_spec = spec / np.sqrt(folded)
+    buf, _, freqs, folded = _padded_grid(p, shift, 256)
+    base_spec = np.fft.rfft(buf) / np.sqrt(folded)
 
+    # piecewise-constant phase on [0, 1/2), mirrored for a real pulse
+    frac = np.mod(freqs * shift, 1.0)
+    idx = np.minimum((np.minimum(frac, 1.0 - frac) * 2 * pieces).astype(int), pieces - 1)
     rng = np.random.default_rng(seed)
     worst_gap = math.inf
     results = []
     for _ in range(trials):
         angles = rng.uniform(0.0, 2.0 * np.pi, pieces)
-        # piecewise-constant phase on [0, 1/2), mirrored for a real pulse
-        frac = np.mod(freqs * shift, 1.0)
-        idx = np.minimum((np.minimum(frac, 1.0 - frac) * 2 * pieces).astype(int), pieces - 1)
         alpha = angles[idx]
         phase = np.where(frac <= 0.5, np.exp(1j * alpha), np.exp(-1j * alpha))
-        alt = np.fft.ifft(base_spec * phase)
-        alt_t = np.real(alt)
+        alt_t = np.fft.irfft(base_spec * phase, len(buf))
         # distance in time domain; both live on the padded grid
-        pp = np.zeros(nfft)
-        pp[pad : pad + p.grid.size] = p.samples
-        d_alt = float(np.sum((pp - alt_t) ** 2) * p.dt)
+        d_alt = float(np.sum((buf - alt_t) ** 2) * p.dt)
         results.append(d_alt)
         worst_gap = min(worst_gap, d_alt - d_base)
     return {

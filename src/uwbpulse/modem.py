@@ -18,7 +18,7 @@ import numpy as np
 from . import defaults
 from .errors import ConfigurationError
 from .lowdin import OrthogonalFamily
-from .signals import SampledPulse, TimeGrid, inner, shift_samples
+from .signals import SampledPulse, TimeGrid, autocorr_samples, inner, shift_samples
 
 SCHEMES = ("PSM", "OPPM_LO", "OPPM_ALO")
 
@@ -204,16 +204,8 @@ def uncoded_bit_rate(n_symbols: int, symbol_period: float) -> float:
 
 def measured_correlations(template: SampledPulse, cfg: LinkConfig) -> np.ndarray:
     """Normalized template correlations at shifts 1..N-1 times the slot shift."""
-    s = shift_samples(template, cfg.shift)
-    r = np.correlate(template.samples, template.samples, mode="full") * template.dt
-    mid = template.grid.size - 1
-    r0 = r[mid]
-    out = np.zeros(cfg.n_symbols - 1)
-    for j in range(1, cfg.n_symbols):
-        idx = mid + j * s
-        if idx < len(r):
-            out[j - 1] = r[idx] / r0
-    return out
+    r = autocorr_samples(template, cfg.shift, cfg.n_symbols - 1)
+    return r[1:] / r[0]
 
 
 def simulate_ser(

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cholesky_banded
 from scipy.optimize import linprog
 
 from .errors import (
@@ -23,8 +24,8 @@ from .errors import (
     InfeasibleError,
     UnboundedError,
 )
-from .signals import SampledPulse, Spectrum, autocorr_samples
-from .spectral import CosinePoly, cosine_basis
+from .signals import SampledPulse, Spectrum, dtft_power, gram_symbol, lag_autocorrelation
+from .spectral import CosinePoly, _gauss_nodes, cosine_basis
 
 VERIFY_REFINE = 4  # verification grids are this much denser than the LP grids
 _MAX_BACKOFF_ROUNDS = 6
@@ -48,11 +49,7 @@ class FilterTaps:
 
     def autocorrelation(self) -> np.ndarray:
         """One-sided tap autocorrelation r_0..r_{L-1}."""
-        full = np.correlate(self.taps, self.taps, mode="full")
-        return full[len(self.taps) - 1 :]
-
-    def power_spectrum(self) -> CosinePoly:
-        return CosinePoly(self.autocorrelation(), self.clock)
+        return lag_autocorrelation(self.taps, 1, len(self.taps) - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +98,6 @@ def passband_weights(
         raise ConfigurationError("filter order must be at least 1")
     lo, hi = passband
     if pulse is not None:
-        from .signals import dtft_power
-        from .spectral import _gauss_nodes
-
         nodes, weights = _gauss_nodes(lo, hi, density)
         power = dtft_power(pulse, nodes)
         return cosine_basis(nodes, L, clock).T @ (power * weights)
@@ -285,11 +279,6 @@ def solve_autocorr_lp(
     )
 
 
-def _autocorr_of(taps: np.ndarray) -> np.ndarray:
-    full = np.correlate(taps, taps, mode="full")
-    return full[len(taps) - 1 :]
-
-
 def _factor_by_roots(r: np.ndarray) -> np.ndarray:
     """Minimum-phase factor via the roots of the two-sided lag polynomial."""
     coeffs = np.concatenate([r[::-1], r[1:]]).astype(float)
@@ -317,8 +306,7 @@ def _factor_by_roots(r: np.ndarray) -> np.ndarray:
                 chosen.append(z / abs(z) * (1.0 - 1e-12))
         inside = np.asarray(chosen)
     g = np.atleast_1d(np.real(np.poly(inside)))
-    ac = _autocorr_of(g)
-    g = g * math.sqrt(r[0] / ac[0])
+    g = g * math.sqrt(r[0] / np.dot(g, g))
     if g[0] < 0:
         g = -g
     return g
@@ -330,8 +318,6 @@ def _factor_by_bauer(r: np.ndarray, size: int = 4096) -> np.ndarray:
     The trailing row of the Cholesky factor of the size-N banded Toeplitz
     matrix converges to the (reversed) minimum-phase taps as N grows.
     """
-    from scipy.linalg import cholesky_banded
-
     L = len(r)
     ab_u = np.zeros((L, size))
     for k in range(L):
@@ -361,10 +347,10 @@ def spectral_factorize(r: AutocorrVector, tol: float = 1e-7) -> FilterTaps:
             "autocorrelation spectrum touches zero; re-solve with a larger floor"
         )
     g = _factor_by_roots(rv)
-    err = float(np.max(np.abs(_autocorr_of(g) - rv)))
+    err = float(np.max(np.abs(lag_autocorrelation(g, 1, len(rv) - 1) - rv)))
     if err > tol:
         g = _factor_by_bauer(rv)
-        err = float(np.max(np.abs(_autocorr_of(g) - rv)))
+        err = float(np.max(np.abs(lag_autocorrelation(g, 1, len(rv) - 1) - rv)))
         if err > tol:
             raise FactorizationError(
                 f"round-trip error {err:.3e} exceeds {tol:.1e} on both factorization paths"
@@ -407,11 +393,8 @@ def reconciliation_filter_delta2(g: FilterTaps, q: SampledPulse) -> CosinePoly:
     rhat = np.asarray(rg_poly(nu))
     if np.min(rhat) <= 0:
         raise ConfigurationError("filter power spectrum must be positive")
-    rq = autocorr_samples(q, clock)
-    k = np.arange(1, len(rq))
-    phase = np.cos(2.0 * np.pi * np.outer(nu * clock, k))
-    phi = rq[0] + 2.0 * phase @ rq[1:]
-    phi_shift = rq[0] + 2.0 * (phase * np.cos(np.pi * k)[None, :]) @ rq[1:]
+    phi = gram_symbol(q, clock, nu * clock)
+    phi_shift = gram_symbol(q, clock, nu * clock + 0.5)
     if np.min(phi) <= 0:
         raise ConfigurationError("folded spectrum of q must be positive")
     vals = 1.0 / (1.0 + (2.0 * rg[0] / rhat - 1.0) * phi_shift / phi)

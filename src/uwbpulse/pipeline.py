@@ -34,40 +34,42 @@ from .optimizer import (
 )
 from .signals import (
     SampledPulse,
+    Spectrum,
+    TimeGrid,
     autocorr_samples,
-    autocorr_span,
     gaussian_monocycle,
     semi_discrete_convolve,
     spectrum,
 )
 from .spectral import (
+    SUP_GRID_POINTS,
     CosinePoly,
     SpectralMask,
     fcc_indoor_mask,
     fit_mask_polynomials,
     max_compliant_scale,
     nesp,
+    segment_bounds,
 )
 
 
 def band_spectrum(p: SampledPulse, mask: SpectralMask):
     """Spectrum on a grid dense enough for sup-norm work on the mask band."""
-    from .spectral import SUP_GRID_POINTS
-
     need = SUP_GRID_POINTS / (mask.f_top * p.dt)
     nfft = 1 << int(math.ceil(math.log2(max(need, p.grid.size, 2))))
     return spectrum(p, nfft)
 
 
-def segment_bounds(mask: SpectralMask) -> list[tuple[float, float]]:
-    """Active interval of each fitted ceiling (all-but-last extend to zero)."""
-    out = []
-    for i, (f_lo, f_hi, _) in enumerate(mask.segments):
-        if i == len(mask.segments) - 1:
-            out.append((f_lo, f_hi))
-        else:
-            out.append((0.0, f_hi))
-    return out
+def compliant_spectrum(p: SampledPulse, mask: SpectralMask) -> tuple[float, Spectrum]:
+    """Largest compliant scale alpha and alpha * p^ on the bins in [0, f_top].
+
+    The passband lies inside [0, f_top], so :func:`nesp` of the returned
+    spectrum equals that of the scaled full-grid spectrum.
+    """
+    spec = band_spectrum(p, mask)
+    alpha = max_compliant_scale(spec, mask)
+    sel = (spec.freqs >= 0.0) & (spec.freqs <= mask.f_top)
+    return alpha, Spectrum(spec.freqs[sel], spec.values[sel] * alpha)
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ class DesignResult:
     gammas: list[CosinePoly]
     mask: SpectralMask
     nesp_value: float
+    alpha: float  # compliant scale of ``pulse``
+    spectrum: Spectrum  # alpha * pulse^ on [0, f_top]
 
 
 def design_pulse(
@@ -97,8 +101,6 @@ def design_pulse(
     if mask is None:
         mask = fcc_indoor_mask()
     clock = mask.clock
-    from .signals import TimeGrid
-
     half = monocycle_clocks * samples_per_clock // 2
     grid = TimeGrid(clock / samples_per_clock, half, 2 * half + 1)
     q = gaussian_monocycle(fc, monocycle_clocks * clock, grid)
@@ -114,9 +116,7 @@ def design_pulse(
     )
     taps = spectral_factorize(solution.autocorr)
     pulse = semi_discrete_convolve(q, taps.taps, clock).normalized()
-    p_spec = band_spectrum(pulse, mask)
-    alpha = max_compliant_scale(p_spec, mask)
-    scaled = type(p_spec)(p_spec.freqs, p_spec.values * alpha)
+    alpha, scaled = compliant_spectrum(pulse, mask)
     return DesignResult(
         monocycle=q,
         taps=taps,
@@ -125,6 +125,8 @@ def design_pulse(
         gammas=gammas,
         mask=mask,
         nesp_value=nesp(scaled, mask),
+        alpha=alpha,
+        spectrum=scaled,
     )
 
 
@@ -151,7 +153,10 @@ def build_family(
     "limit".  The report carries the stability bounds, the family's worst
     off-diagonal inner product (translate correlation defect for the
     limit pulse), and the weak-norm gap between the Toeplitz Gram and its
-    circulant wrap at the family dimension.
+    circulant wrap at the family dimension.  For kind "limit" it also
+    carries the generator's ``tail_level`` (above the 1e-12 truncation
+    level when the margin cap stopped the generator before it converged)
+    and ``truncation_radius``.
     """
     shift = shift_from_ratio(pulse, k_ratio)
     m_half = m_multiple * k_ratio
@@ -170,7 +175,8 @@ def build_family(
         offdiag = family.max_offdiagonal()
     elif kind == "limit":
         family = None
-        centered = orthonormal_generator(pulse, shift).pulse
+        limit = orthonormal_generator(pulse, shift)
+        centered = limit.pulse
         r = autocorr_samples(centered, shift)
         offdiag = float(np.max(np.abs(r[1:]))) if len(r) > 1 else 0.0
     else:
@@ -183,6 +189,9 @@ def build_family(
         "shift_seconds": shift,
         "m_half": m_half,
     }
+    if kind == "limit":
+        report["tail_level"] = limit.tail_level
+        report["truncation_radius"] = limit.truncation_radius
     return family, centered, report
 
 
@@ -196,11 +205,9 @@ def analyze_pulse(
         shift = pulse.duration() / 2
         steps = round(shift / pulse.dt)
         shift = steps * pulse.dt
-    spec = band_spectrum(pulse, mask)
-    alpha = max_compliant_scale(spec, mask)
-    scaled = type(spec)(spec.freqs, spec.values * alpha)
+    alpha, scaled = compliant_spectrum(pulse, mask)
     a, b = riesz_bounds(pulse, shift)
-    r = autocorr_samples(pulse, shift, autocorr_span(pulse, shift))
+    r = autocorr_samples(pulse, shift)
     return {
         "energy": pulse.energy(),
         "Tp": pulse.duration(),

@@ -299,17 +299,36 @@ def autocorr_span(p: SampledPulse, shift: float) -> int:
 
 def autocorr_samples(p: SampledPulse, shift: float, kmax: int | None = None) -> np.ndarray:
     """Autocorrelation sampled at multiples of the shift: r(0..kmax * T)."""
-    r = autocorrelation(p)
     s = shift_samples(p, shift)
     if kmax is None:
         kmax = autocorr_span(p, shift)
-    mid = r.grid.n0
+    return lag_autocorrelation(p.samples, s, kmax) * p.dt
+
+
+def lag_autocorrelation(x, step: int, kmax: int) -> np.ndarray:
+    """Lag products r[k] = sum_i x[i] x[i + k*step] for k = 0..kmax.
+
+    One dot product over the overlap per lag, so only the requested lags
+    are computed; lags past the overlap are zero.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
     out = np.zeros(kmax + 1)
-    for n in range(kmax + 1):
-        i = mid + n * s
-        if i < r.grid.size:
-            out[n] = r.samples[i]
+    for k in range(min(kmax, (n - 1) // step) + 1):
+        out[k] = np.dot(x[: n - k * step], x[k * step :])
     return out
+
+
+def cosine_series(c, x) -> np.ndarray:
+    """Even cosine series c[0] + 2 sum_n c[n] cos(2 pi n x), 1-periodic in x.
+
+    Clenshaw recurrence in cos(2 pi x), where the c[n] are Chebyshev
+    coefficients, so memory stays O(len(x)) for any number of terms.
+    """
+    c = np.asarray(c, dtype=float)
+    cheb = np.concatenate([c[:1], 2.0 * c[1:]])
+    u = np.cos(2.0 * np.pi * np.asarray(x, dtype=float))
+    return np.polynomial.chebyshev.chebval(u, cheb)
 
 
 def gram_symbol(p: SampledPulse, shift: float, nu) -> np.ndarray | float:
@@ -319,18 +338,14 @@ def gram_symbol(p: SampledPulse, shift: float, nu) -> np.ndarray | float:
     Its range over [0, 1) gives the translate family's stability bounds,
     and its samples at l/N are the circulant approximant's eigenvalues.
     """
-    nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
     r = autocorr_samples(p, shift)
-    k = np.arange(1, len(r))
-    vals = r[0] + 2.0 * np.cos(2.0 * np.pi * np.outer(nu_arr, k)) @ r[1:]
+    vals = cosine_series(r, nu)
     if np.min(vals) < -1e-9 * max(r[0], 1e-300):
         raise ConfigurationError(
             "folded power spectrum is significantly negative; "
             "autocorrelation input looks inconsistent"
         )
-    if np.isscalar(nu) or np.asarray(nu).ndim == 0:
-        return float(vals[0])
-    return vals
+    return float(vals) if np.ndim(vals) == 0 else vals
 
 
 def zak_transform(p: SampledPulse, shift: float, t: float, nu: float) -> complex:

@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigurationError, DivisionHazardError, MaskFitError
-from .signals import Spectrum
+from .signals import Spectrum, cosine_series, dtft_power
 
 SUP_GRID_POINTS = 2**14  # grid for sup-norm style evaluations on [0, band top]
 SAFETY_FACTOR = 1.0 - 1e-6  # shrink applied to compliant scalings
@@ -145,14 +145,8 @@ class CosinePoly:
         return len(self.coeffs)
 
     def __call__(self, nu) -> np.ndarray | float:
-        nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-        n = np.arange(1, len(self.coeffs))
-        vals = self.coeffs[0] + 2.0 * np.cos(
-            2.0 * np.pi * np.outer(nu_arr, n) * self.clock
-        ) @ self.coeffs[1:]
-        if np.asarray(nu).ndim == 0:
-            return float(vals[0])
-        return vals
+        vals = cosine_series(self.coeffs, np.asarray(nu, dtype=float) * self.clock)
+        return float(vals) if np.ndim(vals) == 0 else vals
 
 
 def cosine_basis(nu, L: int, clock: float) -> np.ndarray:
@@ -177,13 +171,13 @@ def mask_ratio(mask: SpectralMask, q: Spectrum, nu) -> np.ndarray | float:
     return vals
 
 
-def _segment_bounds(mask: SpectralMask, i: int) -> tuple[float, float]:
-    # upper-bound region of segment i: [0, f_hi] except the topmost
-    # segment, which is bounded on its own interval only
-    f_lo, f_hi, _ = mask.segments[i]
-    if i == len(mask.segments) - 1:
-        return f_lo, f_hi
-    return 0.0, f_hi
+def segment_bounds(mask: SpectralMask) -> list[tuple[float, float]]:
+    """Bound region of each segment's ceiling: [0, f_hi], except the
+    topmost segment, which is bounded on its own interval only."""
+    top = len(mask.segments) - 1
+    return [
+        (f_lo if i == top else 0.0, f_hi) for i, (f_lo, f_hi, _) in enumerate(mask.segments)
+    ]
 
 
 def _gauss_nodes(a: float, b: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +238,6 @@ def fit_mask_polynomials(
         raise ConfigurationError("fit order must be at least 1")
 
     if pulse is not None:
-        from .signals import dtft_power
 
         def power_at(nu):
             return dtft_power(pulse, nu)
@@ -257,8 +250,7 @@ def fit_mask_polynomials(
     clock = mask.clock
     peak = float(np.max(q.power()))
     polys = []
-    for i in range(len(mask.segments)):
-        a, b = _segment_bounds(mask, i)
+    for i, (a, b) in enumerate(segment_bounds(mask)):
         level = mask.segments[i][2]
         nodes, weights = _gauss_nodes(a, b, density)
         if nodes[0] <= 0.0:
@@ -377,6 +369,16 @@ def _dirichlet_mean(nu, shift: float, n: int) -> np.ndarray:
     return out
 
 
+def _lines(p: Spectrum, energy: float, period: float, gain) -> list[tuple[float, float]]:
+    """Nonzero discrete lines energy |p^(f)|^2 gain(f)^2 / period^2 at
+    every f = n / period inside the spectrum's range, as (f, power) pairs."""
+    n_max = int(math.floor(float(np.max(np.abs(p.freqs))) * period))
+    f = np.arange(-n_max, n_max + 1) / period
+    w = energy * p.power_at(f) / period**2 * gain(f) ** 2
+    keep = w > 0.0
+    return list(zip(f[keep].tolist(), w[keep].tolist()))
+
+
 def psd_pam_ppm(
     p: Spectrum,
     energy: float,
@@ -404,20 +406,7 @@ def psd_pam_ppm(
     line_factor = (mean_a * dir_mag) ** 2
     cont_vals = energy * psq / Ts * (e_a2 - line_factor)
     cont = Spectrum(p.freqs, cont_vals.astype(complex))
-    lines = []
-    if mean_a != 0.0:
-        f_max = float(np.max(np.abs(p.freqs)))
-        n_max = int(math.floor(f_max * Ts))
-        for n in range(-n_max, n_max + 1):
-            f_n = n / Ts
-            w = (
-                energy
-                * float(p.power_at(np.array([f_n]))[0])
-                / Ts**2
-                * float((mean_a * _dirichlet_mean(np.array([f_n]), shift, n_positions)[0]) ** 2)
-            )
-            if w > 0.0:
-                lines.append((f_n, w))
+    lines = _lines(p, energy, Ts, lambda f: mean_a * _dirichlet_mean(f, shift, n_positions))
     return cont, lines
 
 
@@ -445,18 +434,9 @@ def psd_th_framed(
     g_mag = _dirichlet_mean(p.freqs, Tc, Nc) * _dirichlet_mean(p.freqs, shift, n_positions)
     cont_vals = energy * p.power() / Tf * (1.0 - g_mag**2)
     cont = Spectrum(p.freqs, cont_vals.astype(complex))
-    lines = []
-    f_max = float(np.max(np.abs(p.freqs)))
-    k_max = int(math.floor(f_max * Tf))
-    for k in range(-k_max, k_max + 1):
-        f_k = k / Tf
-        gm = float(
-            _dirichlet_mean(np.array([f_k]), Tc, Nc)[0]
-            * _dirichlet_mean(np.array([f_k]), shift, n_positions)[0]
-        )
-        w = energy * float(p.power_at(np.array([f_k]))[0]) / Tf**2 * gm**2
-        if w > 0.0:
-            lines.append((f_k, w))
+    lines = _lines(
+        p, energy, Tf, lambda f: _dirichlet_mean(f, Tc, Nc) * _dirichlet_mean(f, shift, n_positions)
+    )
     return cont, lines
 
 

@@ -123,6 +123,8 @@ def test_orthogonalize_limit_kind(tmp_path, design_dir):
     )
     report = json.loads((out / "gram_report.json").read_text())
     assert report["offdiag_max"] <= 1e-9  # translate correlations vanish
+    assert report["tail_level"] <= 1e-12  # the generator converged
+    assert report["truncation_radius"] > 0
     assert (out / "pulse_limit.csv").exists()
 
 
@@ -293,3 +295,30 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nonsense": 1}))
     assert run(["design", "--outdir", tmp_path, "--config", cfg]) == 2
+
+
+def test_config_rejects_mistyped_values(tmp_path, capsys):
+    # a mistyped key fails with exit 2, naming the key, before any design runs
+    cfg = tmp_path / "cfg.json"
+    for bad in (
+        {"trials": "abc"},
+        {"antipodal": 1},
+        {"seed": True},
+        {"ebn0_db_list": [0, "6"]},
+        {"scheme": 3},
+    ):
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "sim"
+        assert run(["simulate", "--outdir", out, "--config", cfg]) == 2
+        assert repr(next(iter(bad))) in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
+def test_config_accepts_numeric_shift_clocks(tmp_path, design_dir):
+    # shift_clocks defaults to None but is a number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulse_csv": str(design_dir / "pulse.csv"), "shift_clocks": 15}))
+    out = tmp_path / "a"
+    assert run(["analyze", "--outdir", out, "--config", cfg]) == 0
+    report = json.loads((out / "analysis.json").read_text())
+    assert report["shift_seconds"] == pytest.approx(15 * T0, rel=1e-12)

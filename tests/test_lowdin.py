@@ -314,6 +314,17 @@ def test_limit_truncation_radius_reported(limit_k2, pulse25):
     assert edge <= 2e-12 * peak
 
 
+def test_limit_report_shows_generator_convergence(pulse25):
+    # at K = 15 the generator stops at its 2048-shift margin cap with the
+    # tail far above the truncation level; at K = 2 it converges
+    _, _, capped = up.build_family(pulse25, 15, 2, "limit")
+    assert capped["tail_level"] > 1e-12
+    _, centered, converged = up.build_family(pulse25, 2, 2, "limit")
+    assert converged["tail_level"] <= 1e-12
+    t = centered.times()
+    assert converged["truncation_radius"] == pytest.approx(max(-t[0], t[-1]), rel=1e-12)
+
+
 # ------------------------------------------------------------ riesz bounds
 
 

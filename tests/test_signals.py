@@ -14,7 +14,9 @@ from uwbpulse.signals import (
     SampledPulse,
     TimeGrid,
     autocorr_samples,
+    cosine_series,
     dtft_power,
+    lag_autocorrelation,
     monocycle_sigma,
     semi_discrete_convolve,
     shift_samples,
@@ -311,6 +313,7 @@ def test_support_invariant_enforced():
 # ----------------------------------------------------- property checks
 
 
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -340,3 +343,44 @@ def test_autocorr_even_and_bounded_random(nu, k):
     r = up.autocorrelation(p)
     assert np.array_equal(r.samples, r.samples[::-1])
     assert np.abs(r.samples).max() <= r.value_at(0.0) * (1 + 1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=80),
+    st.integers(1, 12),
+    st.integers(0, 24),
+)
+def test_lag_autocorrelation_matches_full_correlation(x, step, kmax):
+    # oracle: the full np.correlate read at multiples of the step, zero
+    # once the lag passes the overlap
+    x = np.asarray(x)
+    n = len(x)
+    full = np.correlate(x, x, "full")
+    lags = np.arange(kmax + 1) * step
+    want = np.array([full[n - 1 + lag] if lag < n else 0.0 for lag in lags])
+    got = lag_autocorrelation(x, step, kmax)
+    assert got.shape == (kmax + 1,)
+    assert np.all(got[lags >= n] == 0.0)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(float(np.dot(x, x)), 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.floats(-1, 1, allow_nan=False), min_size=1, max_size=40),
+    st.lists(st.one_of(st.floats(-1, 1), st.floats(-1e6, 1e6)), min_size=1, max_size=6),
+)
+def test_cosine_series_matches_mpmath(c, x):
+    # oracle: the direct sum c0 + 2 sum c_n cos(2 pi n x) at 40 digits;
+    # the float error grows with the angle 2 pi n |x| that cos must reduce
+    got = cosine_series(c, x)
+    assert got.shape == (len(x),)
+    weight = sum((n + 1) * abs(cn) for n, cn in enumerate(c))
+    for xi, gi in zip(x, got):
+        with mpmath.workdps(40):
+            ref = c[0] + 2 * mpmath.fsum(
+                cn * mpmath.cos(2 * mpmath.pi * n * mpmath.mpf(xi))
+                for n, cn in enumerate(c[1:], start=1)
+            )
+        tol = 4 * np.finfo(float).eps * (1 + 2 * np.pi * abs(xi)) * weight
+        assert abs(gi - float(ref)) <= tol

@@ -253,6 +253,26 @@ def test_scale_monotone_in_mask(spec25, mask):
 # ------------------------------------------------------------------- PSDs
 
 
+def _phasor_mean(f, step, n):
+    return abs(np.mean(np.exp(-2j * np.pi * f * np.arange(n) * step)))
+
+
+def _assert_lines_match_per_line_loop(spec, lines, energy, period, gain):
+    # reference: the line model evaluated one line at a time; lines left
+    # out must be zero (the phasor means differ from the Dirichlet ratio
+    # by ~1e-16 at its nulls)
+    power = spec.power()
+    n_max = int(float(np.max(np.abs(spec.freqs))) * period)
+    freqs = [n / period for n in range(-n_max, n_max + 1)]
+    want = np.array(
+        [energy * float(np.interp(f, spec.freqs, power)) / period**2 * gain(f) ** 2 for f in freqs]
+    )
+    got = dict(lines)
+    assert set(got) <= set(freqs)
+    have = np.array([got.get(f, 0.0) for f in freqs])
+    assert np.allclose(have, want, rtol=1e-9, atol=1e-12 * want.max())
+
+
 def test_psd_zero_mean_unit_var_reduces_to_pulse_shape(spec25):
     e, ts = 2.5, 150 * T0
     cont, lines = psd_pam_ppm(spec25, e, ts, mean_a=0.0, var_a=1.0, shift=T0, n_positions=4)
@@ -290,6 +310,9 @@ def test_psd_continuous_part_nonnegative(spec25):
     )
     assert np.min(cont.values.real) >= -1e-30
     assert sum(w for _, w in lines) >= 0.0
+    _assert_lines_match_per_line_loop(
+        spec25, lines, 1.0, 150 * T0, lambda f: 0.3 * _phasor_mean(f, T0, 5)
+    )
 
 
 def test_psd_th_degenerate_is_pure_lines(spec25):
@@ -319,6 +342,11 @@ def test_psd_th_spot_value_against_double_sum(spec25):
 
     got = float(_dirichlet_mean(np.array([nu]), tc, nc)[0] * _dirichlet_mean(np.array([nu]), shift, npos)[0])
     assert got == pytest.approx(direct, abs=1e-12)
+    tf = 15 * T0
+    _, lines = psd_th_framed(spec25, 2.0, tf, Nc=nc, Tc=tc, n_positions=npos, shift=shift)
+    _assert_lines_match_per_line_loop(
+        spec25, lines, 2.0, tf, lambda f: _phasor_mean(f, tc, nc) * _phasor_mean(f, shift, npos)
+    )
 
 
 def test_psd_th_validates_collision_constraints(spec25):
