@@ -17,16 +17,17 @@ normalization of the underlying theory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, UnstableGeneratorError
+from .errors import ConfigurationError, GridAlignmentError, UnstableGeneratorError
 from .signals import (
     SampledPulse,
     TimeGrid,
+    _translate_sum,
     autocorr_samples,
     cosine_series,
     dtft_power,
@@ -89,32 +90,35 @@ class CirculantGram:
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalFamily:
-    """2M+1 pulses spanning the translate space, plus the combining weights.
+    """2M+1 pulses spanning the translate space, as one sample matrix.
 
-    ``weights[m, n]`` is the coefficient of p(. - nT) in family member m
-    (row and column indices offset by M so m, n run over -M..M).
+    Row m of ``samples`` is member m - M.  All members share one ``grid``
+    and one declared ``support``.  ``weights[m, n]`` is the coefficient of
+    p(. - (n - M) T) in that member, so each member is the output of the
+    tapped-delay line whose taps are its row of ``weights``.
     """
 
-    pulses: tuple[SampledPulse, ...]
-    kind: str  # "lo" or "alo"
+    samples: np.ndarray  # (2M+1, grid.size)
+    grid: TimeGrid
+    support: tuple[float, float]
+    kind: str  # "lo", "alo" or "gs"
     m_half: int
     shift: float
     weights: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.pulses)
+        return len(self.samples)
+
+    @property
+    def pulses(self) -> tuple[SampledPulse, ...]:
+        return tuple(SampledPulse(self.grid, row, self.support) for row in self.samples)
 
     def centered(self) -> SampledPulse:
-        return self.pulses[self.m_half]
+        return SampledPulse(self.grid, self.samples[self.m_half], self.support)
 
     def gram(self) -> np.ndarray:
-        n = self.size
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = g[j, i] = inner(self.pulses[i], self.pulses[j])
-        return g
+        return self.samples @ self.samples.T * self.grid.dt
 
     def max_offdiagonal(self) -> float:
         g = self.gram()
@@ -160,22 +164,14 @@ def inverse_sqrt_spd(gm: ToeplitzGram | np.ndarray, min_eig: float = 1e-12) -> n
     return (vecs * vals**-0.5) @ vecs.T
 
 
-def _combine_translates(p: SampledPulse, shift: float, weights: np.ndarray) -> list[SampledPulse]:
-    """Pulses sum_n weights[m, n] p(. - (n - M) T) on a common extended grid."""
+def _family(p: SampledPulse, shift: float, weights: np.ndarray, kind: str) -> OrthogonalFamily:
+    """Members sum_n weights[m, n] p(. - (n - M) T) on one extended grid."""
     s = shift_samples(p, shift)
-    n_fam = weights.shape[0]
-    m_half = (n_fam - 1) // 2
-    out_len = p.grid.size + (n_fam - 1) * s
-    grid = TimeGrid(p.dt, p.grid.n0 + m_half * s, out_len)
-    t_lo = p.support[0] - m_half * shift
-    t_hi = p.support[1] + m_half * shift
-    pulses = []
-    for m in range(n_fam):
-        acc = np.zeros(out_len)
-        for n in range(n_fam):
-            acc[n * s : n * s + p.grid.size] += weights[m, n] * p.samples
-        pulses.append(SampledPulse(grid, acc, (t_lo, t_hi)))
-    return pulses
+    m_half = (len(weights) - 1) // 2
+    samples = _translate_sum(p.samples, weights, s)
+    grid = TimeGrid(p.dt, p.grid.n0 + m_half * s, samples.shape[1])
+    support = (p.support[0] - m_half * shift, p.support[1] + m_half * shift)
+    return OrthogonalFamily(samples, grid, support, kind, m_half, shift, weights)
 
 
 def lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
@@ -190,9 +186,7 @@ def lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamil
             f"stability lower bound {a:.3e} too small at shift {shift!r}"
         )
     gm = gram(p, shift, m_half)
-    weights = inverse_sqrt_spd(gm)
-    pulses = _combine_translates(p, shift, weights)
-    return OrthogonalFamily(tuple(pulses), "lo", m_half, shift, weights)
+    return _family(p, shift, inverse_sqrt_spd(gm), "lo")
 
 
 def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
@@ -204,8 +198,7 @@ def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> Orthogona
     gm = gram(p, shift, m_half).dense()
     chol = np.linalg.cholesky(gm)
     weights = scipy.linalg.solve_triangular(chol, np.eye(gm.shape[0]), lower=True)
-    pulses = _combine_translates(p, shift, weights)
-    return OrthogonalFamily(tuple(pulses), "gs", m_half, shift, weights)
+    return _family(p, shift, weights, "gs")
 
 
 def strang_circulant(gm: ToeplitzGram) -> CirculantGram:
@@ -245,20 +238,10 @@ def approx_lowdin_family(p: SampledPulse, shift: float, m_half: int) -> Orthogon
             f"circulant eigenvalue {lam[bad]:.3e} at sample {bad}/{circ.size} "
             "is not positive; translates are unstable at this shift"
         )
-    w_row = np.fft.ifft(lam**-0.5).real
-    n = circ.size
-    weights = np.empty((n, n))
-    for m in range(n):
-        weights[m] = np.roll(w_row, m)
-    pulses = _combine_translates(p, shift, weights)
-    k = gm.bandwidth
-    cutoff = (m_half - k / 2.0) * shift
-    clipped = []
-    for pl in pulses:
-        t = pl.times()
-        samples = np.where(np.abs(t) > cutoff + 1e-9 * p.dt, 0.0, pl.samples)
-        clipped.append(SampledPulse(pl.grid, samples, (-cutoff, cutoff)))
-    return OrthogonalFamily(tuple(clipped), "alo", m_half, shift, weights)
+    fam = _family(p, shift, scipy.linalg.circulant(np.fft.ifft(lam**-0.5).real).T, "alo")
+    cutoff = (m_half - gm.bandwidth / 2.0) * shift
+    fam.samples[:, np.abs(fam.grid.times()) > cutoff + 1e-9 * p.dt] = 0.0
+    return replace(fam, support=(-cutoff, cutoff))
 
 
 def riesz_bounds(p: SampledPulse, shift: float) -> tuple[float, float]:
@@ -336,24 +319,16 @@ def orthonormal_generator(
 
 
 def summed_distortion(family: OrthogonalFamily, p: SampledPulse) -> float:
-    """Sum over members of the squared L2 distance to the matching translate."""
-    total = 0.0
+    """Sum over members of the squared L2 distance to the matching translate.
+
+    ``p`` must be the pulse the family was built from, on the same grid.
+    """
     s = shift_samples(p, family.shift)
-    for m, member in enumerate(family.pulses):
-        offset = (m - family.m_half) * s
-        shifted_grid = TimeGrid(p.dt, p.grid.n0 - offset, p.grid.size)
-        translate = SampledPulse(
-            shifted_grid,
-            p.samples,
-            (p.support[0] + offset * p.dt, p.support[1] + offset * p.dt),
-        )
-        diff = (
-            member.energy()
-            + translate.energy()
-            - 2.0 * inner(member, translate)
-        )
-        total += diff
-    return total
+    diff = _translate_sum(p.samples, np.eye(family.size), s)
+    if TimeGrid(p.dt, p.grid.n0 + family.m_half * s, diff.shape[1]) != family.grid:
+        raise GridAlignmentError("pulse grid does not match the family's translates")
+    diff -= family.samples
+    return float(np.vdot(diff, diff) * p.dt)
 
 
 def lowdin_optimality_probe(

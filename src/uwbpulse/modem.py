@@ -18,7 +18,7 @@ import numpy as np
 from . import defaults
 from .errors import ConfigurationError
 from .lowdin import OrthogonalFamily
-from .signals import SampledPulse, TimeGrid, autocorr_samples, inner, shift_samples
+from .signals import SampledPulse, TimeGrid, _overlap, autocorr_samples, shift_samples
 
 SCHEMES = ("PSM", "OPPM_LO", "OPPM_ALO")
 
@@ -93,30 +93,27 @@ def modulate(
             raise ConfigurationError("shape keying needs an orthogonal family")
         if waveform_source.size != cfg.n_symbols:
             raise ConfigurationError("family size must equal n_symbols")
-        proto = waveform_source.pulses[0]
-        slot_waves = [pl.samples for pl in waveform_source.pulses]
+        slot_waves = waveform_source.samples
         offsets = [0] * cfg.n_symbols
     else:
         if not isinstance(waveform_source, SampledPulse):
             raise ConfigurationError("position keying needs a single template pulse")
-        proto = waveform_source
-        s = shift_samples(proto, cfg.shift)
-        slot_waves = [proto.samples] * cfg.n_symbols
+        s = shift_samples(waveform_source, cfg.shift)
+        slot_waves = [waveform_source.samples] * cfg.n_symbols
         offsets = [d * s for d in range(cfg.n_symbols)]
 
-    dt = proto.dt
-    step = _slot_step(cfg, dt)
+    grid = waveform_source.grid
+    step = _slot_step(cfg, grid.dt)
     n_slots = len(messages)
-    length = proto.grid.size + (n_slots - 1) * step + max(offsets)
+    length = grid.size + (n_slots - 1) * step + max(offsets)
     out = np.zeros(length)
     rng = np.random.default_rng(seed)
     signs = rng.choice([-1.0, 1.0], size=n_slots) if cfg.antipodal else np.ones(n_slots)
     amp = math.sqrt(cfg.energy)
     for n, d in enumerate(messages):
         start = n * step + offsets[d]
-        out[start : start + proto.grid.size] += amp * signs[n] * slot_waves[d]
-    grid = TimeGrid(dt, proto.grid.n0, length)
-    return SampledPulse(grid, out)
+        out[start : start + grid.size] += amp * signs[n] * slot_waves[d]
+    return SampledPulse(TimeGrid(grid.dt, grid.n0, length), out)
 
 
 def add_awgn(u: SampledPulse, noise_density: float, seed: int | None = None) -> SampledPulse:
@@ -139,27 +136,29 @@ def receive_psm(r: SampledPulse, family: OrthogonalFamily) -> int:
     """Largest-magnitude correlator index for a single-slot observation.
 
     Magnitudes absorb the sign flip; exact ties resolve to the lowest
-    index (argmax keeps the first maximum).
+    index (argmax keeps the first maximum), so an observation disjoint
+    from the family decides 0.
     """
-    stats = np.array([abs(inner(r, member)) for member in family.pulses])
-    return int(np.argmax(stats))
+    ir, ifam = _overlap(r.grid, family.grid)
+    return int(np.argmax(np.abs(family.samples[:, ifam] @ r.samples[ir])))
 
 
 def receive_oppm(r: SampledPulse, template: SampledPulse, cfg: LinkConfig) -> list[int]:
     """Per-slot position decisions from sampled matched-filter magnitudes."""
     s = shift_samples(template, cfg.shift)
     step = _slot_step(cfg, template.dt)
-    n_slots = max(1, int(round((r.grid.size - template.grid.size - (cfg.n_symbols - 1) * s) / step)) + 1)
+    size = template.grid.size
+    span = (cfg.n_symbols - 1) * s
+    n_slots = max(1, int(round((r.grid.size - size - span) / step)) + 1)
+    # zero-extend so that every position of the last slot has a full window
+    padded = np.zeros(max(r.grid.size, (n_slots - 1) * step + span + size))
+    padded[: r.grid.size] = r.samples
+    windows = np.lib.stride_tricks.sliding_window_view(padded, size)
+    # einsum: overlapping windows have no BLAS layout, and @ then loops slower
     decisions = []
     for n in range(n_slots):
-        stats = np.empty(cfg.n_symbols)
-        for d in range(cfg.n_symbols):
-            start = n * step + d * s
-            seg = r.samples[start : start + template.grid.size]
-            if len(seg) < template.grid.size:
-                seg = np.pad(seg, (0, template.grid.size - len(seg)))
-            stats[d] = abs(float(np.dot(seg, template.samples) * template.dt))
-        decisions.append(int(np.argmax(stats)))
+        positions = windows[n * step : n * step + span + 1 : s]  # (N, size)
+        decisions.append(int(np.argmax(np.abs(np.einsum("ij,j->i", positions, template.samples)))))
     return decisions
 
 

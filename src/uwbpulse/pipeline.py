@@ -22,7 +22,6 @@ from .lowdin import (
     lowdin_family,
     orthonormal_generator,
     riesz_bounds,
-    strang_circulant,
 )
 from .optimizer import (
     AutocorrVector,
@@ -153,18 +152,21 @@ def build_family(
     "limit".  The report carries the stability bounds, the family's worst
     off-diagonal inner product (translate correlation defect for the
     limit pulse), and the weak-norm gap between the Toeplitz Gram and its
-    circulant wrap at the family dimension.  For kind "limit" it also
-    carries the generator's ``tail_level`` (above the 1e-12 truncation
-    level when the margin cap stopped the generator before it converged)
-    and ``truncation_radius``.
+    circulant wrap at the family dimension: the RMS eigenvalue of their
+    difference, i.e. its Frobenius norm over sqrt(N), which is exactly
+    sqrt(2 sum_k k r_k^2 / N) once the band fits (M >= K).  For kind
+    "limit" it also carries the generator's ``tail_level`` (above the
+    1e-12 truncation level when the margin cap stopped the generator
+    before it converged) and ``truncation_radius``.
     """
     shift = shift_from_ratio(pulse, k_ratio)
     m_half = m_multiple * k_ratio
     a, b = riesz_bounds(pulse, shift)
     gm = gram(pulse, shift, m_half)
-    circ = strang_circulant(gm)
-    diff = circ.dense() - gm.dense()
-    weak = float(np.sqrt(np.mean(np.linalg.eigvalsh(diff) ** 2)))
+    if gm.bandwidth > m_half:
+        raise ConfigurationError(f"band (K={gm.bandwidth}) does not fit M={m_half}")
+    lags = np.arange(gm.bandwidth + 1)
+    weak = math.sqrt(2.0 * np.dot(lags, gm.first_row**2) / gm.size)
     if kind == "lo":
         family = lowdin_family(pulse, shift, m_half)
         centered = family.centered()

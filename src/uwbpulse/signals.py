@@ -131,18 +131,21 @@ class Spectrum:
         return np.interp(f, self.freqs, self.power())
 
 
-def inner(p: SampledPulse, q: SampledPulse) -> float:
-    """Rectangle-rule L2 inner product of two pulses on matching grids."""
-    if abs(p.dt - q.dt) > 1e-15 * p.dt:
+def _overlap(a: TimeGrid, b: TimeGrid) -> tuple[slice, slice]:
+    """Index ranges of ``a`` and ``b`` holding their common times (empty if
+    the grids are disjoint); the steps must match."""
+    if abs(a.dt - b.dt) > 1e-15 * a.dt:
         raise GridAlignmentError("inner product requires identical grid steps")
     # align global indices k - n0
-    lo = max(-p.grid.n0, -q.grid.n0)
-    hi = min(p.grid.size - p.grid.n0, q.grid.size - q.grid.n0)
-    if hi <= lo:
-        return 0.0
-    a = p.samples[lo + p.grid.n0 : hi + p.grid.n0]
-    b = q.samples[lo + q.grid.n0 : hi + q.grid.n0]
-    return float(np.dot(a, b) * p.dt)
+    lo = max(-a.n0, -b.n0)
+    hi = max(lo, min(a.size - a.n0, b.size - b.n0))
+    return slice(lo + a.n0, hi + a.n0), slice(lo + b.n0, hi + b.n0)
+
+
+def inner(p: SampledPulse, q: SampledPulse) -> float:
+    """Rectangle-rule L2 inner product of two pulses on matching grids."""
+    ip, iq = _overlap(p.grid, q.grid)
+    return float(np.dot(p.samples[ip], q.samples[iq]) * p.dt)
 
 
 def triangle_window(t: np.ndarray, width: float) -> np.ndarray:
@@ -216,9 +219,7 @@ def semi_discrete_convolve(
     if abs(step_f - step) > 1e-9:
         raise GridAlignmentError("clock period is not a grid multiple")
     n = len(taps)
-    out = np.zeros(p.grid.size + (n - 1) * step)
-    for k in range(n):
-        out[k * step : k * step + p.grid.size] += taps[k] * p.samples
+    out = _translate_sum(p.samples, taps, step)
     n0 = p.grid.n0
     if center:
         if (n - 1) * step % 2 != 0:
@@ -228,6 +229,20 @@ def semi_discrete_convolve(
     t_lo = p.support[0] - (n0 - p.grid.n0) * p.dt
     t_hi = p.support[1] + ((n - 1) * step - (n0 - p.grid.n0)) * p.dt
     return SampledPulse(grid, out, (t_lo, t_hi))
+
+
+def _translate_sum(x: np.ndarray, weights: np.ndarray, step: int) -> np.ndarray:
+    """Tapped-delay line sum_k weights[..., k] * x(. - k*step) in samples.
+
+    1-D taps give one output; each row of 2-D weights gives one output
+    row.  Translates are added one at a time in tap order, so every row
+    is the same sum whatever the number of rows.
+    """
+    n = weights.shape[-1]
+    out = np.zeros(weights.shape[:-1] + (len(x) + (n - 1) * step,))
+    for k in range(n):
+        out[..., k * step : k * step + len(x)] += np.multiply.outer(weights[..., k], x)
+    return out
 
 
 def autocorrelation(p: SampledPulse) -> SampledPulse:

@@ -14,7 +14,15 @@ from uwbpulse.lowdin import (
     nyquist_spectrum_power,
     summed_distortion,
 )
-from uwbpulse.signals import SampledPulse, TimeGrid, autocorr_samples, inner, shift_samples
+from uwbpulse.pipeline import build_family
+from uwbpulse.signals import (
+    SampledPulse,
+    TimeGrid,
+    autocorr_samples,
+    inner,
+    semi_discrete_convolve,
+    shift_samples,
+)
 
 T0 = defaults.CLOCK_T0
 
@@ -145,6 +153,33 @@ def test_lowdin_family_filter_rows(family_k2, pulse25):
     assert np.array_equal(rebuilt, family_k2.pulses[m].samples)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_family_gram_matches_weighted_toeplitz(pulse25, k):
+    # oracle: the translate Gram from lag dot products, transformed by the
+    # combining weights, against the Gram of the member matrix
+    shift = pulse25.duration() / k
+    m_half = 2 * k
+    g = up.gram(pulse25, shift, m_half).dense()
+    for fam in (up.lowdin_family(pulse25, shift, m_half), gram_schmidt_family(pulse25, shift, m_half)):
+        expect = fam.weights @ g @ fam.weights.T
+        assert np.abs(fam.gram() - expect).max() <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_alo_rows_are_clipped_tapped_delay_lines(pulse25, k):
+    # member m is the shaping-filter convolution with taps weights[m],
+    # clipped to the cutoff, bit for bit
+    shift = pulse25.duration() / k
+    m_half = 2 * k
+    fam = up.approx_lowdin_family(pulse25, shift, m_half)
+    cutoff = (m_half - up.gram(pulse25, shift, m_half).bandwidth / 2.0) * shift
+    for m in range(fam.size):
+        row = semi_discrete_convolve(pulse25, fam.weights[m], shift)
+        assert row.grid == fam.grid
+        clipped = np.where(np.abs(row.times()) > cutoff + 1e-9 * pulse25.dt, 0.0, row.samples)
+        assert np.array_equal(fam.samples[m], clipped)
+
+
 # ------------------------------------------------------------- circulant
 
 
@@ -182,6 +217,14 @@ def test_strang_weak_norm_decreases(pulse25):
         gaps.append(float(np.sqrt(np.mean(np.linalg.eigvalsh(diff) ** 2))))
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < gaps[0]
+    # the report's closed form against the eigenvalue route
+    for k, m_multiple in ((2, 2), (8, 8), (20, 2)):
+        shift = pulse25.duration() / k
+        gm = up.gram(pulse25, shift, m_multiple * k)
+        diff = up.strang_circulant(gm).dense() - gm.dense()
+        expect = float(np.sqrt(np.mean(np.linalg.eigvalsh(diff) ** 2)))
+        report = build_family(pulse25, k, m_multiple, "alo")[2]
+        assert report["weak_norm_gap"] == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 # ------------------------------------------------------------ alo family

@@ -10,7 +10,7 @@ import uwbpulse as up
 from uwbpulse import defaults
 from uwbpulse.errors import ConfigurationError
 from uwbpulse.modem import LinkConfig, measured_correlations
-from uwbpulse.signals import inner
+from uwbpulse.signals import SampledPulse, TimeGrid, inner, shift_samples
 
 T0 = defaults.CLOCK_T0
 TS = defaults.SYMBOL_CLOCKS * T0
@@ -151,6 +151,48 @@ def test_receive_psm_sign_flip_invariant(family_k2, psm_cfg):
         s = family_k2.pulses[j]
         neg = SampledPulse(s.grid, -s.samples, s.support)
         assert up.receive_psm(neg, family_k2) == j
+
+
+def test_receive_psm_matches_per_member_correlators(family_k2):
+    # observations on grids offset from the family's, shorter and longer
+    # than the family span, against one inner product per member
+    grid = family_k2.grid
+    s = shift_samples(family_k2.centered(), family_k2.shift)
+    members = family_k2.pulses
+    rng = np.random.default_rng(11)
+    for offset in (-s, 0, 3):
+        for size in (grid.size // 3, grid.size, grid.size + 2 * s):
+            r = SampledPulse(TimeGrid(grid.dt, grid.n0 - offset, size), rng.normal(size=size))
+            expect = int(np.argmax([abs(inner(r, m)) for m in members]))
+            assert up.receive_psm(r, family_k2) == expect
+    # fully disjoint, just before or far after the family: every statistic
+    # is 0 and the first index wins
+    for n0 in (grid.n0 + 60, -grid.size):
+        far = SampledPulse(TimeGrid(grid.dt, n0, 50), rng.normal(size=50))
+        assert all(inner(far, m) == 0.0 for m in members)
+        assert up.receive_psm(far, family_k2) == 0
+
+
+def test_receive_oppm_matches_per_position_dot(family_k2, oppm_cfg):
+    # noise makes some decisions wrong; the last slot (message N-1) is cut
+    # short, so its late positions correlate against zero-padded windows
+    tmpl = family_k2.centered()
+    size = tmpl.grid.size
+    s = shift_samples(tmpl, oppm_cfg.shift)
+    step = int(round(oppm_cfg.symbol_period / tmpl.dt))
+    rng = np.random.default_rng(5)
+    msgs = [int(m) for m in rng.integers(0, oppm_cfg.n_symbols, 40)] + [oppm_cfg.n_symbols - 1]
+    u = up.add_awgn(up.modulate(oppm_cfg, tmpl, msgs, seed=2), 1.0, seed=3)
+    for cut in (0, s + 7, step // 2 - 100):
+        r = SampledPulse(TimeGrid(u.dt, u.grid.n0, u.grid.size - cut), u.samples[: u.grid.size - cut])
+        expect = []
+        for n in range(len(msgs)):
+            stats = []
+            for d in range(oppm_cfg.n_symbols):
+                seg = r.samples[n * step + d * s : n * step + d * s + size]
+                stats.append(abs(np.dot(np.pad(seg, (0, size - len(seg))), tmpl.samples)))
+            expect.append(int(np.argmax(stats)))
+        assert up.receive_oppm(r, tmpl, oppm_cfg) == expect
 
 
 def test_receive_oppm_noiseless_sequence(family_k2, oppm_cfg):
