@@ -18,6 +18,7 @@ from .errors import (
     InfeasibleError,
     MaskFitError,
     ResolutionError,
+    SingularGramError,
     UnboundedError,
     UnstableGeneratorError,
     UwbPulseError,

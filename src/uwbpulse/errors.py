@@ -43,3 +43,7 @@ class FactorizationError(UwbPulseError):
 
 class UnstableGeneratorError(UwbPulseError):
     """Pulse translates are not a Riesz basis at the requested shift."""
+
+
+class SingularGramError(UwbPulseError):
+    """Correlator Gram matrix is not positive definite."""

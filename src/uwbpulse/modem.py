@@ -1,11 +1,12 @@
-"""Waveform-level link simulation and analytic error bounds.
+"""Link waveforms, receivers, Monte Carlo error rates and analytic bounds.
 
 Two modulations are supported: shape keying (each message selects one
 member of an orthonormal family) and position keying (the message shifts
 a single near-orthogonal template).  Receivers decide on the magnitudes
 of the correlator / sampled matched-filter outputs, because transmitted
-amplitudes carry a random sign flip.  All randomness is seeded and every
-trial is independently seeded, so results do not depend on scheduling.
+amplitudes carry a random sign flip.  The waveform functions build and
+receive sampled signals; ``simulate_ser`` draws the receiver's correlator
+outputs from their exact Gaussian law instead.  All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
+from scipy.special import erfc
 
 from . import defaults
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SingularGramError
 from .lowdin import OrthogonalFamily
 from .signals import SampledPulse, TimeGrid, _overlap, autocorr_samples, shift_samples
 
@@ -73,6 +76,17 @@ def _slot_step(cfg: LinkConfig, dt: float) -> int:
     return si
 
 
+def _check_source(cfg: LinkConfig, waveform_source) -> None:
+    """The source type (and family size) that the scheme keys."""
+    if cfg.scheme == "PSM":
+        if not isinstance(waveform_source, OrthogonalFamily):
+            raise ConfigurationError("shape keying needs an orthogonal family")
+        if waveform_source.size != cfg.n_symbols:
+            raise ConfigurationError("family size must equal n_symbols")
+    elif not isinstance(waveform_source, SampledPulse):
+        raise ConfigurationError("position keying needs a single template pulse")
+
+
 def modulate(
     cfg: LinkConfig,
     waveform_source: OrthogonalFamily | SampledPulse,
@@ -88,16 +102,11 @@ def modulate(
     messages = list(messages)
     if any(not (0 <= m < cfg.n_symbols) for m in messages):
         raise ConfigurationError("message out of range")
+    _check_source(cfg, waveform_source)
     if cfg.scheme == "PSM":
-        if not isinstance(waveform_source, OrthogonalFamily):
-            raise ConfigurationError("shape keying needs an orthogonal family")
-        if waveform_source.size != cfg.n_symbols:
-            raise ConfigurationError("family size must equal n_symbols")
         slot_waves = waveform_source.samples
         offsets = [0] * cfg.n_symbols
     else:
-        if not isinstance(waveform_source, SampledPulse):
-            raise ConfigurationError("position keying needs a single template pulse")
         s = shift_samples(waveform_source, cfg.shift)
         slot_waves = [waveform_source.samples] * cfg.n_symbols
         offsets = [d * s for d in range(cfg.n_symbols)]
@@ -162,11 +171,19 @@ def receive_oppm(r: SampledPulse, template: SampledPulse, cfg: LinkConfig) -> li
     return decisions
 
 
+def _erfc_sqrt(num, den: float) -> np.ndarray:
+    """erfc(sqrt(num / den)) elementwise; at den = 0 its limit, 0 where
+    num > 0 and 1 where num = 0."""
+    if den == 0.0:
+        return np.where(num > 0.0, 0.0, 1.0)
+    return erfc(np.sqrt(num / den))
+
+
 def union_bound_orthogonal(n_symbols: int, energy: float, noise_density: float) -> float:
-    """(N-1) erfc(sqrt(E/N0)), clamped to one."""
+    """(N-1) erfc(sqrt(E/N0)), clamped to one; 0 without noise."""
     if n_symbols < 2:
         raise ConfigurationError("need at least two symbols for an error bound")
-    return min(1.0, (n_symbols - 1) * math.erfc(math.sqrt(energy / noise_density)))
+    return min(1.0, (n_symbols - 1) * float(_erfc_sqrt(energy, noise_density)))
 
 
 def union_bound_correlated(rho, energy: float, noise_density: float) -> float:
@@ -179,8 +196,7 @@ def union_bound_correlated(rho, energy: float, noise_density: float) -> float:
     if np.any(np.abs(rho) > 1.0 + 1e-12):
         raise ConfigurationError("correlations must lie in [-1, 1]; normalize first")
     rho = np.clip(rho, -1.0, 1.0)
-    arg = np.sqrt(energy * (1.0 - rho) / (2.0 * noise_density))
-    return float(0.5 * np.sum([math.erfc(x) for x in arg]))
+    return float(0.5 * np.sum(_erfc_sqrt(energy * (1.0 - rho), 2.0 * noise_density)))
 
 
 def bit_rate(k_overlap: int, clock: float = defaults.CLOCK_T0) -> float:
@@ -207,6 +223,24 @@ def measured_correlations(template: SampledPulse, cfg: LinkConfig) -> np.ndarray
     return r[1:] / r[0]
 
 
+def _correlator_gram(cfg: LinkConfig, waveform_source) -> np.ndarray:
+    """Gram G of the receiver's N correlator outputs.
+
+    Message d sent with sign a gives the statistics sqrt(E) a G[d] without
+    noise; the white noise of ``add_awgn`` adds a zero-mean Gaussian vector
+    with covariance (N0/2) G.  Raises what ``modulate`` and the receivers
+    raise for the same inputs.
+    """
+    _check_source(cfg, waveform_source)
+    _slot_step(cfg, waveform_source.grid.dt)
+    if cfg.scheme == "PSM":
+        return waveform_source.gram()
+    return toeplitz(autocorr_samples(waveform_source, cfg.shift, cfg.n_symbols - 1))
+
+
+_CHUNK_BYTES = 8 << 20  # size of one batch's standard-normal block
+
+
 def simulate_ser(
     cfg: LinkConfig,
     waveform_source: OrthogonalFamily | SampledPulse,
@@ -215,31 +249,47 @@ def simulate_ser(
 ) -> SerResult:
     """Monte Carlo symbol error rate over single-slot transmissions.
 
-    Each trial runs the full modulate / noise / receive pipeline with an
-    independently derived seed (base XOR trial index), so any execution
-    order gives identical results.
+    The receiver sees a trial only through its N correlator outputs, and
+    for the white noise of ``add_awgn`` those are exactly Gaussian (see
+    ``_correlator_gram``).  So a trial draws message d, sign a and a
+    standard normal N-vector w, and decides the index of the largest
+    |sqrt(E) a G[d] + sqrt(N0/2) L w|, with G = L L^T; ties go to the
+    lowest index, as in the receivers.  Messages, signs and noise come
+    from three generators spawned from ``seed``, drawn in batches; trial
+    i reads element (row) i of each, so results depend only on
+    (seed, i), not on the trial count or the batch size.
     """
     if trials < 1:
         raise ConfigurationError("need at least one trial")
-    errors = 0
-    master = np.random.default_rng(seed)
-    msg_seq = master.integers(0, cfg.n_symbols, size=trials)
-    for i in range(trials):
-        trial_seed = seed ^ (i + 1)
-        msg = int(msg_seq[i])
-        u = modulate(cfg, waveform_source, [msg], seed=trial_seed)
-        r = add_awgn(u, cfg.noise_density, seed=trial_seed + 2**31)
-        if cfg.scheme == "PSM":
-            dec = receive_psm(r, waveform_source)
-        else:
-            dec = receive_oppm(r, waveform_source, cfg)[0]
-        if dec != msg:
-            errors += 1
-    ser = errors / trials
-    ci95 = 1.96 * math.sqrt(max(ser * (1.0 - ser), 1e-300) / trials)
+    if seed < 0:
+        raise ConfigurationError("seed must be nonnegative")
+    gram = _correlator_gram(cfg, waveform_source)
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGramError("correlator Gram is not positive definite") from exc
     if cfg.scheme == "PSM":
         bound = union_bound_orthogonal(cfg.n_symbols, cfg.energy, cfg.noise_density)
     else:
-        rho = measured_correlations(waveform_source, cfg)
+        rho = gram[0, 1:] / gram[0, 0]
         bound = union_bound_correlated(rho, cfg.energy, cfg.noise_density)
+    msg_rng, sign_rng, noise_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
+    )
+    n = cfg.n_symbols
+    amp = math.sqrt(cfg.energy)
+    sigma = math.sqrt(cfg.noise_density / 2.0)
+    chunk = max(1, _CHUNK_BYTES // (8 * n))
+    errors = 0
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        msgs = msg_rng.integers(0, n, size)
+        y = amp * gram[msgs]
+        if cfg.antipodal:
+            y *= sign_rng.choice([-1.0, 1.0], size)[:, None]
+        if sigma:
+            y += sigma * (noise_rng.standard_normal((size, n)) @ chol.T)
+        errors += int(np.count_nonzero(np.argmax(np.abs(y), axis=1) != msgs))
+    ser = errors / trials
+    ci95 = 1.96 * math.sqrt(max(ser * (1.0 - ser), 1e-300) / trials)
     return SerResult(trials=trials, errors=errors, ser=ser, ci95=ci95, bound=bound)

@@ -68,7 +68,7 @@ def test_design_rerun_byte_identical(tmp_path):
 def test_manifest_lists_outputs_with_hashes(design_dir):
     manifest = json.loads((design_dir / "manifest.json").read_text())
     assert manifest["command"] == "design"
-    assert manifest["schema_version"] == 1
+    assert manifest["schema_version"] == 2
     for name in ("taps.csv", "pulse.csv", "achieved_spectrum.csv", "design_report.json"):
         assert name in manifest["outputs"]
         assert len(manifest["outputs"][name]) == 64
@@ -322,3 +322,9 @@ def test_config_accepts_numeric_shift_clocks(tmp_path, design_dir):
     assert run(["analyze", "--outdir", out, "--config", cfg]) == 0
     report = json.loads((out / "analysis.json").read_text())
     assert report["shift_seconds"] == pytest.approx(15 * T0, rel=1e-12)
+
+
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    args = ["simulate", "--outdir", tmp_path, "--order", 1, "--trials", 10, "--seed", -1]
+    assert run(args) == 2
+    assert "seed" in capsys.readouterr().err

@@ -1,14 +1,17 @@
 """Waveforms, noise, receivers, analytic bounds, Monte Carlo plumbing."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import binom, norm
 
 import uwbpulse as up
-from uwbpulse import defaults
-from uwbpulse.errors import ConfigurationError
+from uwbpulse import defaults, modem
+from uwbpulse.errors import ConfigurationError, SingularGramError
 from uwbpulse.modem import LinkConfig, measured_correlations
 from uwbpulse.signals import SampledPulse, TimeGrid, inner, shift_samples
 
@@ -254,6 +257,16 @@ def test_correlated_bound_rejects_unnormalized():
         up.union_bound_correlated(np.array([1.5]), 1.0, 1.0)
 
 
+def test_orthogonal_bound_without_noise():
+    assert up.union_bound_orthogonal(9, 1.0, 0.0) == 0.0
+
+
+def test_correlated_bound_without_noise():
+    # the N0 -> 0 limit of each erfc term: 0 for rho < 1, 1 for rho = 1
+    assert up.union_bound_correlated(np.array([0.0, 0.3, -1.0]), 1.0, 0.0) == 0.0
+    assert up.union_bound_correlated(np.array([0.2, 1.0]), 1.0, 0.0) == 0.5
+
+
 def test_correlated_bound_with_measured_correlations(family_k2, oppm_cfg):
     rho = measured_correlations(family_k2.centered(), oppm_cfg)
     got = up.union_bound_correlated(rho, 4.0, 1.0)
@@ -301,3 +314,117 @@ def test_ser_result_fields(family_k2, psm_cfg):
     assert res.ci95 == pytest.approx(
         1.96 * math.sqrt(res.ser * (1 - res.ser) / res.trials), rel=1e-9
     )
+
+
+# --------------------------------------------------------- correlator law
+
+
+def _link(base, scheme, **changes):
+    return LinkConfig(**{**base.__dict__, "scheme": scheme, **changes})
+
+
+def _exact_orthonormal_ser(n_symbols, energy, noise_density):
+    """1 - P(|Y0| > |Yj| for all j) with Y0 ~ N(sqrt(E), N0/2) and N-1
+    independent Yj ~ N(0, N0/2): 1 - int_0^inf f_|Y0|(x) erf(x/sqrt(N0))^(N-1) dx."""
+    mu, sd = math.sqrt(energy), math.sqrt(noise_density / 2.0)
+
+    def integrand(x):
+        folded = norm.pdf(x, mu, sd) + norm.pdf(x, -mu, sd)
+        return folded * math.erf(x / math.sqrt(noise_density)) ** (n_symbols - 1)
+
+    p_correct, _ = quad(integrand, 0.0, mu + 40.0 * sd, points=[mu], epsabs=1e-13)
+    return 1.0 - p_correct
+
+
+@pytest.mark.parametrize("scheme", ["PSM", "OPPM_LO", "OPPM_ALO"])
+def test_correlator_gram_rows_are_noiseless_statistics(family_k2, pulse25, psm_cfg, scheme):
+    # row d of the Gram that simulate_ser samples around is what the
+    # receiver's correlators read from the noiseless waveform of message d
+    cfg = _link(psm_cfg, scheme, antipodal=False, noise_density=0.0)
+    if scheme == "PSM":
+        source = family_k2
+    elif scheme == "OPPM_LO":
+        source = family_k2.centered()
+    else:
+        source = up.approx_lowdin_family(pulse25, family_k2.shift, 4).centered()
+    gram = modem._correlator_gram(cfg, source)
+    for d in range(cfg.n_symbols):
+        u = up.modulate(cfg, source, [d])
+        if scheme == "PSM":
+            stats = source.samples @ u.samples * u.dt
+        else:
+            s = shift_samples(source, cfg.shift)
+            size = source.grid.size
+            windows = [u.samples[k * s : k * s + size] for k in range(cfg.n_symbols)]
+            stats = np.array([np.dot(w, source.samples) for w in windows]) * u.dt
+        assert np.max(np.abs(stats - gram[d])) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["PSM", "OPPM_LO"])
+@pytest.mark.parametrize("ebn0", [1.0, 2.0, 4.0, 8.0])
+def test_ser_inside_exact_oracle_interval(family_k2, psm_cfg, scheme, ebn0):
+    # criterion 12's grid; both Grams are the identity to within 1e-8
+    cfg = _link(psm_cfg, scheme, noise_density=1.0 / ebn0)
+    source = family_k2 if scheme == "PSM" else family_k2.centered()
+    trials = 200_000
+    res = up.simulate_ser(cfg, source, trials=trials, seed=0)
+    exact = _exact_orthonormal_ser(cfg.n_symbols, cfg.energy, cfg.noise_density)
+    lo, hi = binom.interval(1.0 - 1e-6, trials, exact)
+    assert lo <= res.errors <= hi
+
+
+@pytest.mark.parametrize("scheme, antipodal", [("PSM", True), ("OPPM_LO", False)])
+def test_simulation_independent_of_batch_size(family_k2, psm_cfg, monkeypatch, scheme, antipodal):
+    cfg = _link(psm_cfg, scheme, antipodal=antipodal)
+    source = family_k2 if scheme == "PSM" else family_k2.centered()
+    ref = up.simulate_ser(cfg, source, trials=1000, seed=4)
+    monkeypatch.setattr(modem, "_CHUNK_BYTES", 7 * 8 * cfg.n_symbols)  # 7 trials a batch
+    assert up.simulate_ser(cfg, source, trials=1000, seed=4) == ref
+    assert up.simulate_ser(cfg, source, trials=1000, seed=4) == ref
+    # trial i depends on (seed, i) only: one more trial adds 0 or 1 error
+    errors = [up.simulate_ser(cfg, source, trials=t, seed=4).errors for t in range(1, 40)]
+    assert set(np.diff([0] + errors)) <= {0, 1}
+    assert errors[-1] > 0
+
+
+@pytest.mark.parametrize("scheme", ["PSM", "OPPM_LO"])
+def test_simulation_noiseless_has_no_errors(family_k2, psm_cfg, scheme):
+    cfg = _link(psm_cfg, scheme, noise_density=0.0)
+    source = family_k2 if scheme == "PSM" else family_k2.centered()
+    res = up.simulate_ser(cfg, source, trials=5000, seed=1)
+    assert res.errors == 0
+    assert res.bound == 0.0
+
+
+def test_simulation_rejects_negative_seed(family_k2, psm_cfg):
+    with pytest.raises(ConfigurationError):
+        up.simulate_ser(psm_cfg, family_k2, trials=10, seed=-1)
+
+
+def test_simulation_rejects_singular_gram(family_k2, psm_cfg, oppm_cfg):
+    samples = family_k2.samples.copy()
+    samples[-1] = 0.0
+    with pytest.raises(SingularGramError):
+        up.simulate_ser(psm_cfg, dataclasses.replace(family_k2, samples=samples), trials=10)
+    tmpl = family_k2.centered()
+    flat = SampledPulse(tmpl.grid, np.zeros(tmpl.grid.size))
+    with pytest.raises(SingularGramError):
+        up.simulate_ser(oppm_cfg, flat, trials=10)
+
+
+def test_simulation_checks_inputs(family_k2, psm_cfg):
+    ctr = family_k2.centered()
+    off_grid = TS * (1 + 1e-3)
+    cases = [
+        (_link(psm_cfg, "PSM", n_symbols=7), family_k2, ConfigurationError),
+        (_link(psm_cfg, "PSM", symbol_period=off_grid), family_k2, ConfigurationError),
+        (_link(psm_cfg, "PSM"), ctr, ConfigurationError),
+        (_link(psm_cfg, "OPPM_LO", shift=family_k2.shift * 1.001), ctr, up.GridAlignmentError),
+        (_link(psm_cfg, "OPPM_LO", symbol_period=off_grid), ctr, ConfigurationError),
+        (_link(psm_cfg, "OPPM_LO"), family_k2, ConfigurationError),
+    ]
+    for cfg, source, error in cases:
+        with pytest.raises(error):
+            up.simulate_ser(cfg, source, trials=10)
+    with pytest.raises(ConfigurationError):
+        up.simulate_ser(psm_cfg, family_k2, trials=0)
