@@ -25,7 +25,7 @@ from .pipeline import analyze_pulse, build_family, compliant_spectrum, design_pu
 from .signals import Spectrum, load_pulse_csv, save_pulse_csv
 from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _sha256(path: Path) -> str:
@@ -249,10 +249,12 @@ def cmd_simulate(args) -> int:
         )
         source = family if scheme_key == "psm" else centered
         res = simulate_ser(cfg, source, int(config["trials"]), int(config["seed"]))
-        rows.append((float(ebn0_db), res.ser, res.ci95, res.bound))
+        rows.append(
+            (float(ebn0_db), res.ser, res.ci95, res.bound, res.wilson_lo, res.wilson_hi)
+        )
     ser_path = out / "ser.csv"
     with open(ser_path, "w", newline="") as fh:
-        fh.write("ebn0_db,ser,ci95,bound\n")
+        fh.write("ebn0_db,ser,ci95,bound,wilson_lo,wilson_hi\n")
         for row in rows:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
     _write_manifest(out, "simulate", config, [ser_path])

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .errors import ConfigurationError, GridAlignmentError, UnstableGeneratorError
 from .signals import (
@@ -37,6 +38,9 @@ from .signals import (
 )
 
 RIESZ_GRID = 4096
+LIMIT_LEVEL = 1e-12  # converged tap ratio, and the limit pulse's truncation level
+LIMIT_MAX_M_HALF = 2048  # tap radius at which the limit generator stops doubling
+_PROBE_NODES = 256  # Gauss-Legendre nodes per probe piece: sqrt(Phi) to 1e-13 even at K = 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +49,6 @@ class ToeplitzGram:
 
     first_row: np.ndarray  # r(0), r(T), ..., r(K T)
     size: int  # N = 2M + 1
-    shift: float
 
     def __post_init__(self):
         object.__setattr__(self, "first_row", np.asarray(self.first_row, dtype=float))
@@ -68,7 +71,6 @@ class CirculantGram:
     """Circulant wrap of a banded Toeplitz Gram (band folded cyclically)."""
 
     first_row: np.ndarray
-    shift: float
 
     def __post_init__(self):
         object.__setattr__(self, "first_row", np.asarray(self.first_row, dtype=float))
@@ -128,7 +130,9 @@ class OrthogonalFamily:
 class LimitPulse(NamedTuple):
     pulse: SampledPulse
     truncation_radius: float  # seconds from center where samples were dropped
-    tail_level: float  # leftover relative amplitude at the buffer edge
+    tail_level: float  # outermost over centre tap; <= LIMIT_LEVEL once converged
+    m_half: int  # tap radius M, in shifts
+    taps: np.ndarray  # weights of p(. - nT), n = -M..M
 
 
 def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
@@ -149,7 +153,7 @@ def gram(p: SampledPulse, shift: float, m_half: int) -> ToeplitzGram:
     """Gram matrix of the 2M+1 translates from autocorrelation samples."""
     if m_half < 1:
         raise ConfigurationError("need at least one shift on each side")
-    return ToeplitzGram(autocorr_samples(p, shift), 2 * m_half + 1, shift)
+    return ToeplitzGram(autocorr_samples(p, shift), 2 * m_half + 1)
 
 
 def inverse_sqrt_spd(gm: ToeplitzGram | np.ndarray, min_eig: float = 1e-12) -> np.ndarray:
@@ -218,7 +222,22 @@ def strang_circulant(gm: ToeplitzGram) -> CirculantGram:
     row[: k + 1] = gm.first_row
     if k > 0:
         row[n - k :] = gm.first_row[1:][::-1]
-    return CirculantGram(row, gm.shift)
+    return CirculantGram(row)
+
+
+def _inverse_sqrt_taps(r: np.ndarray, m_half: int) -> np.ndarray:
+    """Row 0 of the ALO weights: the N-aliased Fourier coefficients of the
+    folded power spectrum to the -1/2, N = 2M + 1, for autocorrelation
+    samples ``r`` (entry n, cyclic, weights the translate n shifts away)."""
+    circ = strang_circulant(ToeplitzGram(r, 2 * m_half + 1))
+    lam = circ.eigenvalues()
+    if np.any(lam <= 0.0):
+        bad = int(np.argmin(lam))
+        raise UnstableGeneratorError(
+            f"circulant eigenvalue {lam[bad]:.3e} at sample {bad}/{circ.size} "
+            "is not positive; translates are unstable at this shift"
+        )
+    return np.fft.ifft(lam**-0.5).real
 
 
 def approx_lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
@@ -230,15 +249,8 @@ def approx_lowdin_family(p: SampledPulse, shift: float, m_half: int) -> Orthogon
     making the support claim exact.
     """
     gm = gram(p, shift, m_half)
-    circ = strang_circulant(gm)
-    lam = circ.eigenvalues()
-    if np.any(lam <= 0.0):
-        bad = int(np.argmin(lam))
-        raise UnstableGeneratorError(
-            f"circulant eigenvalue {lam[bad]:.3e} at sample {bad}/{circ.size} "
-            "is not positive; translates are unstable at this shift"
-        )
-    fam = _family(p, shift, scipy.linalg.circulant(np.fft.ifft(lam**-0.5).real).T, "alo")
+    row = _inverse_sqrt_taps(gm.first_row, m_half)
+    fam = _family(p, shift, scipy.linalg.circulant(row).T, "alo")
     cutoff = (m_half - gm.bandwidth / 2.0) * shift
     fam.samples[:, np.abs(fam.grid.times()) > cutoff + 1e-9 * p.dt] = 0.0
     return replace(fam, support=(-cutoff, cutoff))
@@ -269,53 +281,42 @@ def riesz_bounds(p: SampledPulse, shift: float) -> tuple[float, float]:
     return a, b
 
 
-def _padded_grid(p: SampledPulse, shift: float, margin: int):
-    """``p`` zero-padded by ``margin`` shifts on each side to a power-of-two
-    length, with the pad width, the rfft frequencies and the folded power
-    spectrum at those frequencies."""
-    pad = margin * shift_samples(p, shift)
-    nfft = 1 << int(math.ceil(math.log2(max(p.grid.size + 2 * pad, 2))))
-    buf = np.zeros(nfft)
-    buf[pad : pad + p.grid.size] = p.samples
-    freqs = np.fft.rfftfreq(nfft, p.dt)
-    return buf, pad, freqs, cosine_series(autocorr_samples(p, shift), freqs * shift)
-
-
-def orthonormal_generator(
-    p: SampledPulse,
-    shift: float,
-    trunc_level: float = 1e-12,
-    max_margin_shifts: int = 2048,
-) -> LimitPulse:
+def orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
     """Shift-orthonormal pulse with spectrum p^ / sqrt(folded power).
 
-    Computed on a zero-padded FFT grid and truncated where the amplitude
-    falls below ``trunc_level`` times the peak; the pulse has no compact
-    support, so the truncation radius is reported alongside.  The margin
-    doubles until the wrap-around tail is below the truncation level (or
-    the shift cap is reached; the reported tail level then tells how far
-    from converged the tails are -- near-degenerate stability bounds can
-    make the generator decay over astronomically many shifts).
+    It is the N -> infinity limit of the centred ALO member, computed as
+    that member without the clip: sum_n c_n p(. - nT) over |n| <= M, with
+    c row M of the ALO_M weights.  M doubles from 128 until the outermost
+    tap is at most LIMIT_LEVEL of the centre tap, or reaches
+    LIMIT_MAX_M_HALF; ``tail_level`` then tells how far from converged the
+    taps are (near-degenerate stability bounds can make the generator
+    decay over astronomically many shifts).  Samples below LIMIT_LEVEL of
+    the peak are dropped, and the truncation radius is reported.
     """
     riesz_bounds(p, shift)  # raises if unstable
-    margin = 128
+    r = autocorr_samples(p, shift)
+    m_half = 128
+    while m_half < len(r) - 1:  # the band must fit the circulant
+        m_half *= 2
     while True:
-        buf, pad, _, folded = _padded_grid(p, shift, margin)
-        out = np.fft.irfft(np.fft.rfft(buf) / np.sqrt(folded), len(buf))
-        peak = float(np.max(np.abs(out)))
-        tail = max(abs(out[0]), abs(out[-1]), abs(out[pad // 2]))
-        if tail <= trunc_level * peak or margin >= max_margin_shifts:
+        row = _inverse_sqrt_taps(r, m_half)
+        tail = float(np.max(np.abs(row[m_half : m_half + 2])) / row[0])  # taps at +-M
+        if tail <= LIMIT_LEVEL or m_half >= LIMIT_MAX_M_HALF:
             break
-        margin *= 2
+        m_half *= 2
+    taps = np.roll(row, m_half)
+    s = shift_samples(p, shift)
+    out = _translate_sum(p.samples, taps, s)
 
-    keep = np.nonzero(np.abs(out) > trunc_level * peak)[0]
+    peak = float(np.max(np.abs(out)))
+    keep = np.nonzero(np.abs(out) > LIMIT_LEVEL * peak)[0]
     lo, hi = int(keep.min()), int(keep.max())
-    n0 = pad + p.grid.n0
+    n0 = p.grid.n0 + m_half * s
     samples = out[lo : hi + 1].copy()
     grid = TimeGrid(p.dt, n0 - lo, len(samples))
     radius = max(n0 - lo, hi - n0) * p.dt
     pulse = SampledPulse(grid, samples)
-    return LimitPulse(pulse.normalized(), radius, tail / peak)
+    return LimitPulse(pulse.normalized(), radius, tail, m_half, taps)
 
 
 def summed_distortion(family: OrthogonalFamily, p: SampledPulse) -> float:
@@ -337,39 +338,31 @@ def lowdin_optimality_probe(
     """Check the symmetric construction against random-phase alternatives.
 
     Every orthonormal generator of the translate space has spectrum
-    phase(nu) * p^ / sqrt(folded power) with a unit-modulus periodic
-    phase; the phase-free choice minimizes ||p - generator||.  The probe
-    draws piecewise-constant random phases, builds each alternative on
-    the FFT grid, and reports the distances plus the closed-form check
-    ||p - p_on||^2 = 2 (1 - <p, p_on>).
+    exp(i alpha(nu)) p^ / sqrt(Phi), Phi the folded power spectrum, and
+    ||p - generator||^2 = r(0) + 1 - 2 int_0^1 sqrt(Phi) cos(alpha) dnu, so
+    the phase-free choice is closest.  The probe draws phases constant on
+    ``pieces`` bins of [0, 1/2), mirrored for a real pulse, so a distance
+    is one dot product with the per-bin integrals of sqrt(Phi) (Gauss-
+    Legendre).  It adds the time-domain closed form 2 (1 - <p, p_on>) of
+    the unit-energy ``p``'s generator p_on as a check.
     """
     base = orthonormal_generator(p, shift).pulse
-    # distances via quadrature
-    d_base = p.energy() + base.energy() - 2.0 * inner(p, base)
     closed = 2.0 * (1.0 - inner(p, base))
 
-    buf, _, freqs, folded = _padded_grid(p, shift, 256)
-    base_spec = np.fft.rfft(buf) / np.sqrt(folded)
+    r = autocorr_samples(p, shift)
+    x, w = scipy.special.roots_legendre(_PROBE_NODES)
+    nu = (np.arange(pieces)[:, None] + (x + 1.0) / 2.0) / (2 * pieces)
+    # integral of sqrt(Phi) over each bin plus its mirror image in (1/2, 1]
+    bins = np.sqrt(cosine_series(r, nu)) @ w / (2 * pieces)
+    d_base = float(r[0] + 1.0 - 2.0 * np.sum(bins))
 
-    # piecewise-constant phase on [0, 1/2), mirrored for a real pulse
-    frac = np.mod(freqs * shift, 1.0)
-    idx = np.minimum((np.minimum(frac, 1.0 - frac) * 2 * pieces).astype(int), pieces - 1)
     rng = np.random.default_rng(seed)
-    worst_gap = math.inf
-    results = []
-    for _ in range(trials):
-        angles = rng.uniform(0.0, 2.0 * np.pi, pieces)
-        alpha = angles[idx]
-        phase = np.where(frac <= 0.5, np.exp(1j * alpha), np.exp(-1j * alpha))
-        alt_t = np.fft.irfft(base_spec * phase, len(buf))
-        # distance in time domain; both live on the padded grid
-        d_alt = float(np.sum((buf - alt_t) ** 2) * p.dt)
-        results.append(d_alt)
-        worst_gap = min(worst_gap, d_alt - d_base)
+    angles = rng.uniform(0.0, 2.0 * np.pi, (trials, pieces))
+    results = r[0] + 1.0 - 2.0 * (np.cos(angles) @ bins)
     return {
         "lowdin_distance_sq": d_base,
         "closed_form_distance_sq": closed,
-        "alternative_distances_sq": results,
-        "min_gap": worst_gap,
+        "alternative_distances_sq": [float(d) for d in results],
+        "min_gap": float(np.min(results - d_base, initial=math.inf)),
         "trials": trials,
     }

@@ -59,13 +59,25 @@ class LinkConfig:
 
 @dataclass(frozen=True)
 class SerResult:
-    """Symbol error rate estimate with its binomial confidence radius."""
+    """Symbol error rate estimate with its Wald 95% radius ``ci95``, which
+    collapses at zero errors, and the Wilson 95% limits, which do not."""
 
     trials: int
     errors: int
     ser: float
     ci95: float
     bound: float
+    wilson_lo: float
+    wilson_hi: float
+
+
+def _wilson95(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson (1927) score interval for a binomial rate at 95% confidence."""
+    z2 = 1.96**2 / trials
+    ser = errors / trials
+    center = (ser + z2 / 2.0) / (1.0 + z2)
+    half = math.sqrt(z2 * (ser * (1.0 - ser) + z2 / 4.0)) / (1.0 + z2)
+    return max(0.0, center - half), min(1.0, center + half)
 
 
 def _slot_step(cfg: LinkConfig, dt: float) -> int:
@@ -292,4 +304,4 @@ def simulate_ser(
         errors += int(np.count_nonzero(np.argmax(np.abs(y), axis=1) != msgs))
     ser = errors / trials
     ci95 = 1.96 * math.sqrt(max(ser * (1.0 - ser), 1e-300) / trials)
-    return SerResult(trials=trials, errors=errors, ser=ser, ci95=ci95, bound=bound)
+    return SerResult(trials, errors, ser, ci95, bound, *_wilson95(errors, trials))

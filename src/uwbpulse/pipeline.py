@@ -155,9 +155,10 @@ def build_family(
     circulant wrap at the family dimension: the RMS eigenvalue of their
     difference, i.e. its Frobenius norm over sqrt(N), which is exactly
     sqrt(2 sum_k k r_k^2 / N) once the band fits (M >= K).  For kind
-    "limit" it also carries the generator's ``tail_level`` (above the
-    1e-12 truncation level when the margin cap stopped the generator
-    before it converged) and ``truncation_radius``.
+    "limit" it also carries the generator's tap radius ``limit_m_half``,
+    its ``tail_level`` (outermost over centre tap, above LIMIT_LEVEL =
+    1e-12 when the tap-radius cap stopped the generator before its taps
+    converged) and ``truncation_radius``.
     """
     shift = shift_from_ratio(pulse, k_ratio)
     m_half = m_multiple * k_ratio
@@ -192,6 +193,7 @@ def build_family(
         "m_half": m_half,
     }
     if kind == "limit":
+        report["limit_m_half"] = limit.m_half
         report["tail_level"] = limit.tail_level
         report["truncation_radius"] = limit.truncation_radius
     return family, centered, report

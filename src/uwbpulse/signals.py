@@ -411,8 +411,10 @@ def load_pulse_csv(path) -> SampledPulse:
     dt = float(t[1] - t[0])
     if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-6 * dt:
         raise ConfigurationError(f"{path}: non-uniform sample spacing")
-    n0 = int(round(-t[0] / dt))
-    if abs(-t[0] / dt - n0) > 1e-6:
+    # place t = 0 by the end-to-end step: t[1] - t[0] is too coarse at n0 ~ 1e5
+    step = (t[-1] - t[0]) / (len(t) - 1)
+    n0 = int(round(-t[0] / step))
+    if abs(-t[0] / step - n0) > 1e-6:
         raise ConfigurationError(f"{path}: t = 0 does not fall on the grid")
     grid = TimeGrid(dt, n0, len(t))
     return SampledPulse(grid, np.asarray(amps))

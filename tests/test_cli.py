@@ -68,7 +68,7 @@ def test_design_rerun_byte_identical(tmp_path):
 def test_manifest_lists_outputs_with_hashes(design_dir):
     manifest = json.loads((design_dir / "manifest.json").read_text())
     assert manifest["command"] == "design"
-    assert manifest["schema_version"] == 2
+    assert manifest["schema_version"] == 3
     for name in ("taps.csv", "pulse.csv", "achieved_spectrum.csv", "design_report.json"):
         assert name in manifest["outputs"]
         assert len(manifest["outputs"][name]) == 64
@@ -124,6 +124,7 @@ def test_orthogonalize_limit_kind(tmp_path, design_dir):
     report = json.loads((out / "gram_report.json").read_text())
     assert report["offdiag_max"] <= 1e-9  # translate correlations vanish
     assert report["tail_level"] <= 1e-12  # the generator converged
+    assert report["limit_m_half"] == 128  # at its first tap radius
     assert report["truncation_radius"] > 0
     assert (out / "pulse_limit.csv").exists()
 
@@ -246,10 +247,12 @@ def test_simulate_ser_csv(tmp_path):
         == 0
     )
     rows = read_rows(out / "ser.csv")
+    assert list(rows[0]) == ["ebn0_db", "ser", "ci95", "bound", "wilson_lo", "wilson_hi"]
     assert [r["ebn0_db"] for r in rows] == ["0", "6"]
     for row in rows:
         assert 0.0 <= float(row["ser"]) <= 1.0
         assert float(row["bound"]) > 0.0
+        assert float(row["wilson_lo"]) <= float(row["ser"]) <= float(row["wilson_hi"])
     # lower noise gives fewer errors
     assert float(rows[1]["ser"]) <= float(rows[0]["ser"])
 

@@ -358,14 +358,51 @@ def test_limit_truncation_radius_reported(limit_k2, pulse25):
 
 
 def test_limit_report_shows_generator_convergence(pulse25):
-    # at K = 15 the generator stops at its 2048-shift margin cap with the
-    # tail far above the truncation level; at K = 2 it converges
+    # at K = 15 the generator stops at its 2048-shift tap-radius cap with
+    # the outermost tap far above 1e-12 of the centre tap; at K = 2 its
+    # taps converge at the first radius
     _, _, capped = up.build_family(pulse25, 15, 2, "limit")
-    assert capped["tail_level"] > 1e-12
+    assert capped["tail_level"] > 1e-6
+    assert capped["limit_m_half"] == 2048
     _, centered, converged = up.build_family(pulse25, 2, 2, "limit")
     assert converged["tail_level"] <= 1e-12
+    assert converged["limit_m_half"] == 128
     t = centered.times()
     assert converged["truncation_radius"] == pytest.approx(max(-t[0], t[-1]), rel=1e-12)
+
+
+def test_generator_taps_are_the_alo_centre_row(monocycle):
+    # the limit generator is the unclipped centre member of ALO_M
+    shift = 2 * T0
+    lim = up.orthonormal_generator(monocycle, shift)
+    alo = up.approx_lowdin_family(monocycle, shift, lim.m_half)
+    assert np.array_equal(lim.taps, alo.weights[lim.m_half])
+    assert lim.tail_level == max(abs(lim.taps[0]), abs(lim.taps[-1])) / lim.taps[lim.m_half]
+
+
+def _sup_distance(a: SampledPulse, b: SampledPulse) -> float:
+    """Largest sample difference of two pulses on one dt, zero off each grid."""
+    lo = min(-a.grid.n0, -b.grid.n0)
+    hi = max(a.grid.size - a.grid.n0, b.grid.size - b.grid.n0)
+    diff = np.zeros(hi - lo)
+    diff[-a.grid.n0 - lo : -a.grid.n0 - lo + a.grid.size] += a.samples
+    diff[-b.grid.n0 - lo : -b.grid.n0 - lo + b.grid.size] -= b.samples
+    return float(np.abs(diff).max())
+
+
+@pytest.mark.parametrize("k, radii", [(2, (2, 3, 4)), (5, (5, 10, 15))])
+def test_centered_members_converge_geometrically_to_limit(pulse25, k, radii):
+    # the convergence theorem: the centred LO_M and ALO_M members tend to
+    # the limit pulse, the error shrinking by a constant factor per step
+    # in M; the radii keep every error far above the limit's 1e-12
+    # truncation floor
+    shift = pulse25.duration() / k
+    lim = up.orthonormal_generator(pulse25, shift).pulse
+    peak = float(np.abs(lim.samples).max())
+    for build in (up.lowdin_family, up.approx_lowdin_family):
+        errs = [_sup_distance(build(pulse25, shift, m).centered(), lim) / peak for m in radii]
+        assert min(errs) > 1e-10
+        assert all(b <= 0.02 * a for a, b in zip(errs, errs[1:])), errs
 
 
 # ------------------------------------------------------------ riesz bounds

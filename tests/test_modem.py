@@ -314,6 +314,10 @@ def test_ser_result_fields(family_k2, psm_cfg):
     assert res.ci95 == pytest.approx(
         1.96 * math.sqrt(res.ser * (1 - res.ser) / res.trials), rel=1e-9
     )
+    # each Wilson limit q is a root of (ser - q)^2 = z^2 q (1 - q) / n
+    assert 0.0 < res.wilson_lo < res.ser < res.wilson_hi
+    for q in (res.wilson_lo, res.wilson_hi):
+        assert (res.ser - q) ** 2 == pytest.approx(1.96**2 * q * (1 - q) / res.trials, rel=1e-9)
 
 
 # --------------------------------------------------------- correlator law
@@ -394,6 +398,10 @@ def test_simulation_noiseless_has_no_errors(family_k2, psm_cfg, scheme):
     res = up.simulate_ser(cfg, source, trials=5000, seed=1)
     assert res.errors == 0
     assert res.bound == 0.0
+    # Wald's ci95 collapses here; Wilson's upper limit is z^2 / (n + z^2)
+    assert res.wilson_lo == 0.0
+    assert res.wilson_hi > 0.0
+    assert res.wilson_hi == pytest.approx(1.96**2 / (5000 + 1.96**2), rel=1e-12)
 
 
 def test_simulation_rejects_negative_seed(family_k2, psm_cfg):

@@ -289,6 +289,16 @@ def test_pulse_csv_roundtrip(tmp_path, monocycle):
     assert np.allclose(back.samples, monocycle.samples, rtol=0, atol=0)
 
 
+def test_pulse_csv_roundtrip_long_pulse(tmp_path):
+    # ~2.6e5 samples at the default grid step, like the K = 15 limit pulse:
+    # t[1] - t[0] alone would misplace t = 0 by over 1e-6 steps
+    n0 = 131261
+    grid = TimeGrid(T0 / defaults.SAMPLES_PER_CLOCK, n0, 2 * n0 + 1)
+    p = SampledPulse(grid, np.zeros(grid.size))
+    up.save_pulse_csv(tmp_path / "long.csv", p)
+    assert up.load_pulse_csv(tmp_path / "long.csv").grid.n0 == n0
+
+
 def test_pulse_csv_rejects_nonuniform(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_seconds,amplitude\n0,1\n1e-10,2\n3e-10,1\n")
