@@ -16,6 +16,7 @@ import numpy as np
 from . import defaults
 from .errors import ConfigurationError
 from .lowdin import (
+    LIMIT_LEVEL,
     OrthogonalFamily,
     approx_lowdin_family,
     gram,
@@ -35,6 +36,7 @@ from .signals import (
     SampledPulse,
     Spectrum,
     TimeGrid,
+    _dft_bins,
     autocorr_samples,
     gaussian_monocycle,
     semi_discrete_convolve,
@@ -52,23 +54,48 @@ from .spectral import (
 )
 
 
-def band_spectrum(p: SampledPulse, mask: SpectralMask):
-    """Spectrum on a grid dense enough for sup-norm work on the mask band."""
+def _band_nfft(p: SampledPulse, mask: SpectralMask) -> int:
+    """Power-of-two grid length dense enough for sup-norm work on the band."""
     need = SUP_GRID_POINTS / (mask.f_top * p.dt)
-    nfft = 1 << int(math.ceil(math.log2(max(need, p.grid.size, 2))))
-    return spectrum(p, nfft)
+    return 1 << int(math.ceil(math.log2(max(need, p.grid.size, 2))))
+
+
+def band_spectrum(p: SampledPulse, mask: SpectralMask) -> Spectrum:
+    """Two-sided spectrum on the full nfft-point grid of :func:`spectrum`.
+
+    This is the input of the PSD models (``psd_pam_ppm``,
+    ``psd_th_framed``), whose lines reach beyond the mask band.  Mask
+    compliance needs only the band: see :func:`band_bins`.
+    """
+    return spectrum(p, _band_nfft(p, mask))
+
+
+def band_bins(p: SampledPulse, mask: SpectralMask) -> Spectrum:
+    """The bins of :func:`band_spectrum`'s grid in [0, f_top], by chirp-z.
+
+    Same frequencies, and the same values to rounding, as the full grid
+    restricted to [0, f_top], at the cost of two FFTs of about
+    len(p) + 16k points instead of one of nfft.
+    """
+    nfft = _band_nfft(p, mask)
+    df = 1.0 / (nfft * p.dt)  # the step np.fft.fftfreq uses
+    k = np.arange(min(int(mask.f_top / df) + 2, nfft // 2))
+    freqs = k * df
+    freqs = freqs[freqs <= mask.f_top]
+    vals = _dft_bins(p.samples, -p.grid.n0, nfft, len(freqs)) * p.dt
+    return Spectrum(freqs, vals)
 
 
 def compliant_spectrum(p: SampledPulse, mask: SpectralMask) -> tuple[float, Spectrum]:
     """Largest compliant scale alpha and alpha * p^ on the bins in [0, f_top].
 
-    The passband lies inside [0, f_top], so :func:`nesp` of the returned
-    spectrum equals that of the scaled full-grid spectrum.
+    Only the band bins are computed (:func:`band_bins`).  The passband
+    lies inside [0, f_top], so :func:`nesp` of the returned spectrum
+    equals that of the scaled full-grid spectrum.
     """
-    spec = band_spectrum(p, mask)
+    spec = band_bins(p, mask)
     alpha = max_compliant_scale(spec, mask)
-    sel = (spec.freqs >= 0.0) & (spec.freqs <= mask.f_top)
-    return alpha, Spectrum(spec.freqs[sel], spec.values[sel] * alpha)
+    return alpha, Spectrum(spec.freqs, spec.values * alpha)
 
 
 @dataclass(frozen=True)
@@ -103,7 +130,7 @@ def design_pulse(
     half = monocycle_clocks * samples_per_clock // 2
     grid = TimeGrid(clock / samples_per_clock, half, 2 * half + 1)
     q = gaussian_monocycle(fc, monocycle_clocks * clock, grid)
-    q_spec = band_spectrum(q, mask)
+    q_spec = band_bins(q, mask)
     gammas = fit_mask_polynomials(mask, q_spec, order, density=grid_density, pulse=q)
     weights = passband_weights(q_spec, mask.passband, order, clock, pulse=q)
     solution = solve_autocorr_lp(
@@ -158,7 +185,8 @@ def build_family(
     "limit" it also carries the generator's tap radius ``limit_m_half``,
     its ``tail_level`` (outermost over centre tap, above LIMIT_LEVEL =
     1e-12 when the tap-radius cap stopped the generator before its taps
-    converged) and ``truncation_radius``.
+    converged), ``converged`` (tail_level <= LIMIT_LEVEL) and
+    ``truncation_radius``.
     """
     shift = shift_from_ratio(pulse, k_ratio)
     m_half = m_multiple * k_ratio
@@ -195,6 +223,7 @@ def build_family(
     if kind == "limit":
         report["limit_m_half"] = limit.m_half
         report["tail_level"] = limit.tail_level
+        report["converged"] = limit.tail_level <= LIMIT_LEVEL
         report["truncation_radius"] = limit.truncation_radius
     return family, centered, report
 

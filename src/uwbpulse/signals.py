@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigurationError, GridAlignmentError, ResolutionError
 
@@ -270,9 +271,34 @@ def spectrum(p: SampledPulse, nfft: int) -> Spectrum:
     if nfft & (nfft - 1):
         raise ConfigurationError("nfft must be a power of two")
     vals = np.fft.fft(p.samples, nfft) * p.dt
+    # exp(2i pi k n0 / nfft) with k n0 reduced mod nfft in integers: exact
+    # phases, where f * n0 * dt loses ~1e-13 at n0 ~ 1e4
+    vals *= np.exp(2j * np.pi * ((np.arange(nfft) * p.grid.n0) % nfft) / nfft)
     freqs = np.fft.fftfreq(nfft, p.dt)
-    vals *= np.exp(2j * np.pi * freqs * p.grid.n0 * p.dt)
     return Spectrum(np.fft.fftshift(freqs), np.fft.fftshift(vals))
+
+
+def _dft_bins(x: np.ndarray, first: int, nfft: int, m: int) -> np.ndarray:
+    """Bins 0..m-1 of the nfft-point DFT of samples x[i] at index first + i.
+
+    That is sum_i x[i] exp(-2i pi k (first + i) / nfft), by Bluestein's
+    chirp-z: k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum into one
+    convolution with the chirp exp(-i pi j^2 / nfft), done with two FFTs
+    of length next_fast_len(len(x) + m - 1).  The chirp's j^2 is reduced
+    mod 2 nfft in integers, so every phase is exact however large j is.
+    """
+
+    def chirp(j):
+        return np.exp(-1j * np.pi * ((j * j) % (2 * nfft)) / nfft)
+
+    n = len(x)
+    size = scipy.fft.next_fast_len(n + m - 1)
+    j = np.arange(n, dtype=np.int64) + first
+    a = scipy.fft.fft(x * chirp(j), size)
+    lags = np.arange(-(n - 1), m, dtype=np.int64) - first  # every k - j
+    b = scipy.fft.fft(np.conj(chirp(lags)), size)
+    conv = scipy.fft.ifft(a * b)[n - 1 : n - 1 + m]
+    return chirp(np.arange(m, dtype=np.int64)) * conv
 
 
 def dtft(p: SampledPulse, freqs) -> np.ndarray:
@@ -408,13 +434,13 @@ def load_pulse_csv(path) -> SampledPulse:
     if len(times) < 2:
         raise ConfigurationError(f"{path}: fewer than two samples")
     t = np.asarray(times)
-    dt = float(t[1] - t[0])
+    # the end-to-end step: t[1] - t[0] alone is ~1e-11 off at n0 ~ 1e5,
+    # enough to misplace t = 0 and drift the grid by ~1e-6 steps
+    dt = float((t[-1] - t[0]) / (len(t) - 1))
     if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-6 * dt:
         raise ConfigurationError(f"{path}: non-uniform sample spacing")
-    # place t = 0 by the end-to-end step: t[1] - t[0] is too coarse at n0 ~ 1e5
-    step = (t[-1] - t[0]) / (len(t) - 1)
-    n0 = int(round(-t[0] / step))
-    if abs(-t[0] / step - n0) > 1e-6:
+    n0 = int(round(-t[0] / dt))
+    if abs(-t[0] / dt - n0) > 1e-6:
         raise ConfigurationError(f"{path}: t = 0 does not fall on the grid")
     grid = TimeGrid(dt, n0, len(t))
     return SampledPulse(grid, np.asarray(amps))

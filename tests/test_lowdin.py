@@ -360,13 +360,15 @@ def test_limit_truncation_radius_reported(limit_k2, pulse25):
 def test_limit_report_shows_generator_convergence(pulse25):
     # at K = 15 the generator stops at its 2048-shift tap-radius cap with
     # the outermost tap far above 1e-12 of the centre tap; at K = 2 its
-    # taps converge at the first radius
+    # taps converge at the first radius; ``converged`` says which
     _, _, capped = up.build_family(pulse25, 15, 2, "limit")
     assert capped["tail_level"] > 1e-6
     assert capped["limit_m_half"] == 2048
+    assert capped["converged"] is False
     _, centered, converged = up.build_family(pulse25, 2, 2, "limit")
     assert converged["tail_level"] <= 1e-12
     assert converged["limit_m_half"] == 128
+    assert converged["converged"] is True
     t = centered.times()
     assert converged["truncation_radius"] == pytest.approx(max(-t[0], t[-1]), rel=1e-12)
 

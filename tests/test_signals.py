@@ -299,6 +299,17 @@ def test_pulse_csv_roundtrip_long_pulse(tmp_path):
     assert up.load_pulse_csv(tmp_path / "long.csv").grid.n0 == n0
 
 
+def test_pulse_csv_long_grid_keeps_writer_dt(tmp_path):
+    # the end-to-end step recovers dt to rounding; t[1] - t[0] alone is
+    # ~1e-11 off on a grid this long
+    dt = T0 / defaults.SAMPLES_PER_CLOCK
+    grid = TimeGrid(dt, 120_011, 200_003)
+    up.save_pulse_csv(tmp_path / "long.csv", SampledPulse(grid, np.zeros(grid.size)))
+    back = up.load_pulse_csv(tmp_path / "long.csv").grid
+    assert back.n0 == grid.n0
+    assert abs(back.dt - dt) <= 1e-14 * dt
+
+
 def test_pulse_csv_rejects_nonuniform(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_seconds,amplitude\n0,1\n1e-10,2\n3e-10,1\n")

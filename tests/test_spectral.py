@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import uwbpulse as up
-from uwbpulse import defaults
+from uwbpulse import defaults, pipeline, signals
 from uwbpulse.errors import ConfigurationError, DivisionHazardError
-from uwbpulse.pipeline import band_spectrum
-from uwbpulse.signals import Spectrum, dtft_power
+from uwbpulse.pipeline import band_bins, band_spectrum, compliant_spectrum
+from uwbpulse.signals import Spectrum, dtft, dtft_power
 from uwbpulse.spectral import (
     SpectralMask,
     cosine_basis,
@@ -248,6 +248,63 @@ def test_scale_monotone_in_mask(spec25, mask):
         tuple((lo, hi, lv * 2.0) for lo, hi, lv in mask.segments), mask.passband
     )
     assert up.max_compliant_scale(spec25, bigger) >= base
+
+
+# ------------------------------------------------- band bins by chirp-z
+
+
+@pytest.fixture(scope="module", params=["monocycle", "order25", "limit2", "limit12"])
+def band_pulse(request, monocycle, pulse25, limit_k2):
+    # 193 to ~28k samples; n0 is even for the first three and odd at K = 12
+    if request.param == "monocycle":
+        return monocycle
+    if request.param == "order25":
+        return pulse25
+    if request.param == "limit2":
+        return limit_k2.pulse
+    return up.orthonormal_generator(pulse25, pulse25.duration() / 12).pulse
+
+
+def _full_grid_band(p, mask):
+    full = band_spectrum(p, mask)
+    sel = (full.freqs >= 0.0) & (full.freqs <= mask.f_top)
+    return full, sel
+
+
+def test_band_bins_are_the_full_grid_bins(band_pulse, mask):
+    full, sel = _full_grid_band(band_pulse, mask)
+    got = band_bins(band_pulse, mask)
+    assert np.array_equal(got.freqs, full.freqs[sel])
+    peak = np.abs(full.values).max()
+    assert np.abs(got.values - full.values[sel]).max() <= 1e-14 * peak
+
+
+def test_band_bins_match_exact_dtft(band_pulse, mask):
+    got = band_bins(band_pulse, mask)
+    idx = np.random.default_rng(7).choice(len(got.freqs), 200, replace=False)
+    exact = dtft(band_pulse, got.freqs[idx])
+    peak = np.abs(got.values).max()
+    assert np.abs(got.values[idx] - exact).max() <= 1e-13 * peak
+
+
+def test_compliant_spectrum_matches_full_grid_route(band_pulse, mask):
+    full, sel = _full_grid_band(band_pulse, mask)
+    alpha_full = up.max_compliant_scale(full, mask)
+    nesp_full = up.nesp(Spectrum(full.freqs[sel], full.values[sel] * alpha_full), mask)
+    alpha, scaled = compliant_spectrum(band_pulse, mask)
+    assert alpha == pytest.approx(alpha_full, rel=1e-13, abs=0)
+    assert up.nesp(scaled, mask) == pytest.approx(nesp_full, rel=1e-13, abs=0)
+
+
+def test_compliance_chain_never_builds_the_full_grid(monkeypatch, mask):
+    def full_grid(*args, **kwargs):
+        raise AssertionError("the full-grid spectrum was computed")
+
+    monkeypatch.setattr(pipeline, "spectrum", full_grid)
+    monkeypatch.setattr(signals, "spectrum", full_grid)
+    design = up.design_pulse(order=5)
+    report = up.analyze_pulse(design.pulse, mask)
+    assert report["nesp"] == pytest.approx(design.nesp_value, rel=1e-12, abs=0)
 
 
 # ------------------------------------------------------------------- PSDs
