@@ -25,7 +25,7 @@ from .pipeline import analyze_pulse, build_family, compliant_spectrum, design_pu
 from .signals import Spectrum, load_pulse_csv, save_pulse_csv
 from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _sha256(path: Path) -> str:
@@ -135,13 +135,19 @@ def cmd_design(args) -> int:
     achieved = result.spectrum
     save_psd_csv(spec_path, Spectrum(achieved.freqs, achieved.power().astype(complex)))
     report_path = out / "design_report.json"
+    sol = result.solution
     _write_json(
         report_path,
         {
-            "objective": result.solution.objective,
+            "objective": sol.objective,
             "nesp": result.nesp_value,
-            "feasibility_margin": result.solution.feasibility_margin,
-            "dual_bound": result.solution.dual_bound,
+            "feasibility_margin": sol.feasibility_margin,
+            "dual_bound": sol.dual_bound,
+            "backoff_rounds": sol.backoff_rounds,
+            "lower_floor": sol.lower_floor,
+            "lp_rows": sol.lp_rows,
+            "lp_rows_solved": sol.lp_rows_solved,
+            "lp_solves": sol.lp_solves,
         },
     )
     _write_manifest(out, "design", config, [taps_path, pulse_path, spec_path, report_path])

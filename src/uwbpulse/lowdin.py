@@ -185,6 +185,11 @@ def lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamil
     member m is the filtered pulse sum_n weights[m, n] p(. - nT).
     """
     a, _ = riesz_bounds(p, shift)
+    return _lowdin_family(p, shift, m_half, a)
+
+
+def _lowdin_family(p: SampledPulse, shift: float, m_half: int, a: float) -> OrthogonalFamily:
+    """:func:`lowdin_family` given the lower Riesz bound ``a`` at ``shift``."""
     if a <= 1e-8:
         raise UnstableGeneratorError(
             f"stability lower bound {a:.3e} too small at shift {shift!r}"
@@ -294,6 +299,11 @@ def orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
     the peak are dropped, and the truncation radius is reported.
     """
     riesz_bounds(p, shift)  # raises if unstable
+    return _orthonormal_generator(p, shift)
+
+
+def _orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
+    """:func:`orthonormal_generator` once :func:`riesz_bounds` has passed."""
     r = autocorr_samples(p, shift)
     m_half = 128
     while m_half < len(r) - 1:  # the band must fit the circulant

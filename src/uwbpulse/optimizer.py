@@ -7,6 +7,13 @@ semi-infinite constraints are discretized on dense frequency grids,
 solved as an LP, re-verified on denser grids with margins backed off
 until the returned point is strictly feasible, and the taps are then
 recovered by minimum-phase spectral factorization.
+
+Each discretized LP has thousands of rows but only L free variables, so
+at most about L rows are active at its optimum.  :func:`_linprog_rows`
+solves it by row generation (the exchange method for semi-infinite LPs,
+Hettich & Kortanek 1993): solve on a subset of the rows, add the most
+violated of the others, repeat.  The LP is unchanged, and so is its
+optimum; only the rows handed to the solver at once are fewer.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from .spectral import CosinePoly, _gauss_nodes, cosine_basis
 
 VERIFY_REFINE = 4  # verification grids are this much denser than the LP grids
 _MAX_BACKOFF_ROUNDS = 6
+_ROW_STRIDE = 16  # row generation starts from every 16th row
+_ROW_TOL = 1e-12  # a row violated by more than this joins the working set
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +87,9 @@ class LpSolution:
     feasibility_margin: float
     lower_floor: float
     backoff_rounds: int
+    lp_rows: int  # rows of the final round's LP
+    lp_rows_solved: int  # of those, the rows in its final working set
+    lp_solves: int  # linprog calls over all rounds
 
 
 def passband_weights(
@@ -117,6 +129,58 @@ def _segment_grid(a: float, b: float, density: int, refine: int = 1) -> np.ndarr
     return np.linspace(a, b, density * refine + 1)
 
 
+def _linprog_rows(c, a_ub, b_ub, options, seed=()):
+    """Minimize c . x over free x with a_ub x <= b_ub, by row generation.
+
+    The working set starts as every ``_ROW_STRIDE``-th row, the last row
+    and the rows in ``seed``.  After each solve on it, every run of rows
+    outside it that are violated by more than ``_ROW_TOL`` adds its most
+    violated row; once none is, the point is optimal for all the rows.
+    Any status other than optimal on a working set falls back to one
+    solve on all the rows, so infeasible and unbounded LPs report as a
+    direct solve would.
+
+    Returns the solver's result with ``ineqlin.marginals`` scattered to
+    all the rows (zero outside the working set, so y . b_ub stays a dual
+    bound), plus ``rows_solved`` (the final working-set size) and
+    ``solves`` (the linprog calls made).
+    """
+    bounds = [(None, None)] * len(c)
+
+    def solve(rows):
+        return linprog(
+            c, A_ub=a_ub[rows], b_ub=b_ub[rows], bounds=bounds, method="highs", options=options
+        )
+
+    n = len(b_ub)
+    work = np.zeros(n, dtype=bool)
+    work[::_ROW_STRIDE] = True
+    work[-1] = True
+    work[np.asarray(seed, dtype=int)] = True
+    solves = 0
+    while True:
+        rows = np.flatnonzero(work)
+        res = solve(rows)
+        solves += 1
+        if res.status != 0:
+            res = solve(slice(None))
+            res.rows_solved, res.solves = n, solves + 1
+            return res
+        excess = a_ub @ res.x - b_ub
+        violated = (excess > _ROW_TOL) & ~work
+        if not violated.any():
+            break
+        # runs of consecutive violated rows: [start, stop) pairs
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], violated.view(np.int8), [0]])))
+        for start, stop in edges.reshape(-1, 2):
+            work[start + int(np.argmax(excess[start:stop]))] = True
+    marginals = np.zeros(n)
+    marginals[rows] = res.ineqlin.marginals
+    res.ineqlin.marginals = marginals
+    res.rows_solved, res.solves = len(rows), solves
+    return res
+
+
 def solve_autocorr_lp(
     weights: np.ndarray,
     gammas: list[CosinePoly],
@@ -131,6 +195,10 @@ def solve_autocorr_lp(
     margins start at a small fraction of the ceiling scale and are backed
     off (grown) until the point is feasible, with strictly positive
     spectrum, on grids ``VERIFY_REFINE`` times denser.
+
+    Each round's LP is solved by row generation (:func:`_linprog_rows`),
+    seeded with the round's extra near-active nodes; the LP, and so its
+    optimum, is the one with all the rows.
 
     ``segments`` gives each ceiling's active interval; by default segment
     i of n covers [0, top_i] except the last, matching the fit regions.
@@ -184,10 +252,14 @@ def solve_autocorr_lp(
     near = 1e-4 * scale
     res = None
     rounds = 0
+    solves = 0
     refined = False
     for rounds in range(1, _MAX_BACKOFF_ROUNDS + 1):
         low_nodes = np.concatenate([nu_low, np.asarray(extra_low)]) if extra_low else nu_low
         a_low_full = cosine_basis(low_nodes, L, clock) if extra_low else a_low
+        # the extra nodes' rows seed the working set of the row generation
+        seed = [np.arange(len(nu_low), len(low_nodes))]
+        offset = len(low_nodes)
         bases = []
         gvals_list = []
         for j, ((a, b), gam) in enumerate(zip(segments, gammas)):
@@ -200,19 +272,17 @@ def solve_autocorr_lp(
             else:
                 bases.append(seg_basis[j])
                 gvals_list.append(seg_gamma[j])
+            seed.append(np.arange(offset + len(seg_basis[j]), offset + len(bases[-1])))
+            offset += len(bases[-1])
         a_ub = np.vstack([-a_low_full] + bases)
         b_ub = np.concatenate(
             [np.full(len(low_nodes), -floor / scale)]
             + [(g - m) / scale for g, m in zip(gvals_list, margins)]
         )
-        res = linprog(
-            -weights / np.max(np.abs(weights)),
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=[(None, None)] * L,
-            method="highs",
-            options=options,
+        res = _linprog_rows(
+            -weights / np.max(np.abs(weights)), a_ub, b_ub, options, np.concatenate(seed)
         )
+        solves += res.solves
         if res.status == 4:
             # solver could not tell infeasible from unbounded; a zero
             # objective settles which one it is
@@ -224,6 +294,7 @@ def solve_autocorr_lp(
                 method="highs",
                 options=options,
             )
+            solves += 1
             if probe.status == 0:
                 raise UnboundedError(
                     "objective unbounded; an upper-bound segment is missing"
@@ -276,6 +347,9 @@ def solve_autocorr_lp(
         feasibility_margin=margin,
         lower_floor=floor,
         backoff_rounds=rounds,
+        lp_rows=len(b_ub),
+        lp_rows_solved=res.rows_solved,
+        lp_solves=solves,
     )
 
 

@@ -18,10 +18,10 @@ from .errors import ConfigurationError
 from .lowdin import (
     LIMIT_LEVEL,
     OrthogonalFamily,
+    _lowdin_family,
+    _orthonormal_generator,
     approx_lowdin_family,
     gram,
-    lowdin_family,
-    orthonormal_generator,
     riesz_bounds,
 )
 from .optimizer import (
@@ -190,14 +190,14 @@ def build_family(
     """
     shift = shift_from_ratio(pulse, k_ratio)
     m_half = m_multiple * k_ratio
-    a, b = riesz_bounds(pulse, shift)
+    a, b = riesz_bounds(pulse, shift)  # the one stability scan of this build
     gm = gram(pulse, shift, m_half)
     if gm.bandwidth > m_half:
         raise ConfigurationError(f"band (K={gm.bandwidth}) does not fit M={m_half}")
     lags = np.arange(gm.bandwidth + 1)
     weak = math.sqrt(2.0 * np.dot(lags, gm.first_row**2) / gm.size)
     if kind == "lo":
-        family = lowdin_family(pulse, shift, m_half)
+        family = _lowdin_family(pulse, shift, m_half, a)
         centered = family.centered()
         offdiag = family.max_offdiagonal()
     elif kind == "alo":
@@ -206,7 +206,7 @@ def build_family(
         offdiag = family.max_offdiagonal()
     elif kind == "limit":
         family = None
-        limit = orthonormal_generator(pulse, shift)
+        limit = _orthonormal_generator(pulse, shift)
         centered = limit.pulse
         r = autocorr_samples(centered, shift)
         offdiag = float(np.max(np.abs(r[1:]))) if len(r) > 1 else 0.0

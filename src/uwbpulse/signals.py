@@ -405,13 +405,24 @@ def zak_transform(p: SampledPulse, shift: float, t: float, nu: float) -> complex
     return complex(total)
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write a header and then ``rows`` (one column per header name) with
+    17 significant digits, in one write.
+
+    The bytes are those of :class:`csv.writer` fed the ``f"{x:.17g}"``
+    strings: CRLF line ends, and numbers never need quoting.
+    """
+    cols = len(header)
+    flat = np.asarray(rows, dtype=float).reshape(-1, cols).ravel().tolist()
+    line = ",".join(["%.17g"] * cols) + "\r\n"
+    body = (line * (len(flat) // cols)) % tuple(flat)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + body)
+
+
 def save_pulse_csv(path, p: SampledPulse) -> None:
     """Write `t_seconds,amplitude` rows with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_seconds", "amplitude"])
-        for t, a in zip(p.times(), p.samples):
-            w.writerow([f"{t:.17g}", f"{a:.17g}"])
+    _write_csv(path, ["t_seconds", "amplitude"], np.column_stack([p.times(), p.samples]))
 
 
 def load_pulse_csv(path) -> SampledPulse:

@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigurationError, DivisionHazardError, MaskFitError
-from .signals import Spectrum, cosine_series, dtft_power
+from .signals import Spectrum, _write_csv, cosine_series, dtft_power
 
 SUP_GRID_POINTS = 2**14  # grid for sup-norm style evaluations on [0, band top]
 SAFETY_FACTOR = 1.0 - 1e-6  # shrink applied to compliant scalings
@@ -118,11 +118,7 @@ def load_mask_csv(path, passband=None) -> SpectralMask:
 
 
 def save_mask_csv(path, mask: SpectralMask) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["f_lo_hz", "f_hi_hz", "level_w_per_hz"])
-        for f_lo, f_hi, level in mask.segments:
-            w.writerow([f"{f_lo:.17g}", f"{f_hi:.17g}", f"{level:.17g}"])
+    _write_csv(path, ["f_lo_hz", "f_hi_hz", "level_w_per_hz"], mask.segments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,16 +437,8 @@ def psd_th_framed(
 
 
 def save_psd_csv(path, psd: Spectrum) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["f_hz", "psd_w_per_hz"])
-        for f, v in zip(psd.freqs, psd.values.real):
-            w.writerow([f"{f:.17g}", f"{v:.17g}"])
+    _write_csv(path, ["f_hz", "psd_w_per_hz"], np.column_stack([psd.freqs, psd.values.real]))
 
 
 def save_lines_csv(path, lines) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["f_hz", "power_w"])
-        for f, v in lines:
-            w.writerow([f"{f:.17g}", f"{v:.17g}"])
+    _write_csv(path, ["f_hz", "power_w"], lines)

@@ -46,10 +46,24 @@ def test_design_default_duration(design_dir):
 
 def test_design_report_fields(design_dir):
     report = json.loads((design_dir / "design_report.json").read_text())
-    assert set(report) == {"objective", "nesp", "feasibility_margin", "dual_bound"}
+    assert set(report) == {
+        "objective",
+        "nesp",
+        "feasibility_margin",
+        "dual_bound",
+        "backoff_rounds",
+        "lower_floor",
+        "lp_rows",
+        "lp_rows_solved",
+        "lp_solves",
+    }
     assert report["nesp"] > 0.8
     assert report["feasibility_margin"] >= 0.0
     assert abs(report["objective"] - report["dual_bound"]) <= 1e-5 * report["objective"]
+    assert report["backoff_rounds"] >= 1
+    assert report["lower_floor"] > 0.0
+    assert 0 < report["lp_rows_solved"] <= report["lp_rows"]
+    assert report["lp_solves"] >= report["backoff_rounds"]
 
 
 def test_design_rerun_byte_identical(tmp_path):
@@ -68,7 +82,7 @@ def test_design_rerun_byte_identical(tmp_path):
 def test_manifest_lists_outputs_with_hashes(design_dir):
     manifest = json.loads((design_dir / "manifest.json").read_text())
     assert manifest["command"] == "design"
-    assert manifest["schema_version"] == 4
+    assert manifest["schema_version"] == 5
     for name in ("taps.csv", "pulse.csv", "achieved_spectrum.csv", "design_report.json"):
         assert name in manifest["outputs"]
         assert len(manifest["outputs"][name]) == 64

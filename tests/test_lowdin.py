@@ -410,6 +410,38 @@ def test_centered_members_converge_geometrically_to_limit(pulse25, k, radii):
 # ------------------------------------------------------------ riesz bounds
 
 
+@pytest.mark.parametrize("kind", ["lo", "alo", "limit"])
+def test_build_family_scans_riesz_bounds_once(pulse25, monkeypatch, kind):
+    import uwbpulse.lowdin
+    import uwbpulse.pipeline
+
+    calls = []
+    scan = uwbpulse.lowdin.riesz_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(uwbpulse.lowdin, "riesz_bounds", counted)
+    monkeypatch.setattr(uwbpulse.pipeline, "riesz_bounds", counted)
+    build_family(pulse25, 2, 2, kind)
+    assert len(calls) == 1
+
+
+def test_public_builders_keep_their_stability_check(pulse25, monkeypatch):
+    import uwbpulse.lowdin
+
+    def unstable(p, shift):
+        raise UnstableGeneratorError("stub: unstable")
+
+    monkeypatch.setattr(uwbpulse.lowdin, "riesz_bounds", unstable)
+    shift = pulse25.duration() / 2
+    with pytest.raises(UnstableGeneratorError):
+        up.lowdin_family(pulse25, shift, 4)
+    with pytest.raises(UnstableGeneratorError):
+        up.orthonormal_generator(pulse25, shift)
+
+
 def test_riesz_bounds_orthonormal_generator(limit_k2, pulse25):
     shift = pulse25.duration() / 2
     a, b = up.riesz_bounds(limit_k2.pulse, shift)

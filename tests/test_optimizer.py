@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import uwbpulse as up
-from uwbpulse import defaults
+from uwbpulse import defaults, optimizer
 from uwbpulse.errors import (
     ConfigurationError,
     FactorizationError,
@@ -112,6 +113,77 @@ def test_lp_monotone_in_order(monocycle, mask):
         objectives.append(sol.objective)
     assert objectives[0] <= objectives[1] * (1 + 1e-9)
     assert objectives[1] <= objectives[2] * (1 + 1e-9)
+
+
+def _full_linprog(c, a_ub, b_ub, options):
+    return linprog(
+        c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * len(c), method="highs", options=options
+    )
+
+
+@pytest.fixture(scope="module")
+def round_lps():
+    """Every back-off round's LP of the designs at L = 1, 5, 15, 25, as
+    (L, c, a_ub, b_ub, options, seed), recorded from solve_autocorr_lp
+    with each round solved on all its rows."""
+    lps = []
+    calls = []
+    solve = optimizer._linprog_rows
+
+    def record(c, a_ub, b_ub, options, seed=()):
+        calls.append((c, a_ub, b_ub, options, seed))
+        res = _full_linprog(c, a_ub, b_ub, options)
+        res.rows_solved, res.solves = len(b_ub), 1
+        return res
+
+    optimizer._linprog_rows = record
+    try:
+        for order in (1, 5, 15, 25):
+            up.design_pulse(order=order)
+            lps += [(order, *call) for call in calls]
+            calls.clear()
+    finally:
+        optimizer._linprog_rows = solve
+    return lps
+
+
+def test_row_generation_finds_the_full_lp_optimum(round_lps):
+    assert sorted({lp[0] for lp in round_lps}) == [1, 5, 15, 25]
+    assert any(len(lp[5]) for lp in round_lps)  # later rounds are seeded
+    for order, c, a_ub, b_ub, options, seed in round_lps:
+        res = optimizer._linprog_rows(c, a_ub, b_ub, options, seed)
+        ref = _full_linprog(c, a_ub, b_ub, options)
+        assert res.status == 0 and ref.status == 0
+        scale = np.abs(ref.x).max()
+        assert np.abs(res.x - ref.x).max() <= 1e-9 * scale, order
+        assert abs(res.fun - ref.fun) <= 1e-12 * abs(ref.fun), order
+        # the scattered marginals certify the full LP: y . b_ub = c . x
+        y = np.asarray(res.ineqlin.marginals)
+        assert y.shape == b_ub.shape
+        assert abs(y @ b_ub - res.fun) <= 1e-9 * abs(res.fun), order
+        assert np.max(a_ub @ res.x - b_ub) <= 1e-10, order
+        # and it got there from a fraction of the rows
+        assert res.rows_solved <= len(b_ub) // 2, (order, res.rows_solved, len(b_ub))
+
+
+def test_row_generation_falls_back_when_the_working_set_is_unbounded():
+    # a random polygon bounds (x0, x1) from every 16th row on; x2 is
+    # bounded only by row 5, which is outside the first working set
+    rng = np.random.default_rng(8)
+    n = 400
+    theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    a_ub = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n)])
+    b_ub = rng.uniform(1.0, 2.0, n)
+    a_ub[5] = [0.0, 0.0, 1.0]
+    c = np.array([-1.0, -0.5, -1.0])
+    options = {"presolve": True}
+    res = optimizer._linprog_rows(c, a_ub, b_ub, options)
+    ref = _full_linprog(c, a_ub, b_ub, options)
+    assert res.status == 0 and ref.status == 0
+    assert res.solves == 2 and res.rows_solved == n  # one working set, then all rows
+    assert np.abs(res.x - ref.x).max() <= 1e-9 * np.abs(ref.x).max()
+    assert res.fun == pytest.approx(ref.fun, rel=1e-12)
+    assert np.asarray(res.ineqlin.marginals) @ b_ub == pytest.approx(res.fun, rel=1e-9)
 
 
 def test_lp_infeasible_signals():

@@ -1,5 +1,7 @@
 """Pulse, spectrum, autocorrelation, folded spectrum, and Zak transform."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from uwbpulse.signals import (
     semi_discrete_convolve,
     shift_samples,
 )
+from uwbpulse.spectral import save_lines_csv, save_mask_csv, save_psd_csv
 
 T0 = defaults.CLOCK_T0
 TQ = defaults.MONOCYCLE_CLOCKS * T0
@@ -287,6 +290,43 @@ def test_pulse_csv_roundtrip(tmp_path, monocycle):
     assert back.grid.dt == pytest.approx(monocycle.dt, rel=1e-12)
     assert back.grid.n0 == monocycle.grid.n0
     assert np.allclose(back.samples, monocycle.samples, rtol=0, atol=0)
+
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    """Reference bytes: csv.writer, one writerow per row of 17-digit strings."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{x:.17g}" for x in row])
+    return path.read_bytes()
+
+
+def test_bulk_csv_writer_matches_csv_writer(tmp_path):
+    samples = np.array([-0.0, 5e-324, 2.5e-310, -1e300, 1e300, 0.1, -1.0 / 3.0, 0.0])
+    p = SampledPulse(TimeGrid(T0 / 7, 3, len(samples)), samples)
+    up.save_pulse_csv(tmp_path / "p.csv", p)
+    assert (tmp_path / "p.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "p_ref.csv", ["t_seconds", "amplitude"], zip(p.times(), p.samples)
+    )
+
+    psd = up.Spectrum(np.array([-1e9, 0.0, 2.5e9]), np.array([1e-300 + 2j, -0.0, 7.25]))
+    save_psd_csv(tmp_path / "psd.csv", psd)
+    assert (tmp_path / "psd.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "psd_ref.csv", ["f_hz", "psd_w_per_hz"], zip(psd.freqs, psd.values.real)
+    )
+
+    for lines in ([], [(1e8, 5e-324), (-2e8, 1e300)]):
+        save_lines_csv(tmp_path / "lines.csv", lines)
+        assert (tmp_path / "lines.csv").read_bytes() == _csv_writer_bytes(
+            tmp_path / "lines_ref.csv", ["f_hz", "power_w"], lines
+        )
+
+    mask = up.fcc_indoor_mask()
+    save_mask_csv(tmp_path / "mask.csv", mask)
+    assert (tmp_path / "mask.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "mask_ref.csv", ["f_lo_hz", "f_hi_hz", "level_w_per_hz"], mask.segments
+    )
 
 
 def test_pulse_csv_roundtrip_long_pulse(tmp_path):
