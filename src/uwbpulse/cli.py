@@ -22,10 +22,10 @@ from . import __version__, defaults
 from .errors import ConfigurationError, UwbPulseError
 from .modem import LinkConfig, bit_rate, simulate_ser
 from .pipeline import analyze_pulse, build_family, compliant_spectrum, design_pulse
-from .signals import Spectrum, load_pulse_csv, save_pulse_csv
+from .signals import Spectrum, _write_csv, load_pulse_csv, save_pulse_csv
 from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def _sha256(path: Path) -> str:
@@ -125,10 +125,7 @@ def cmd_design(args) -> int:
         grid_density=int(config["grid_density"]),
     )
     taps_path = out / "taps.csv"
-    with open(taps_path, "w", newline="") as fh:
-        fh.write("index,tap\n")
-        for i, tap in enumerate(result.taps.taps):
-            fh.write(f"{i},{tap:.17g}\n")
+    _write_csv(taps_path, ["index", "tap"], list(enumerate(result.taps.taps)))
     pulse_path = out / "pulse.csv"
     save_pulse_csv(pulse_path, result.pulse)
     spec_path = out / "achieved_spectrum.csv"
@@ -259,10 +256,7 @@ def cmd_simulate(args) -> int:
             (float(ebn0_db), res.ser, res.ci95, res.bound, res.wilson_lo, res.wilson_hi)
         )
     ser_path = out / "ser.csv"
-    with open(ser_path, "w", newline="") as fh:
-        fh.write("ebn0_db,ser,ci95,bound,wilson_lo,wilson_hi\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    _write_csv(ser_path, ["ebn0_db", "ser", "ci95", "bound", "wilson_lo", "wilson_hi"], rows)
     _write_manifest(out, "simulate", config, [ser_path])
     print(f"simulate: scheme={scheme_key} points={len(rows)}")
     return 0
@@ -289,27 +283,20 @@ def cmd_sweep(args) -> int:
             )
             _, scaled = compliant_spectrum(centered, mask)
             rows.append(
-                {
-                    "K": int(k),
-                    "T_over_T0": report["shift_seconds"] / mask.clock,
-                    "Rb_gbps": bit_rate(int(k), mask.clock) / 1e9,
-                    "nesp": nesp(scaled, mask),
-                    "offdiag_max": report["offdiag_max"],
-                    "A": report["A"],
-                    "B": report["B"],
-                }
+                (
+                    int(k),
+                    report["shift_seconds"] / mask.clock,
+                    bit_rate(int(k), mask.clock) / 1e9,
+                    nesp(scaled, mask),
+                    report["offdiag_max"],
+                    report["A"],
+                    report["B"],
+                )
             )
         except UwbPulseError as exc:  # record and continue
             errors[str(k)] = str(exc)
     sweep_path = out / "sweep.csv"
-    with open(sweep_path, "w", newline="") as fh:
-        fh.write("K,T_over_T0,Rb_gbps,nesp,offdiag_max,A,B\n")
-        for row in rows:
-            fh.write(
-                f"{row['K']},{row['T_over_T0']:.17g},{row['Rb_gbps']:.17g},"
-                f"{row['nesp']:.17g},{row['offdiag_max']:.17g},"
-                f"{row['A']:.17g},{row['B']:.17g}\n"
-            )
+    _write_csv(sweep_path, ["K", "T_over_T0", "Rb_gbps", "nesp", "offdiag_max", "A", "B"], rows)
     _write_manifest(out, "sweep", config, [sweep_path], errors=errors or None)
     print(f"sweep: rows={len(rows)} failures={len(errors)}")
     return 0

@@ -2,14 +2,14 @@
 
 The shaping problem is linear in the filter's autocorrelation sequence:
 maximize the passband power subject to the autocorrelation spectrum
-sitting between zero and the fitted per-segment ceilings.  The
-semi-infinite constraints are discretized on dense frequency grids,
-solved as an LP, re-verified on denser grids with margins backed off
-until the returned point is strictly feasible, and the taps are then
-recovered by minimum-phase spectral factorization.
+sitting above a small floor and below the fitted per-segment ceilings
+less a small margin.  The semi-infinite constraints are discretized on
+one dense frequency grid and solved as one LP, with floor and margins
+fixed; the taps are then recovered by minimum-phase spectral
+factorization.
 
-Each discretized LP has thousands of rows but only L free variables, so
-at most about L rows are active at its optimum.  :func:`_linprog_rows`
+The LP has tens of thousands of rows but only L free variables, so at
+most about L rows are active at its optimum.  :func:`_linprog_rows`
 solves it by row generation (the exchange method for semi-infinite LPs,
 Hettich & Kortanek 1993): solve on a subset of the rows, add the most
 violated of the others, repeat.  The LP is unchanged, and so is its
@@ -34,9 +34,8 @@ from .errors import (
 from .signals import SampledPulse, Spectrum, dtft_power, gram_symbol, lag_autocorrelation
 from .spectral import CosinePoly, _gauss_nodes, cosine_basis
 
-VERIFY_REFINE = 4  # verification grids are this much denser than the LP grids
-_MAX_BACKOFF_ROUNDS = 6
-_ROW_STRIDE = 16  # row generation starts from every 16th row
+GRID_REFINE = 4  # the LP grid is this much denser than ``grid_density``
+_ROW_STRIDE = 64  # row generation starts from every 64th row
 _ROW_TOL = 1e-12  # a row violated by more than this joins the working set
 
 
@@ -85,11 +84,11 @@ class LpSolution:
     objective: float
     dual_bound: float
     feasibility_margin: float
-    lower_floor: float
-    backoff_rounds: int
-    lp_rows: int  # rows of the final round's LP
+    lower_floor: float  # the fixed floor on the autocorrelation spectrum
+    backoff_rounds: int  # always 1: one LP per solve; kept for the benchmark tracer
+    lp_rows: int  # rows of the LP
     lp_rows_solved: int  # of those, the rows in its final working set
-    lp_solves: int  # linprog calls over all rounds
+    lp_solves: int  # linprog calls
 
 
 def passband_weights(
@@ -125,20 +124,15 @@ def passband_weights(
     return basis.T @ (w * tw)
 
 
-def _segment_grid(a: float, b: float, density: int, refine: int = 1) -> np.ndarray:
-    return np.linspace(a, b, density * refine + 1)
-
-
-def _linprog_rows(c, a_ub, b_ub, options, seed=()):
+def _linprog_rows(c, a_ub, b_ub, options):
     """Minimize c . x over free x with a_ub x <= b_ub, by row generation.
 
-    The working set starts as every ``_ROW_STRIDE``-th row, the last row
-    and the rows in ``seed``.  After each solve on it, every run of rows
-    outside it that are violated by more than ``_ROW_TOL`` adds its most
-    violated row; once none is, the point is optimal for all the rows.
-    Any status other than optimal on a working set falls back to one
-    solve on all the rows, so infeasible and unbounded LPs report as a
-    direct solve would.
+    The working set starts as every ``_ROW_STRIDE``-th row and the last
+    row.  After each solve on it, every run of rows outside it that are
+    violated by more than ``_ROW_TOL`` adds its most violated row; once
+    none is, the point is optimal for all the rows.  Any status other
+    than optimal on a working set falls back to one solve on all the
+    rows, so infeasible and unbounded LPs report as a direct solve would.
 
     Returns the solver's result with ``ineqlin.marginals`` scattered to
     all the rows (zero outside the working set, so y . b_ub stays a dual
@@ -156,7 +150,6 @@ def _linprog_rows(c, a_ub, b_ub, options, seed=()):
     work = np.zeros(n, dtype=bool)
     work[::_ROW_STRIDE] = True
     work[-1] = True
-    work[np.asarray(seed, dtype=int)] = True
     solves = 0
     while True:
         rows = np.flatnonzero(work)
@@ -190,15 +183,14 @@ def solve_autocorr_lp(
 ) -> LpSolution:
     """Maximize weights . r over autocorrelations obeying the fitted ceilings.
 
-    Constraints on the LP grid: r^(nu) >= floor on the whole band and
-    r^(nu) <= Gamma_i(nu) - margin_i on each segment's grid.  Floor and
-    margins start at a small fraction of the ceiling scale and are backed
-    off (grown) until the point is feasible, with strictly positive
-    spectrum, on grids ``VERIFY_REFINE`` times denser.
-
-    Each round's LP is solved by row generation (:func:`_linprog_rows`),
-    seeded with the round's extra near-active nodes; the LP, and so its
-    optimum, is the one with all the rows.
+    One LP on one grid, ``GRID_REFINE`` times denser than ``grid_density``:
+    r^(nu) >= floor at ``grid_density * GRID_REFINE * len(gammas) + 1``
+    nodes on [0, band_top], and r^(nu) <= Gamma_i(nu) - margin at
+    ``grid_density * GRID_REFINE + 1`` nodes on each segment.  Floor and
+    margins are a fixed small fraction of the ceiling scale.  The LP is
+    solved once, by row generation (:func:`_linprog_rows`); its optimum
+    is the one with all the rows, and ``feasibility_margin`` is the
+    point's worst slack on the same grid.
 
     ``segments`` gives each ceiling's active interval; by default segment
     i of n covers [0, top_i] except the last, matching the fit regions.
@@ -215,138 +207,64 @@ def solve_autocorr_lp(
     if len(segments) != len(gammas):
         raise ConfigurationError("one interval per polynomial required")
 
-    nu_low = _segment_grid(0.0, band_top, grid_density * len(gammas))
-    a_low = cosine_basis(nu_low, L, clock)
-    seg_basis = []
-    seg_gamma = []
-    for (a, b), gam in zip(segments, gammas):
-        nu = _segment_grid(a, b, grid_density)
-        seg_basis.append(cosine_basis(nu, L, clock))
-        seg_gamma.append(gam(nu))
+    n = grid_density * GRID_REFINE
+    a_low = cosine_basis(np.linspace(0.0, band_top, n * len(gammas) + 1), L, clock)
+    seg_nodes = [np.linspace(a, b, n + 1) for a, b in segments]
+    a_seg = cosine_basis(np.concatenate(seg_nodes), L, clock)
+    gvals = np.concatenate([gam(nu) for gam, nu in zip(gammas, seg_nodes)])
 
-    scale = max(float(np.max(g)) for g in seg_gamma)
+    scale = float(np.max(gvals))
     if scale <= 0:
         raise InfeasibleError("all ceilings are non-positive; mask and fits disagree")
     # fixed cushion: larger than typical between-grid-point excursions at
     # the default density, so the result barely depends on grid_density
-    floor = 3e-5 * scale
-    margins = [3e-5 * scale] * len(gammas)
-
-    hi_low_nu = _segment_grid(0.0, band_top, grid_density * len(gammas), VERIFY_REFINE)
-    hi_low = cosine_basis(hi_low_nu, L, clock)
-    hi_seg = []
-    hi_gamma = []
-    for (a, b), gam in zip(segments, gammas):
-        nu = _segment_grid(a, b, grid_density, VERIFY_REFINE)
-        hi_seg.append(cosine_basis(nu, L, clock))
-        hi_gamma.append(gam(nu))
+    floor = margin = 3e-5 * scale
+    a_ub = np.vstack([-a_low, a_seg])
+    b_ub = np.concatenate([np.full(len(a_low), -floor / scale), (gvals - margin) / scale])
 
     options = {
         "presolve": True,
         "primal_feasibility_tolerance": 1e-10,
         "dual_feasibility_tolerance": 1e-10,
     }
-    # extra constraint nodes appended near active points found off-grid
-    extra_low: list[float] = []
-    extra_seg: list[list[float]] = [[] for _ in gammas]
-    near = 1e-4 * scale
-    res = None
-    rounds = 0
-    solves = 0
-    refined = False
-    for rounds in range(1, _MAX_BACKOFF_ROUNDS + 1):
-        low_nodes = np.concatenate([nu_low, np.asarray(extra_low)]) if extra_low else nu_low
-        a_low_full = cosine_basis(low_nodes, L, clock) if extra_low else a_low
-        # the extra nodes' rows seed the working set of the row generation
-        seed = [np.arange(len(nu_low), len(low_nodes))]
-        offset = len(low_nodes)
-        bases = []
-        gvals_list = []
-        for j, ((a, b), gam) in enumerate(zip(segments, gammas)):
-            if extra_seg[j]:
-                nodes = np.concatenate(
-                    [_segment_grid(a, b, grid_density), np.asarray(extra_seg[j])]
-                )
-                bases.append(cosine_basis(nodes, L, clock))
-                gvals_list.append(gam(nodes))
-            else:
-                bases.append(seg_basis[j])
-                gvals_list.append(seg_gamma[j])
-            seed.append(np.arange(offset + len(seg_basis[j]), offset + len(bases[-1])))
-            offset += len(bases[-1])
-        a_ub = np.vstack([-a_low_full] + bases)
-        b_ub = np.concatenate(
-            [np.full(len(low_nodes), -floor / scale)]
-            + [(g - m) / scale for g, m in zip(gvals_list, margins)]
+    res = _linprog_rows(-weights / np.max(np.abs(weights)), a_ub, b_ub, options)
+    solves = res.solves
+    if res.status == 4:
+        # solver could not tell infeasible from unbounded; a zero
+        # objective settles which one it is
+        probe = linprog(
+            np.zeros(L),
+            A_ub=a_ub,
+            b_ub=b_ub,
+            bounds=[(None, None)] * L,
+            method="highs",
+            options=options,
         )
-        res = _linprog_rows(
-            -weights / np.max(np.abs(weights)), a_ub, b_ub, options, np.concatenate(seed)
-        )
-        solves += res.solves
-        if res.status == 4:
-            # solver could not tell infeasible from unbounded; a zero
-            # objective settles which one it is
-            probe = linprog(
-                np.zeros(L),
-                A_ub=a_ub,
-                b_ub=b_ub,
-                bounds=[(None, None)] * L,
-                method="highs",
-                options=options,
-            )
-            solves += 1
-            if probe.status == 0:
-                raise UnboundedError(
-                    "objective unbounded; an upper-bound segment is missing"
-                )
-            res = probe
-        if res.status == 2:
-            raise InfeasibleError(
-                "empty constraint intersection; mask fits are inconsistent "
-                "with positivity (or margins grew too large)"
-            )
-        if res.status == 3:
+        solves += 1
+        if probe.status == 0:
             raise UnboundedError("objective unbounded; an upper-bound segment is missing")
-        if res.status != 0:
-            raise ConfigurationError(f"LP solver failed: {res.message}")
-        r = res.x * scale
-        # verify on refined grids; collect near-active off-grid points
-        low_vals = hi_low @ r
-        dip = floor / 2.0 - float(np.min(low_vals))
-        sel = low_vals - floor < near
-        extra_low = sorted(set(extra_low) | set(hi_low_nu[sel].tolist()))
-        ups = []
-        for j, (basis, gvals) in enumerate(zip(hi_seg, hi_gamma)):
-            slack = gvals - basis @ r
-            ups.append(-float(np.min(slack)))
-            nodes = _segment_grid(*segments[j], grid_density, VERIFY_REFINE)
-            sel = slack - margins[j] < near
-            extra_seg[j] = sorted(set(extra_seg[j]) | set(nodes[sel].tolist()))
-        ok = dip <= 0.0 and all(u <= 0.0 for u in ups)
-        if ok and refined:
-            break
-        refined = True
-        floor += 2.0 * max(dip, 0.0)
-        margins = [m + 2.0 * max(u, 0.0) for m, u in zip(margins, ups)]
-    else:
-        raise InfeasibleError("back-off did not reach verified feasibility")
+        res = probe
+    if res.status == 2:
+        raise InfeasibleError(
+            "empty constraint intersection; mask fits are inconsistent "
+            "with positivity (or floor and margins are too large)"
+        )
+    if res.status == 3:
+        raise UnboundedError("objective unbounded; an upper-bound segment is missing")
+    if res.status != 0:
+        raise ConfigurationError(f"LP solver failed: {res.message}")
+    r = res.x * scale
 
-    # dual certificate from the final solve (scaled problem)
+    # dual certificate (scaled problem)
     y = -np.asarray(res.ineqlin.marginals)
-    obj_scale = scale * np.max(np.abs(weights))
-    dual_bound = float(y @ b_ub) * obj_scale
-    objective = float(weights @ r)
-    margin = min(
-        float(np.min(hi_low @ r)),
-        min(float(np.min(g - b @ r)) for b, g in zip(hi_seg, hi_gamma)),
-    )
+    dual_bound = float(y @ b_ub) * scale * np.max(np.abs(weights))
     return LpSolution(
         autocorr=AutocorrVector(r, clock),
-        objective=objective,
+        objective=float(weights @ r),
         dual_bound=dual_bound,
-        feasibility_margin=margin,
+        feasibility_margin=min(float(np.min(a_low @ r)), float(np.min(gvals - a_seg @ r))),
         lower_floor=floor,
-        backoff_rounds=rounds,
+        backoff_rounds=1,
         lp_rows=len(b_ub),
         lp_rows_solved=res.rows_solved,
         lp_solves=solves,

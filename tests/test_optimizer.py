@@ -115,6 +115,19 @@ def test_lp_monotone_in_order(monocycle, mask):
     assert objectives[1] <= objectives[2] * (1 + 1e-9)
 
 
+def test_lp_is_one_grid_at_every_order(design1, design5, design25, mask):
+    # the LP's rows are the grid alone, whatever the order: at L = 1 the
+    # constant ceilings once added ~2,000 near-active copies of one row
+    sols = {1: design1.solution, 5: design5.solution, 25: design25.solution}
+    sols[15] = up.design_pulse(order=15).solution
+    n = 512 * optimizer.GRID_REFINE
+    segments = len(segment_bounds(mask))
+    for order, sol in sols.items():
+        assert sol.lp_rows == n * segments + 1 + segments * (n + 1), order
+        assert sol.backoff_rounds == 1, order
+    assert sols[1].lp_rows_solved <= sols[25].lp_rows_solved
+
+
 def _full_linprog(c, a_ub, b_ub, options):
     return linprog(
         c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * len(c), method="highs", options=options
@@ -122,16 +135,16 @@ def _full_linprog(c, a_ub, b_ub, options):
 
 
 @pytest.fixture(scope="module")
-def round_lps():
-    """Every back-off round's LP of the designs at L = 1, 5, 15, 25, as
-    (L, c, a_ub, b_ub, options, seed), recorded from solve_autocorr_lp
-    with each round solved on all its rows."""
+def design_lps():
+    """The shaping LP of the designs at L = 1, 5, 15, 25, as
+    (L, c, a_ub, b_ub, options), recorded from solve_autocorr_lp with
+    the LP solved on all its rows."""
     lps = []
     calls = []
     solve = optimizer._linprog_rows
 
-    def record(c, a_ub, b_ub, options, seed=()):
-        calls.append((c, a_ub, b_ub, options, seed))
+    def record(c, a_ub, b_ub, options):
+        calls.append((c, a_ub, b_ub, options))
         res = _full_linprog(c, a_ub, b_ub, options)
         res.rows_solved, res.solves = len(b_ub), 1
         return res
@@ -147,11 +160,10 @@ def round_lps():
     return lps
 
 
-def test_row_generation_finds_the_full_lp_optimum(round_lps):
-    assert sorted({lp[0] for lp in round_lps}) == [1, 5, 15, 25]
-    assert any(len(lp[5]) for lp in round_lps)  # later rounds are seeded
-    for order, c, a_ub, b_ub, options, seed in round_lps:
-        res = optimizer._linprog_rows(c, a_ub, b_ub, options, seed)
+def test_row_generation_finds_the_full_lp_optimum(design_lps):
+    assert sorted({lp[0] for lp in design_lps}) == [1, 5, 15, 25]
+    for order, c, a_ub, b_ub, options in design_lps:
+        res = optimizer._linprog_rows(c, a_ub, b_ub, options)
         ref = _full_linprog(c, a_ub, b_ub, options)
         assert res.status == 0 and ref.status == 0
         scale = np.abs(ref.x).max()
@@ -167,7 +179,7 @@ def test_row_generation_finds_the_full_lp_optimum(round_lps):
 
 
 def test_row_generation_falls_back_when_the_working_set_is_unbounded():
-    # a random polygon bounds (x0, x1) from every 16th row on; x2 is
+    # a random polygon bounds (x0, x1) from every 64th row on; x2 is
     # bounded only by row 5, which is outside the first working set
     rng = np.random.default_rng(8)
     n = 400
