@@ -38,7 +38,8 @@ class UnboundedError(UwbPulseError):
 
 
 class FactorizationError(UwbPulseError):
-    """Spectral factorization failed (spectrum too close to zero)."""
+    """Spectral factorization failed (spectrum too close to zero, or taps
+    whose autocorrelation misses the target)."""
 
 
 class UnstableGeneratorError(UwbPulseError):

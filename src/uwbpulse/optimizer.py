@@ -3,10 +3,12 @@
 The shaping problem is linear in the filter's autocorrelation sequence:
 maximize the passband power subject to the autocorrelation spectrum
 sitting above a small floor and below the fitted per-segment ceilings
-less a small margin.  The semi-infinite constraints are discretized on
-one dense frequency grid and solved as one LP, with floor and margins
-fixed; the taps are then recovered by minimum-phase spectral
-factorization.
+less a small margin.  The objective weights are exact integrals of the
+sampled monocycle's power spectrum (:func:`passband_weights`).  The
+semi-infinite constraints are discretized on one dense frequency grid
+and solved as one LP, with floor and margins fixed; the taps are then
+recovered by minimum-phase spectral factorization, from the roots of
+the lag polynomial.
 
 The LP has tens of thousands of rows but only L free variables, so at
 most about L rows are active at its optimum.  :func:`_linprog_rows`
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded
 from scipy.optimize import linprog
 
 from .errors import (
@@ -31,8 +32,8 @@ from .errors import (
     InfeasibleError,
     UnboundedError,
 )
-from .signals import SampledPulse, Spectrum, dtft_power, gram_symbol, lag_autocorrelation
-from .spectral import CosinePoly, _gauss_nodes, cosine_basis
+from .signals import SampledPulse, gram_symbol, lag_autocorrelation
+from .spectral import CosinePoly, SpectralMask, cosine_basis, segment_bounds
 
 GRID_REFINE = 4  # the LP grid is this much denser than ``grid_density``
 _ROW_STRIDE = 64  # row generation starts from every 64th row
@@ -92,36 +93,27 @@ class LpSolution:
 
 
 def passband_weights(
-    q: Spectrum,
-    passband: tuple[float, float],
-    L: int,
-    clock: float,
-    pulse=None,
-    density: int = 2048,
+    q: SampledPulse, passband: tuple[float, float], L: int, clock: float
 ) -> np.ndarray:
     """Objective weights c_n = integral over the passband of |q^|^2 phi_n.
 
-    Default path: trapezoid rule on the spectrum's own grid.  With
-    ``pulse`` given, composite Gauss quadrature with exact transform
-    evaluation at the nodes, which is stable under grid refinement.
+    Exact for the sampled pulse: with m samples and lag autocorrelation
+    r, |q^(nu)|^2 = dt^2 sum_{|j|<m} r_|j| cos(2 pi nu j dt), so each c_n
+    is a finite sum of cosine integrals, int_lo^hi cos(2 pi a nu) dnu =
+    hi sinc(2 a hi) - lo sinc(2 a lo).
     """
     if L < 1:
         raise ConfigurationError("filter order must be at least 1")
     lo, hi = passband
-    if pulse is not None:
-        nodes, weights = _gauss_nodes(lo, hi, density)
-        power = dtft_power(pulse, nodes)
-        return cosine_basis(nodes, L, clock).T @ (power * weights)
-    sel = (q.freqs >= lo) & (q.freqs <= hi)
-    if np.count_nonzero(sel) < 2:
-        raise ConfigurationError("spectrum grid too coarse over the passband")
-    nu = q.freqs[sel]
-    w = np.abs(q.values[sel]) ** 2
-    basis = cosine_basis(nu, L, clock)
-    # trapezoid weights on the (uniform) grid restricted to the passband
-    tw = np.full(len(nu), q.df)
-    tw[0] = tw[-1] = q.df / 2.0
-    return basis.T @ (w * tw)
+    r = lag_autocorrelation(q.samples, 1, len(q.samples) - 1)
+    r2 = np.concatenate([r[:0:-1], r])  # r_|j| for j = -(m-1)..m-1
+    j = np.arange(1 - len(r), len(r))
+    # summed over +-j, phi_n r_|j| cos(2 pi nu j dt) integrates to
+    # (2 if n else 1) r_|j| times the cosine integral at a = j dt - n clock
+    a = j * q.dt - np.arange(L)[:, None] * clock
+    c = q.dt**2 * ((hi * np.sinc(2.0 * a * hi) - lo * np.sinc(2.0 * a * lo)) @ r2)
+    c[1:] *= 2.0
+    return c
 
 
 def _linprog_rows(c, a_ub, b_ub, options):
@@ -177,38 +169,30 @@ def _linprog_rows(c, a_ub, b_ub, options):
 def solve_autocorr_lp(
     weights: np.ndarray,
     gammas: list[CosinePoly],
+    mask: SpectralMask,
     grid_density: int = 512,
-    segments: list[tuple[float, float]] | None = None,
-    band_top: float | None = None,
 ) -> LpSolution:
     """Maximize weights . r over autocorrelations obeying the fitted ceilings.
 
     One LP on one grid, ``GRID_REFINE`` times denser than ``grid_density``:
     r^(nu) >= floor at ``grid_density * GRID_REFINE * len(gammas) + 1``
-    nodes on [0, band_top], and r^(nu) <= Gamma_i(nu) - margin at
-    ``grid_density * GRID_REFINE + 1`` nodes on each segment.  Floor and
+    nodes on [0, mask.f_top], and r^(nu) <= Gamma_i(nu) - margin at
+    ``grid_density * GRID_REFINE + 1`` nodes on the bound region of mask
+    segment i (:func:`~uwbpulse.spectral.segment_bounds`).  Floor and
     margins are a fixed small fraction of the ceiling scale.  The LP is
     solved once, by row generation (:func:`_linprog_rows`); its optimum
     is the one with all the rows, and ``feasibility_margin`` is the
     point's worst slack on the same grid.
-
-    ``segments`` gives each ceiling's active interval; by default segment
-    i of n covers [0, top_i] except the last, matching the fit regions.
     """
     weights = np.asarray(weights, dtype=float)
     L = len(weights)
-    if not gammas:
-        raise ConfigurationError("need at least one upper-bound polynomial")
+    segments = segment_bounds(mask)
+    if len(gammas) != len(segments):
+        raise ConfigurationError("one upper-bound polynomial per mask segment required")
     clock = gammas[0].clock
-    if band_top is None:
-        band_top = 1.0 / (2.0 * clock)
-    if segments is None:
-        raise ConfigurationError("segment intervals must be provided")
-    if len(segments) != len(gammas):
-        raise ConfigurationError("one interval per polynomial required")
 
     n = grid_density * GRID_REFINE
-    a_low = cosine_basis(np.linspace(0.0, band_top, n * len(gammas) + 1), L, clock)
+    a_low = cosine_basis(np.linspace(0.0, mask.f_top, n * len(gammas) + 1), L, clock)
     seg_nodes = [np.linspace(a, b, n + 1) for a, b in segments]
     a_seg = cosine_basis(np.concatenate(seg_nodes), L, clock)
     gvals = np.concatenate([gam(nu) for gam, nu in zip(gammas, seg_nodes)])
@@ -304,33 +288,14 @@ def _factor_by_roots(r: np.ndarray) -> np.ndarray:
     return g
 
 
-def _factor_by_bauer(r: np.ndarray, size: int = 4096) -> np.ndarray:
-    """Fallback: banded Cholesky of a large Toeplitz section.
-
-    The trailing row of the Cholesky factor of the size-N banded Toeplitz
-    matrix converges to the (reversed) minimum-phase taps as N grows.
-    """
-    L = len(r)
-    ab_u = np.zeros((L, size))
-    for k in range(L):
-        ab_u[L - 1 - k, :] = r[k]  # upper banded storage; unused corner ignored
-    try:
-        ch = cholesky_banded(ab_u, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("Toeplitz section is not positive definite") from exc
-    g = ch[::-1, -1][:L]
-    if g[0] < 0:
-        g = -g
-    return np.ascontiguousarray(g, dtype=float)
-
-
 def spectral_factorize(r: AutocorrVector, tol: float = 1e-7) -> FilterTaps:
     """Recover minimum-phase taps whose autocorrelation matches ``r``.
 
-    Root finding on the two-sided lag polynomial is the primary path; a
-    Bauer-type Cholesky iteration backs it up when root clustering near
-    the unit circle degrades the round-trip accuracy.  The leading tap is
-    made positive, and the spectrum must be strictly positive.
+    The taps come from the roots of the two-sided lag polynomial
+    (:func:`_factor_by_roots`) and are checked by their round trip: an
+    autocorrelation more than ``tol`` off ``r`` raises
+    :class:`FactorizationError`.  The leading tap is made positive, and
+    the spectrum must be strictly positive.
     """
     rv = np.asarray(r.r, dtype=float)
     check = CosinePoly(rv, r.clock)(np.linspace(0.0, 0.5 / r.clock, 4096))
@@ -341,12 +306,7 @@ def spectral_factorize(r: AutocorrVector, tol: float = 1e-7) -> FilterTaps:
     g = _factor_by_roots(rv)
     err = float(np.max(np.abs(lag_autocorrelation(g, 1, len(rv) - 1) - rv)))
     if err > tol:
-        g = _factor_by_bauer(rv)
-        err = float(np.max(np.abs(lag_autocorrelation(g, 1, len(rv) - 1) - rv)))
-        if err > tol:
-            raise FactorizationError(
-                f"round-trip error {err:.3e} exceeds {tol:.1e} on both factorization paths"
-            )
+        raise FactorizationError(f"round-trip error {err:.3e} exceeds {tol:.1e}")
     return FilterTaps(g, r.clock)
 
 

@@ -50,7 +50,6 @@ from .spectral import (
     fit_mask_polynomials,
     max_compliant_scale,
     nesp,
-    segment_bounds,
 )
 
 
@@ -130,16 +129,9 @@ def design_pulse(
     half = monocycle_clocks * samples_per_clock // 2
     grid = TimeGrid(clock / samples_per_clock, half, 2 * half + 1)
     q = gaussian_monocycle(fc, monocycle_clocks * clock, grid)
-    q_spec = band_bins(q, mask)
-    gammas = fit_mask_polynomials(mask, q_spec, order, density=grid_density, pulse=q)
-    weights = passband_weights(q_spec, mask.passband, order, clock, pulse=q)
-    solution = solve_autocorr_lp(
-        weights,
-        gammas,
-        grid_density=grid_density,
-        segments=segment_bounds(mask),
-        band_top=mask.f_top,
-    )
+    gammas = fit_mask_polynomials(mask, q, order, density=grid_density)
+    weights = passband_weights(q, mask.passband, order, clock)
+    solution = solve_autocorr_lp(weights, gammas, mask, grid_density=grid_density)
     taps = spectral_factorize(solution.autocorr)
     pulse = semi_discrete_convolve(q, taps.taps, clock).normalized()
     alpha, scaled = compliant_spectrum(pulse, mask)

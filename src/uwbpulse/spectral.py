@@ -17,10 +17,11 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigurationError, DivisionHazardError, MaskFitError
-from .signals import Spectrum, _write_csv, cosine_series, dtft_power
+from .signals import SampledPulse, Spectrum, _write_csv, cosine_series, dtft_power
 
 SUP_GRID_POINTS = 2**14  # grid for sup-norm style evaluations on [0, band top]
 SAFETY_FACTOR = 1.0 - 1e-6  # shrink applied to compliant scalings
+SINGULARITY_CAP = 2.0  # fit targets are capped at this times the right-edge ratio
 
 
 @dataclass(frozen=True)
@@ -207,56 +208,36 @@ def _stable_order(a_w: np.ndarray, L: int, tol: float = 3e-6) -> int:
 
 
 def fit_mask_polynomials(
-    mask: SpectralMask,
-    q: Spectrum,
-    L: int,
-    density: int = 512,
-    singularity_cap: float = 2.0,
-    pulse=None,
+    mask: SpectralMask, q: SampledPulse, L: int, density: int = 512
 ) -> list[CosinePoly]:
     """Per-segment cosine-polynomial ceilings below the mask ratio.
 
-    Each segment's ratio is least-squares fitted over its bound region
-    (composite Gauss quadrature, order restricted to the well-conditioned
-    block), then shifted down by the maximum positive fit error so the
-    polynomial never exceeds the true ratio.
+    Each segment's ratio mask / |q^|^2 is least-squares fitted over its
+    bound region (composite Gauss quadrature, order restricted to the
+    well-conditioned block), then shifted down by the maximum positive
+    fit error so the polynomial never exceeds the true ratio.  |q^|^2 is
+    the exact transform of the sampled pulse (:func:`dtft_power`) at
+    every node, so the coefficients are stable under fit-grid refinement.
 
     The ratio blows up where the pulse spectrum has a null (DC for a
-    monocycle); the fit target is smoothly capped at ``singularity_cap``
+    monocycle); the fit target is smoothly capped at ``SINGULARITY_CAP``
     times the segment's right-edge ratio, which leaves only slack in the
     region no compliant spectrum can reach anyway.
-
-    With ``pulse`` given, |q^|^2 at the quadrature nodes is evaluated
-    exactly instead of interpolated from the spectrum grid, making the
-    coefficients stable under fit-grid refinement.
     """
     if L < 1:
         raise ConfigurationError("fit order must be at least 1")
-
-    if pulse is not None:
-
-        def power_at(nu):
-            return dtft_power(pulse, nu)
-
-    else:
-
-        def power_at(nu):
-            return q.power_at(nu)
-
     clock = mask.clock
-    peak = float(np.max(q.power()))
+    bounds = segment_bounds(mask)
+    grids = [_gauss_nodes(a, b, density) for a, b in bounds]
+    powers = [dtft_power(q, nodes) for nodes, _ in grids]
+    peak = max(float(np.max(qsq)) for qsq in powers)
     polys = []
-    for i, (a, b) in enumerate(segment_bounds(mask)):
+    for i, ((a, b), (nodes, weights), qsq) in enumerate(zip(bounds, grids, powers)):
         level = mask.segments[i][2]
-        nodes, weights = _gauss_nodes(a, b, density)
-        if nodes[0] <= 0.0:
-            nodes = nodes[1:]
-            weights = weights[1:]
-        qsq = power_at(nodes)
-        if np.any(qsq < 1e-300 * peak):
+        if np.any(qsq <= 1e-300 * peak):
             raise DivisionHazardError("pulse spectrum vanishes on the fit grid")
         ratio = level / qsq
-        cap = singularity_cap * level / power_at(np.array([b]))[0]
+        cap = SINGULARITY_CAP * level / dtft_power(q, b)[0]
         # smooth soft-minimum keeps the quadrature spectrally accurate
         target = (ratio**-32 + cap**-32) ** (-1.0 / 32.0)
         design = cosine_basis(nodes, L, clock)
@@ -274,7 +255,7 @@ def fit_mask_polynomials(
         dense = np.linspace(a, b, 4 * density + 1)
         if a == 0.0:
             dense = dense[1:]
-        true_ratio = level / power_at(dense)
+        true_ratio = level / dtft_power(q, dense)
         excess = np.max(cosine_basis(dense, L, clock) @ coeffs - true_ratio)
         # pad by an evaluation-rounding bound so the ceiling holds strictly
         pad = 64 * np.finfo(float).eps * (abs(coeffs[0]) + 2 * np.sum(np.abs(coeffs[1:])))
@@ -358,8 +339,9 @@ def _dirichlet_mean(nu, shift: float, n: int) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     x = nu * shift
     num = np.sin(np.pi * x * n)
-    den = n * np.sin(np.pi * x)
-    near = np.isclose(np.sin(np.pi * x), 0.0, atol=1e-12)
+    sin_x = np.sin(np.pi * x)
+    den = n * sin_x
+    near = np.isclose(sin_x, 0.0, atol=1e-12)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(near, 1.0, np.abs(np.divide(num, den, where=~near)))
     return out

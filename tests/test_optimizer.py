@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import linprog
 
 import uwbpulse as up
@@ -21,40 +22,51 @@ from uwbpulse.optimizer import (
     passband_weights,
     solve_autocorr_lp,
 )
-from uwbpulse.pipeline import band_spectrum, segment_bounds
-from uwbpulse.signals import Spectrum
-from uwbpulse.spectral import CosinePoly
+from uwbpulse.signals import SampledPulse, TimeGrid, dtft_power
+from uwbpulse.spectral import CosinePoly, SpectralMask, segment_bounds
 
 T0 = defaults.CLOCK_T0
 L = defaults.FIR_ORDER
+
+
+def one_segment_mask(f_hi: float) -> SpectralMask:
+    return SpectralMask(((0.0, f_hi, 1.0),), (0.0, f_hi))
 
 
 # --------------------------------------------------------------- weights
 
 
 def test_weights_closed_form_flat_spectrum():
-    # |q^|^2 = 1 on [0, W]: c_0 = W, c_n = sin(2 pi W n T0) / (pi n T0)
+    # a one-sample pulse of height 1/dt has |q^|^2 = 1 everywhere, so on
+    # [0, W]: c_0 = W, c_n = sin(2 pi W n T0) / (pi n T0)
     w_band = 5e9
-    freqs = np.arange(-1000, 14001) * 1e6
-    vals = np.where((freqs >= 0) & (freqs <= w_band), 1.0, 0.0)
-    s = Spectrum(freqs, vals.astype(complex))
-    c = passband_weights(s, (0.0, w_band), L, T0)
-    assert c[0] == pytest.approx(w_band, rel=1e-5)
+    dt = T0 / 32
+    q = SampledPulse(TimeGrid(dt, 0, 1), np.array([1.0 / dt]))
+    c = passband_weights(q, (0.0, w_band), L, T0)
+    assert c[0] == pytest.approx(w_band, rel=1e-12)
     for n in range(1, L):
         expect = math.sin(2 * math.pi * w_band * n * T0) / (math.pi * n * T0)
-        assert c[n] == pytest.approx(expect, rel=1e-4, abs=w_band * 1e-5)
+        assert c[n] == pytest.approx(expect, rel=1e-12, abs=w_band * 1e-12)
 
 
-def test_weights_refinement(monocycle, mask):
-    s = band_spectrum(monocycle, mask)
-    c1 = passband_weights(s, mask.passband, L, T0, pulse=monocycle, density=2048)
-    c2 = passband_weights(s, mask.passband, L, T0, pulse=monocycle, density=4096)
-    assert np.abs(c1 - c2).max() <= 1e-8 * np.abs(c1).max()
+def test_weights_match_quadrature_of_exact_spectrum(monocycle, mask):
+    # independent oracle: adaptive quadrature of dtft_power * phi_n over
+    # the passband, in GHz and relative to the peak power
+    lo, hi = mask.passband
+    c = passband_weights(monocycle, mask.passband, L, T0)
+    peak = float(dtft_power(monocycle, defaults.CENTER_FREQ)[0])
+    for n in range(L):
+
+        def integrand(x, n=n):
+            phi = 1.0 if n == 0 else 2.0 * math.cos(2.0 * math.pi * x * 1e9 * n * T0)
+            return float(dtft_power(monocycle, x * 1e9)[0]) / peak * phi
+
+        ref, _ = quad(integrand, lo / 1e9, hi / 1e9, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert abs(c[n] - ref * 1e9 * peak) <= 1e-12 * np.abs(c).max(), n
 
 
 def test_weights_positive_dc_term(monocycle, mask):
-    s = band_spectrum(monocycle, mask)
-    c = passband_weights(s, mask.passband, L, T0, pulse=monocycle)
+    c = passband_weights(monocycle, mask.passband, L, T0)
     assert c[0] > 0.0
 
 
@@ -66,7 +78,7 @@ def test_lp_flat_ceiling_saturates_dc():
     gam = CosinePoly(np.concatenate([[c_level], np.zeros(L - 1)]), T0)
     weights = np.zeros(L)
     weights[0] = 1.0
-    sol = solve_autocorr_lp(weights, [gam], 512, segments=[(0.0, 14e9)], band_top=14e9)
+    sol = solve_autocorr_lp(weights, [gam], one_segment_mask(14e9), 512)
     r = sol.autocorr.r
     # optimum is the constant spectrum pinned at the (backed-off) ceiling
     assert r[0] == pytest.approx(c_level, rel=1e-4)
@@ -90,26 +102,20 @@ def test_lp_duality_certificate(design25):
 
 
 def test_lp_objective_refinement(monocycle, mask):
-    s = band_spectrum(monocycle, mask)
-    w = passband_weights(s, mask.passband, L, T0, pulse=monocycle)
-    gammas = up.fit_mask_polynomials(mask, s, L, pulse=monocycle)
-    segs = segment_bounds(mask)
-    s1 = solve_autocorr_lp(w, gammas, 512, segments=segs, band_top=mask.f_top)
-    s2 = solve_autocorr_lp(w, gammas, 1024, segments=segs, band_top=mask.f_top)
+    w = passband_weights(monocycle, mask.passband, L, T0)
+    gammas = up.fit_mask_polynomials(mask, monocycle, L)
+    s1 = solve_autocorr_lp(w, gammas, mask, 512)
+    s2 = solve_autocorr_lp(w, gammas, mask, 1024)
     assert abs(s1.objective - s2.objective) <= 1e-5 * abs(s1.objective)
 
 
 def test_lp_monotone_in_order(monocycle, mask):
     # nested feasible sets: same ceilings, leading coefficient blocks only
-    s = band_spectrum(monocycle, mask)
-    gammas = up.fit_mask_polynomials(mask, s, L, pulse=monocycle)
-    segs = segment_bounds(mask)
-    w_full = passband_weights(s, mask.passband, L, T0, pulse=monocycle)
+    gammas = up.fit_mask_polynomials(mask, monocycle, L)
+    w_full = passband_weights(monocycle, mask.passband, L, T0)
     objectives = []
     for order in (5, 15, 25):
-        sol = solve_autocorr_lp(
-            w_full[:order], gammas, 512, segments=segs, band_top=mask.f_top
-        )
+        sol = solve_autocorr_lp(w_full[:order], gammas, mask, 512)
         objectives.append(sol.objective)
     assert objectives[0] <= objectives[1] * (1 + 1e-9)
     assert objectives[1] <= objectives[2] * (1 + 1e-9)
@@ -203,7 +209,13 @@ def test_lp_infeasible_signals():
     weights = np.zeros(L)
     weights[0] = 1.0
     with pytest.raises(InfeasibleError):
-        solve_autocorr_lp(weights, [gam], 128, segments=[(0.0, 14e9)], band_top=14e9)
+        solve_autocorr_lp(weights, [gam], one_segment_mask(14e9), 128)
+
+
+def test_lp_needs_one_ceiling_per_segment(mask):
+    gam = CosinePoly(np.concatenate([[1.0], np.zeros(L - 1)]), T0)
+    with pytest.raises(ConfigurationError):
+        solve_autocorr_lp(np.ones(L), [gam], mask, 128)
 
 
 def test_lp_unbounded_signals():
@@ -211,9 +223,7 @@ def test_lp_unbounded_signals():
     gam = CosinePoly(np.concatenate([[1.0], np.zeros(L - 1)]), T0)
     weights = np.ones(L)
     with pytest.raises(UnboundedError):
-        solve_autocorr_lp(
-            weights, [gam], 128, segments=[(0.0, 0.5e9)], band_top=0.5e9
-        )
+        solve_autocorr_lp(weights, [gam], one_segment_mask(0.5e9), 128)
 
 
 # ---------------------------------------------------------- factorization
@@ -267,6 +277,14 @@ def test_factorize_rejects_vanishing_spectrum():
     r[0], r[1] = 1.0, -0.5
     with pytest.raises(FactorizationError):
         up.spectral_factorize(AutocorrVector(r, T0))
+
+
+def test_factorize_rejects_a_bad_round_trip(monkeypatch):
+    # root finding is the only path: taps that miss r are not repaired
+    monkeypatch.setattr(optimizer, "_factor_by_roots", lambda r: np.sqrt(r[:1]))
+    r = AutocorrVector(np.array([1.0, 0.4]), T0)
+    with pytest.raises(FactorizationError, match="round-trip"):
+        up.spectral_factorize(r)
 
 
 # -------------------------------------------------- filter diagnostics

@@ -118,18 +118,25 @@ def test_mask_ratio_division_hazard(mask):
 
 
 def test_fit_order_one_flat_ratio_is_mean():
+    # a one-sample pulse of height sqrt(c)/dt has |q^|^2 = c everywhere
     c = 2e-13
     m = SpectralMask(((0.0, 14e9, c),), (3.1e9, 10.6e9))
-    s = flat_spectrum(c)
-    polys = up.fit_mask_polynomials(m, s, 1)
+    dt = T0 / 32
+    q = signals.SampledPulse(signals.TimeGrid(dt, 0, 1), np.array([math.sqrt(c) / dt]))
+    polys = up.fit_mask_polynomials(m, q, 1)
     assert polys[0].order == 1
     assert polys[0](1e9) == pytest.approx(1.0, rel=1e-9)
 
 
+def test_fit_division_hazard(mask, monocycle):
+    silent = signals.SampledPulse(monocycle.grid, np.zeros(monocycle.grid.size))
+    with pytest.raises(DivisionHazardError):
+        up.fit_mask_polynomials(mask, silent, 5)
+
+
 def test_fit_refinement_stability(mask, monocycle):
-    s = band_spectrum(monocycle, mask)
-    g1 = up.fit_mask_polynomials(mask, s, 25, density=512, pulse=monocycle)
-    g2 = up.fit_mask_polynomials(mask, s, 25, density=1024, pulse=monocycle)
+    g1 = up.fit_mask_polynomials(mask, monocycle, 25, density=512)
+    g2 = up.fit_mask_polynomials(mask, monocycle, 25, density=1024)
     for a, b in zip(g1, g2):
         scale = np.abs(a.coeffs).max()
         assert np.abs(a.coeffs - b.coeffs).max() <= 1e-6 * scale
@@ -137,8 +144,7 @@ def test_fit_refinement_stability(mask, monocycle):
 
 def test_fit_stays_below_true_ratio_on_dense_grid(mask, monocycle):
     # conservative clamp, checked 4x denser than the fit grid
-    s = band_spectrum(monocycle, mask)
-    polys = up.fit_mask_polynomials(mask, s, 25, density=512, pulse=monocycle)
+    polys = up.fit_mask_polynomials(mask, monocycle, 25, density=512)
     for i, poly in enumerate(polys):
         f_lo, f_hi, level = mask.segments[i]
         a = 0.0 if i < len(mask.segments) - 1 else f_lo
@@ -151,8 +157,7 @@ def test_fit_stays_below_true_ratio_on_dense_grid(mask, monocycle):
 
 def test_fit_residuals_reported(mask, monocycle):
     # order-25 fits track the capped ratio; report per-segment residuals
-    s = band_spectrum(monocycle, mask)
-    polys = up.fit_mask_polynomials(mask, s, 25, pulse=monocycle)
+    polys = up.fit_mask_polynomials(mask, monocycle, 25)
     for i, poly in enumerate(polys):
         f_lo, f_hi, level = mask.segments[i]
         a = 0.0 if i < len(mask.segments) - 1 else f_lo
