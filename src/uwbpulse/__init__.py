@@ -43,7 +43,6 @@ from .spectral import (
     fcc_indoor_mask,
     fit_mask_polynomials,
     load_mask_csv,
-    mask_ratio,
     max_compliant_scale,
     nesp,
     psd_pam_ppm,

@@ -25,7 +25,7 @@ from .pipeline import analyze_pulse, build_family, compliant_spectrum, design_pu
 from .signals import Spectrum, _write_csv, load_pulse_csv, save_pulse_csv
 from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 def _sha256(path: Path) -> str:
@@ -145,6 +145,8 @@ def cmd_design(args) -> int:
             "lp_rows": sol.lp_rows,
             "lp_rows_solved": sol.lp_rows_solved,
             "lp_solves": sol.lp_solves,
+            "fit_orders_kept": [gamma.order for gamma in result.gammas],
+            "factorization_error": result.taps.factorization_error,
         },
     )
     _write_manifest(out, "design", config, [taps_path, pulse_path, spec_path, report_path])

@@ -28,10 +28,10 @@ from .errors import ConfigurationError, GridAlignmentError, UnstableGeneratorErr
 from .signals import (
     SampledPulse,
     TimeGrid,
+    _power_at,
     _translate_sum,
     autocorr_samples,
     cosine_series,
-    dtft_power,
     gram_symbol,
     inner,
     shift_samples,
@@ -139,14 +139,15 @@ def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
     """|transform|^2 of the shift-orthonormal generator, evaluated exactly.
 
     The orthonormalized spectrum power is |p^(f)|^2 divided by the folded
-    power spectrum at f * shift; both factors are finite sums, so this
-    needs no truncation and works even when the generator decays slowly.
+    power spectrum at f * shift; both are finite cosine series over the
+    pulse's autocorrelation, so this needs no truncation and works even
+    when the generator decays slowly.
     """
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
     folded = np.asarray(gram_symbol(p, shift, f * shift))
     if np.min(folded) <= 0.0:
         raise UnstableGeneratorError("folded spectrum not positive on the grid")
-    return dtft_power(p, f) / folded
+    return _power_at(p, f) / folded
 
 
 def gram(p: SampledPulse, shift: float, m_half: int) -> ToeplitzGram:
@@ -271,14 +272,12 @@ def riesz_bounds(p: SampledPulse, shift: float) -> tuple[float, float]:
     r = autocorr_samples(p, shift)
     nu = np.linspace(0.0, 0.5, RIESZ_GRID)
     vals = cosine_series(r, nu)
-
-    def refine(idx: int, sign: float) -> float:
-        cand = nu[idx] + np.array([-0.5, 0.5]) * (nu[1] - nu[0])
-        cand = cand[(cand >= 0.0) & (cand <= 0.5)]
-        return sign * float(np.max(sign * np.append(vals[idx], cosine_series(r, cand))))
-
-    a = refine(int(np.argmin(vals)), -1.0)
-    b = refine(int(np.argmax(vals)), 1.0)
+    lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
+    # both refinements in one call: half a step either side of each extremum
+    cand = np.clip(nu[[lo, lo, hi, hi]] + np.array([-0.5, 0.5, -0.5, 0.5]) * nu[1], 0.0, 0.5)
+    near = cosine_series(r, cand)
+    a = float(min(vals[lo], near[0], near[1]))
+    b = float(max(vals[hi], near[2], near[3]))
     if a <= 0.0:
         raise UnstableGeneratorError(
             f"lower stability bound {a:.3e} is not positive at shift {shift!r}"

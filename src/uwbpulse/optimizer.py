@@ -46,6 +46,7 @@ class FilterTaps:
 
     taps: np.ndarray
     clock: float
+    factorization_error: float | None = None  # spectral_factorize's round trip
 
     def __post_init__(self):
         object.__setattr__(self, "taps", np.asarray(self.taps, dtype=float))
@@ -307,7 +308,7 @@ def spectral_factorize(r: AutocorrVector, tol: float = 1e-7) -> FilterTaps:
     err = float(np.max(np.abs(lag_autocorrelation(g, 1, len(rv) - 1) - rv)))
     if err > tol:
         raise FactorizationError(f"round-trip error {err:.3e} exceeds {tol:.1e}")
-    return FilterTaps(g, r.clock)
+    return FilterTaps(g, r.clock, err)
 
 
 def min_phase_roots(g: FilterTaps) -> np.ndarray:

@@ -301,27 +301,6 @@ def _dft_bins(x: np.ndarray, first: int, nfft: int, m: int) -> np.ndarray:
     return chirp(np.arange(m, dtype=np.int64)) * conv
 
 
-def dtft(p: SampledPulse, freqs) -> np.ndarray:
-    """Exact transform values dt * sum_k p_k exp(-2i pi f t_k) at given freqs.
-
-    Direct evaluation, O(len(freqs) * len(p)); use for quadrature nodes
-    where FFT-grid interpolation would limit accuracy.
-    """
-    f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    t = p.times()
-    out = np.empty(len(f), dtype=complex)
-    chunk = max(1, 2**22 // max(p.grid.size, 1))
-    for i in range(0, len(f), chunk):
-        phase = np.exp(-2j * np.pi * np.outer(f[i : i + chunk], t))
-        out[i : i + chunk] = phase @ p.samples
-    return out * p.dt
-
-
-def dtft_power(p: SampledPulse, freqs) -> np.ndarray:
-    """Exact |p^(f)|^2 at arbitrary frequencies."""
-    return np.abs(dtft(p, freqs)) ** 2
-
-
 def shift_samples(p: SampledPulse, shift: float) -> int:
     """Number of grid steps in one shift; raises if off-grid."""
     s_f = shift / p.dt
@@ -363,13 +342,41 @@ def lag_autocorrelation(x, step: int, kmax: int) -> np.ndarray:
 def cosine_series(c, x) -> np.ndarray:
     """Even cosine series c[0] + 2 sum_n c[n] cos(2 pi n x), 1-periodic in x.
 
-    Clenshaw recurrence in cos(2 pi x), where the c[n] are Chebyshev
-    coefficients, so memory stays O(len(x)) for any number of terms.
+    x is reduced exactly to v = |x - round(x)|.  Reinsch's modified
+    recurrence (Stoer & Bulirsch, section 2.3) then carries Clenshaw's b_k
+    in u = cos(2 pi v) beside e_k = b_k - s b_(k+1), whose step multiplies
+    only by the small lam = 2 (u - s): s = 1 and lam = -4 sin^2(pi v) for
+    v <= 1/4, s = -1 and lam = 4 sin^2(pi (1/2 - v)) above.  Clenshaw in u
+    itself amplifies the rounding of u near u = +-1.  Memory is O(len(x)).
     """
     c = np.asarray(c, dtype=float)
-    cheb = np.concatenate([c[:1], 2.0 * c[1:]])
-    u = np.cos(2.0 * np.pi * np.asarray(x, dtype=float))
-    return np.polynomial.chebyshev.chebval(u, cheb)
+    x = np.asarray(x, dtype=float)
+    v = np.abs(x - np.round(x))
+    out = np.empty(v.shape)
+    near = v <= 0.25
+    for sel, s, lam in (
+        (near, 1.0, -4.0 * np.sin(np.pi * v[near]) ** 2),
+        (~near, -1.0, 4.0 * np.sin(np.pi * (0.5 - v[~near])) ** 2),
+    ):
+        b, e, t = np.zeros(lam.shape), np.zeros(lam.shape), np.empty(lam.shape)
+        for a in 2.0 * c[:0:-1] if lam.size else ():
+            np.multiply(lam, b, out=t)
+            t += a
+            if s > 0:  # e_k = a_k + lam b_(k+1) + s e_(k+1), b_k = e_k + s b_(k+1)
+                e += t
+                b += e
+            else:
+                np.subtract(t, e, out=e)
+                np.subtract(e, b, out=b)
+        out[sel] = c[0] + s * e + 0.5 * lam * b
+    return out
+
+
+def _power_at(p: SampledPulse, f) -> np.ndarray:
+    """Exact |p^(f)|^2 = dt^2 (r_0 + 2 sum_j r_j cos(2 pi f j dt)) at any f,
+    with r the pulse's lag autocorrelation."""
+    r = lag_autocorrelation(p.samples, 1, p.grid.size - 1)
+    return p.dt**2 * cosine_series(r, np.asarray(f, dtype=float) * p.dt)
 
 
 def gram_symbol(p: SampledPulse, shift: float, nu) -> np.ndarray | float:

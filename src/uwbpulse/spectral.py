@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigurationError, DivisionHazardError, MaskFitError
-from .signals import SampledPulse, Spectrum, _write_csv, cosine_series, dtft_power
+from .signals import SampledPulse, Spectrum, _power_at, _write_csv, cosine_series
 
 SUP_GRID_POINTS = 2**14  # grid for sup-norm style evaluations on [0, band top]
 SAFETY_FACTOR = 1.0 - 1e-6  # shrink applied to compliant scalings
@@ -155,19 +155,6 @@ def cosine_basis(nu, L: int, clock: float) -> np.ndarray:
     return a
 
 
-def mask_ratio(mask: SpectralMask, q: Spectrum, nu) -> np.ndarray | float:
-    """Pointwise ceiling on the filter power spectrum: mask / |q^|^2."""
-    nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-    qsq = q.power_at(nu_arr)
-    peak = float(np.max(q.power()))
-    if np.any(qsq < 1e-300 * peak):
-        raise DivisionHazardError("pulse spectrum vanishes at a requested frequency")
-    vals = mask.level_at(nu_arr) / qsq
-    if np.asarray(nu).ndim == 0:
-        return float(vals[0])
-    return vals
-
-
 def segment_bounds(mask: SpectralMask) -> list[tuple[float, float]]:
     """Bound region of each segment's ceiling: [0, f_hi], except the
     topmost segment, which is bounded on its own interval only."""
@@ -215,9 +202,12 @@ def fit_mask_polynomials(
     Each segment's ratio mask / |q^|^2 is least-squares fitted over its
     bound region (composite Gauss quadrature, order restricted to the
     well-conditioned block), then shifted down by the maximum positive
-    fit error so the polynomial never exceeds the true ratio.  |q^|^2 is
-    the exact transform of the sampled pulse (:func:`dtft_power`) at
-    every node, so the coefficients are stable under fit-grid refinement.
+    fit error so the polynomial never exceeds the true ratio.  Each
+    ceiling keeps only the coefficients of that block, so its ``order``
+    is the order kept.  |q^|^2 is the exact power spectrum of the sampled
+    pulse at every node (:func:`signals._power_at`, a cosine series over
+    its lag autocorrelation), so the coefficients are stable under
+    fit-grid refinement.
 
     The ratio blows up where the pulse spectrum has a null (DC for a
     monocycle); the fit target is smoothly capped at ``SINGULARITY_CAP``
@@ -229,34 +219,32 @@ def fit_mask_polynomials(
     clock = mask.clock
     bounds = segment_bounds(mask)
     grids = [_gauss_nodes(a, b, density) for a, b in bounds]
-    powers = [dtft_power(q, nodes) for nodes, _ in grids]
-    peak = max(float(np.max(qsq)) for qsq in powers)
+    # conservative clamp, verified on grids 4x denser than the fit grid;
+    # each ends exactly at its segment's right edge b
+    dense = [np.linspace(a, b, 4 * density + 1)[1 if a == 0.0 else 0 :] for a, b in bounds]
+    # every node set in one call, so the autocorrelation is formed once
+    sets = [nodes for nodes, _ in grids] + dense
+    power = np.split(_power_at(q, np.concatenate(sets)), np.cumsum([len(x) for x in sets[:-1]]))
+    fit_power, dense_power = power[: len(grids)], power[len(grids) :]
+    peak = max(float(np.max(qsq)) for qsq in fit_power)
     polys = []
-    for i, ((a, b), (nodes, weights), qsq) in enumerate(zip(bounds, grids, powers)):
+    for i, ((nodes, weights), qsq) in enumerate(zip(grids, fit_power)):
         level = mask.segments[i][2]
         if np.any(qsq <= 1e-300 * peak):
             raise DivisionHazardError("pulse spectrum vanishes on the fit grid")
         ratio = level / qsq
-        cap = SINGULARITY_CAP * level / dtft_power(q, b)[0]
+        cap = SINGULARITY_CAP * level / dense_power[i][-1]
         # smooth soft-minimum keeps the quadrature spectrally accurate
         target = (ratio**-32 + cap**-32) ** (-1.0 / 32.0)
-        design = cosine_basis(nodes, L, clock)
         sw = np.sqrt(weights)
-        a_w = design * sw[:, None]
+        a_w = cosine_basis(nodes, L, clock) * sw[:, None]
         keep = _stable_order(a_w, L)
-        sol, _, rank, _ = np.linalg.lstsq(a_w[:, :keep], target * sw, rcond=None)
-        if rank < keep or not np.all(np.isfinite(sol)):
+        coeffs, _, rank, _ = np.linalg.lstsq(a_w[:, :keep], target * sw, rcond=None)
+        if rank < keep or not np.all(np.isfinite(coeffs)):
             raise MaskFitError(
                 f"segment {i + 1}: fit order {L} is too large for the segment width"
             )
-        coeffs = np.zeros(L)
-        coeffs[:keep] = sol
-        # conservative clamp, verified on a grid 4x denser than the fit grid
-        dense = np.linspace(a, b, 4 * density + 1)
-        if a == 0.0:
-            dense = dense[1:]
-        true_ratio = level / dtft_power(q, dense)
-        excess = np.max(cosine_basis(dense, L, clock) @ coeffs - true_ratio)
+        excess = np.max(cosine_series(coeffs, dense[i] * clock) - level / dense_power[i])
         # pad by an evaluation-rounding bound so the ceiling holds strictly
         pad = 64 * np.finfo(float).eps * (abs(coeffs[0]) + 2 * np.sum(np.abs(coeffs[1:])))
         coeffs[0] -= max(excess, 0.0) + pad

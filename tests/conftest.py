@@ -1,10 +1,23 @@
 """Shared fixtures: the reference design is expensive, so build it once."""
 
+import numpy as np
 import pytest
 
 import uwbpulse as up
 from uwbpulse import defaults
 from uwbpulse.pipeline import band_spectrum
+
+
+def direct_transform(p, freqs):
+    """Oracle: dt * sum_k p_k exp(-2i pi f t_k), one direct phasor sum per f."""
+    t = p.times()
+    f = np.atleast_1d(np.asarray(freqs, dtype=float))
+    return np.array([np.exp(-2j * np.pi * fi * t) @ p.samples for fi in f]) * p.dt
+
+
+def direct_power(p, freqs):
+    """Oracle: |p^(f)|^2 from :func:`direct_transform`."""
+    return np.abs(direct_transform(p, freqs)) ** 2
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +35,11 @@ def monocycle():
 @pytest.fixture(scope="session")
 def design25():
     return up.design_pulse(order=25)
+
+
+@pytest.fixture(scope="session")
+def design15():
+    return up.design_pulse(order=15)
 
 
 @pytest.fixture(scope="session")

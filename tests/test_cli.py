@@ -56,6 +56,8 @@ def test_design_report_fields(design_dir):
         "lp_rows",
         "lp_rows_solved",
         "lp_solves",
+        "fit_orders_kept",
+        "factorization_error",
     }
     assert report["nesp"] > 0.8
     assert report["feasibility_margin"] >= 0.0
@@ -64,6 +66,9 @@ def test_design_report_fields(design_dir):
     assert report["lower_floor"] > 0.0
     assert 0 < report["lp_rows_solved"] <= report["lp_rows"]
     assert report["lp_solves"] >= report["backoff_rounds"]
+    assert len(report["fit_orders_kept"]) == 5
+    assert all(1 <= k <= 25 for k in report["fit_orders_kept"])
+    assert 0.0 <= report["factorization_error"] <= 1e-7
 
 
 def test_design_rerun_byte_identical(tmp_path):
@@ -82,7 +87,7 @@ def test_design_rerun_byte_identical(tmp_path):
 def test_manifest_lists_outputs_with_hashes(design_dir):
     manifest = json.loads((design_dir / "manifest.json").read_text())
     assert manifest["command"] == "design"
-    assert manifest["schema_version"] == 7
+    assert manifest["schema_version"] == 8
     for name in ("taps.csv", "pulse.csv", "achieved_spectrum.csv", "design_report.json"):
         assert name in manifest["outputs"]
         assert len(manifest["outputs"][name]) == 64

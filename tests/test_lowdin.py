@@ -24,6 +24,8 @@ from uwbpulse.signals import (
     shift_samples,
 )
 
+from conftest import direct_power
+
 T0 = defaults.CLOCK_T0
 
 
@@ -574,10 +576,8 @@ def test_optimality_half_period_flip_strictly_worse(pulse25, limit_k2):
 
 
 def test_nyquist_spectrum_power_matches_limit_pulse(pulse25, limit_k2):
-    from uwbpulse.signals import dtft_power
-
     shift = pulse25.duration() / 2
     freqs = np.linspace(0.0, 14e9, 513)
     analytic = nyquist_spectrum_power(pulse25, shift, freqs)
-    constructed = dtft_power(limit_k2.pulse, freqs)
+    constructed = direct_power(limit_k2.pulse, freqs)
     assert np.abs(analytic - constructed).max() <= 1e-9 * np.max(analytic)

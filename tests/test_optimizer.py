@@ -22,8 +22,10 @@ from uwbpulse.optimizer import (
     passband_weights,
     solve_autocorr_lp,
 )
-from uwbpulse.signals import SampledPulse, TimeGrid, dtft_power
+from uwbpulse.signals import SampledPulse, TimeGrid
 from uwbpulse.spectral import CosinePoly, SpectralMask, segment_bounds
+
+from conftest import direct_power
 
 T0 = defaults.CLOCK_T0
 L = defaults.FIR_ORDER
@@ -50,16 +52,16 @@ def test_weights_closed_form_flat_spectrum():
 
 
 def test_weights_match_quadrature_of_exact_spectrum(monocycle, mask):
-    # independent oracle: adaptive quadrature of dtft_power * phi_n over
+    # independent oracle: adaptive quadrature of direct_power * phi_n over
     # the passband, in GHz and relative to the peak power
     lo, hi = mask.passband
     c = passband_weights(monocycle, mask.passband, L, T0)
-    peak = float(dtft_power(monocycle, defaults.CENTER_FREQ)[0])
+    peak = float(direct_power(monocycle, defaults.CENTER_FREQ)[0])
     for n in range(L):
 
         def integrand(x, n=n):
             phi = 1.0 if n == 0 else 2.0 * math.cos(2.0 * math.pi * x * 1e9 * n * T0)
-            return float(dtft_power(monocycle, x * 1e9)[0]) / peak * phi
+            return float(direct_power(monocycle, x * 1e9)[0]) / peak * phi
 
         ref, _ = quad(integrand, lo / 1e9, hi / 1e9, epsabs=1e-13, epsrel=1e-13, limit=200)
         assert abs(c[n] - ref * 1e9 * peak) <= 1e-12 * np.abs(c).max(), n
@@ -121,11 +123,10 @@ def test_lp_monotone_in_order(monocycle, mask):
     assert objectives[1] <= objectives[2] * (1 + 1e-9)
 
 
-def test_lp_is_one_grid_at_every_order(design1, design5, design25, mask):
+def test_lp_is_one_grid_at_every_order(design1, design5, design15, design25, mask):
     # the LP's rows are the grid alone, whatever the order: at L = 1 the
     # constant ceilings once added ~2,000 near-active copies of one row
-    sols = {1: design1.solution, 5: design5.solution, 25: design25.solution}
-    sols[15] = up.design_pulse(order=15).solution
+    sols = {d.taps.order: d.solution for d in (design1, design5, design15, design25)}
     n = 512 * optimizer.GRID_REFINE
     segments = len(segment_bounds(mask))
     for order, sol in sols.items():
@@ -248,7 +249,23 @@ def test_factorize_design_roundtrip(design25):
     r = design25.solution.autocorr
     g = design25.taps
     assert np.abs(g.autocorrelation() - r.r).max() <= 1e-7
+    assert g.factorization_error == np.abs(g.autocorrelation() - r.r).max()
     assert g.taps[0] > 0.0
+
+
+@pytest.mark.parametrize(
+    "order, ref",
+    [
+        (1, 0.0028062563455705917),
+        (5, 0.41021269545898464),
+        (15, 0.77613673700165065),
+        (25, 0.87226893141506745),
+    ],
+)
+def test_design_nesp_matches_reference(order, ref, request):
+    # nesp while |q^|^2 came from a direct phasor sum; the cosine-series
+    # form may move it only by rounding
+    assert request.getfixturevalue(f"design{order}").nesp_value == pytest.approx(ref, rel=1e-9)
 
 
 def test_factorize_random_roundtrip():

@@ -15,9 +15,9 @@ from uwbpulse.errors import (
 from uwbpulse.signals import (
     SampledPulse,
     TimeGrid,
+    _power_at,
     autocorr_samples,
     cosine_series,
-    dtft_power,
     lag_autocorrelation,
     monocycle_sigma,
     semi_discrete_convolve,
@@ -162,13 +162,14 @@ def test_spectrum_peak_matches_monocycle(monocycle):
     assert 3.1e9 < peak < 10.6e9
 
 
-def test_dtft_matches_fft_grid(monocycle):
+def test_power_at_matches_fft_grid(monocycle):
     s = up.spectrum(monocycle, 2**12)
-    probe = s.freqs[
-        np.searchsorted(s.freqs, [0.0, 2e9, 6.85e9, 13.9e9])
-    ]
-    exact = dtft_power(monocycle, probe)
-    assert np.allclose(exact, s.power_at(probe), rtol=1e-12, atol=1e-30)
+    probe = s.freqs[np.searchsorted(s.freqs, [2e9, 6.85e9, 13.9e9])]
+    assert np.allclose(_power_at(monocycle, probe), s.power_at(probe), rtol=1e-12, atol=0)
+    # the autocorrelation form's rounding scales with r_0, so at the
+    # monocycle's DC null the bound is absolute, against the peak
+    peak = float(np.max(s.power()))
+    assert abs(float(_power_at(monocycle, 0.0))) <= 2e-15 * peak
 
 
 # -------------------------------------------------------------- gram symbol
@@ -375,7 +376,7 @@ def test_support_invariant_enforced():
 
 
 import mpmath
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -431,17 +432,59 @@ def test_lag_autocorrelation_matches_full_correlation(x, step, kmax):
     st.lists(st.floats(-1, 1, allow_nan=False), min_size=1, max_size=40),
     st.lists(st.one_of(st.floats(-1, 1), st.floats(-1e6, 1e6)), min_size=1, max_size=6),
 )
+# near cos(2 pi x) = 1, where Clenshaw in cos(2 pi x) missed the bound
+@example(c=[0.0] * 9 + [1.0], x=[0.005859375])
+# |x - round(x)| > 1/4: the recurrence mirrored about x = 1/2
+@example(
+    c=[(-1.0) ** n / (n + 1) for n in range(30)],
+    x=[0.2500001, 0.3, 0.49, 0.5, -0.3, 0.7499999],
+)
 def test_cosine_series_matches_mpmath(c, x):
     # oracle: the direct sum c0 + 2 sum c_n cos(2 pi n x) at 40 digits;
-    # the float error grows with the angle 2 pi n |x| that cos must reduce
+    # the bound lets the float error grow with the angle 2 pi n |x|
     got = cosine_series(c, x)
     assert got.shape == (len(x),)
     weight = sum((n + 1) * abs(cn) for n, cn in enumerate(c))
     for xi, gi in zip(x, got):
-        with mpmath.workdps(40):
-            ref = c[0] + 2 * mpmath.fsum(
-                cn * mpmath.cos(2 * mpmath.pi * n * mpmath.mpf(xi))
-                for n, cn in enumerate(c[1:], start=1)
-            )
         tol = 4 * np.finfo(float).eps * (1 + 2 * np.pi * abs(xi)) * weight
-        assert abs(gi - float(ref)) <= tol
+        assert abs(gi - _mp_cosine_series(c, xi)) <= tol
+
+
+def _mp_cosine_series(c, x):
+    """c0 + 2 sum c_n cos(2 pi n x) by a direct sum at 40 digits."""
+    with mpmath.workdps(40):
+        angle = 2 * mpmath.pi * mpmath.mpf(x)
+        terms = (cn * mpmath.cos(n * angle) for n, cn in enumerate(c[1:], start=1))
+        return float(c[0] + 2 * mpmath.fsum(terms))
+
+
+def _mp_power(p, freqs):
+    """|p^(f)|^2 at 40 digits: dt^2 |sum_k p_k z^k|^2 with z = exp(-2i pi f dt)."""
+    coeffs = [mpmath.mpf(float(v)) for v in p.samples[::-1]]
+    out = []
+    with mpmath.workdps(40):
+        dt = mpmath.mpf(p.dt)
+        for f in freqs:
+            z = mpmath.expj(-2 * mpmath.pi * mpmath.mpf(float(f)) * dt)
+            out.append(float(abs(mpmath.polyval(coeffs, z)) ** 2 * dt**2))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("which", ["monocycle", "design25", "limit_k2"])
+def test_power_at_matches_mpmath(which, request):
+    pulse = request.getfixturevalue(which)
+    pulse = getattr(pulse, "pulse", pulse)
+    freqs = np.linspace(0.0, 14e9, 40)
+    ref = _mp_power(pulse, freqs)
+    assert np.max(np.abs(_power_at(pulse, freqs) - ref)) <= 2e-15 * np.max(ref)
+
+
+def test_cosine_series_reduces_large_x_exactly():
+    # x - round(x) is exact, so the error does not grow with |x|
+    c = np.random.default_rng(12).uniform(-1, 1, 30)
+    x = np.array([2.0**40 + 0.375, -(2.0**40) - 0.125, 1e12 + 0.1, -3e9 - 0.45])
+    assert np.array_equal(cosine_series(c, x), cosine_series(c, x - np.round(x)))
+    weight = sum((n + 1) * abs(cn) for n, cn in enumerate(c))
+    ref = np.array([_mp_cosine_series(c, xi) for xi in x])
+    tol = 4 * np.finfo(float).eps * (1 + np.pi) * weight  # the bound at |x| = 1/2
+    assert np.all(np.abs(cosine_series(c, x) - ref) <= tol)

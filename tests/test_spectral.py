@@ -9,7 +9,7 @@ import uwbpulse as up
 from uwbpulse import defaults, pipeline, signals
 from uwbpulse.errors import ConfigurationError, DivisionHazardError
 from uwbpulse.pipeline import band_bins, band_spectrum, compliant_spectrum
-from uwbpulse.signals import Spectrum, dtft, dtft_power
+from uwbpulse.signals import Spectrum
 from uwbpulse.spectral import (
     SpectralMask,
     cosine_basis,
@@ -19,13 +19,10 @@ from uwbpulse.spectral import (
     save_mask_csv,
 )
 
+from conftest import direct_power, direct_transform
+
 T0 = defaults.CLOCK_T0
 GHZ = 1e9
-
-
-def flat_spectrum(level: float, f_max: float = 14e9, n: int = 2**15 + 1) -> Spectrum:
-    freqs = np.linspace(-f_max, f_max, 2 * n - 1)
-    return Spectrum(freqs, np.full(len(freqs), math.sqrt(level), dtype=complex))
 
 
 # ----------------------------------------------------------------- mask
@@ -80,40 +77,6 @@ def test_mask_integrate(mask):
     assert total == pytest.approx(manual, rel=1e-15)
 
 
-# ------------------------------------------------------------- mask ratio
-
-
-def test_mask_ratio_flat_is_one():
-    c = 3e-13
-    m = SpectralMask(((0.0, 14e9, c),), (3.1e9, 10.6e9))
-    s = flat_spectrum(c)
-    nu = np.linspace(0.1e9, 14e9, 50)
-    assert np.allclose(up.mask_ratio(m, s, nu), 1.0, rtol=1e-12)
-
-
-def test_mask_ratio_positive_on_band(mask, monocycle):
-    s = band_spectrum(monocycle, mask)
-    nu = np.linspace(0.01e9, 14e9, 400)
-    vals = np.asarray(up.mask_ratio(mask, s, nu))
-    assert np.all(vals > 0)
-    assert np.all(np.isfinite(vals))
-
-
-def test_mask_ratio_at_band_top(mask, monocycle):
-    s = band_spectrum(monocycle, mask)
-    level5 = mask.segments[-1][2]
-    got = up.mask_ratio(mask, s, 14e9)
-    assert got == pytest.approx(level5 / s.power_at(14e9), rel=1e-12)
-
-
-def test_mask_ratio_division_hazard(mask):
-    freqs = np.linspace(-14e9, 14e9, 2**15)
-    vals = np.where(np.abs(freqs) < 1e9, 0.0, 1e-5).astype(complex)
-    s = Spectrum(freqs, vals)
-    with pytest.raises(DivisionHazardError):
-        up.mask_ratio(mask, s, 0.5e9)
-
-
 # -------------------------------------------------------------- mask fits
 
 
@@ -142,6 +105,13 @@ def test_fit_refinement_stability(mask, monocycle):
         assert np.abs(a.coeffs - b.coeffs).max() <= 1e-6 * scale
 
 
+def test_fit_keeps_the_well_conditioned_block(mask, monocycle):
+    # each ceiling carries only the coefficients its segment's fit kept
+    polys = up.fit_mask_polynomials(mask, monocycle, 25)
+    assert [poly.order for poly in polys] == [4, 5, 6, 25, 7]
+    assert all(poly.coeffs[-1] != 0.0 for poly in polys)
+
+
 def test_fit_stays_below_true_ratio_on_dense_grid(mask, monocycle):
     # conservative clamp, checked 4x denser than the fit grid
     polys = up.fit_mask_polynomials(mask, monocycle, 25, density=512)
@@ -151,7 +121,7 @@ def test_fit_stays_below_true_ratio_on_dense_grid(mask, monocycle):
         nu = np.linspace(a, f_hi, 4 * 512 + 1)
         if a == 0.0:
             nu = nu[1:]
-        true_ratio = level / dtft_power(monocycle, nu)
+        true_ratio = level / direct_power(monocycle, nu)
         assert np.all(poly(nu) <= true_ratio + 1e-15)
 
 
@@ -162,7 +132,7 @@ def test_fit_residuals_reported(mask, monocycle):
         f_lo, f_hi, level = mask.segments[i]
         a = 0.0 if i < len(mask.segments) - 1 else f_lo
         nu = np.linspace(max(a, 0.3e9), f_hi, 2048)
-        true_ratio = level / dtft_power(monocycle, nu)
+        true_ratio = level / direct_power(monocycle, nu)
         resid = np.max(np.abs(np.minimum(true_ratio, np.median(true_ratio) * 8) - poly(nu)))
         rel = resid / np.max(true_ratio[np.isfinite(true_ratio)])
         print(f"segment {i + 1}: sup residual {resid:.3e} ({rel:.1%} of scale)")
@@ -287,7 +257,7 @@ def test_band_bins_are_the_full_grid_bins(band_pulse, mask):
 def test_band_bins_match_exact_dtft(band_pulse, mask):
     got = band_bins(band_pulse, mask)
     idx = np.random.default_rng(7).choice(len(got.freqs), 200, replace=False)
-    exact = dtft(band_pulse, got.freqs[idx])
+    exact = direct_transform(band_pulse, got.freqs[idx])
     peak = np.abs(got.values).max()
     assert np.abs(got.values[idx] - exact).max() <= 1e-13 * peak
 
