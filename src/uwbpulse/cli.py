@@ -4,10 +4,13 @@ Each command reads an optional JSON config (flags override single keys),
 writes CSV/JSON artifacts into an output directory, and finishes with a
 manifest recording the resolved config, the tool version, and content
 hashes of every output.  Outputs carry no timestamps, so identical
-configs reproduce byte-identical artifacts.
+configs reproduce byte-identical artifacts.  Every key is declared once,
+in ``_COMMANDS``; flag and config values pass one type check.
 
-Exit codes: 0 success, 2 infeasible or unstable configuration, 1
-internal error.
+Exit codes: 0 success; 2 for refused input (a mistyped or non-finite
+value, an unreadable or malformed file, an unusable output directory) or
+an infeasible or unstable configuration; 1 internal error (a non-finite
+number reaching a JSON report is one, and that report is not written).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__, defaults
 from .errors import ConfigurationError, UwbPulseError
@@ -28,10 +32,87 @@ from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 SCHEMA_VERSION = 8
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+class _Key(NamedTuple):
+    """One config key.  ``kind`` is int, float, bool or str, a tuple of
+    allowed strings, or [int] / [float] for a non-empty comma list.  A None
+    ``flag`` is ``--`` plus the key with ``-`` for ``_``; "" makes the key
+    config-only, as bool keys are.  A None default may stay unset."""
+
+    default: object
+    kind: object
+    help: str
+    flag: str | None = None
+
+
+_ORDER = _Key(defaults.FIR_ORDER, int, "FIR order L")
+_SHIFT_RATIO = _Key(2, int, "K with T = Tp/K")
+_M_MULTIPLE = _Key(2, int, "m with M = m K")
+_PULSE_CSV = _Key(None, str, "pulse CSV (t_seconds,amplitude)")
+_MASK_CSV = _Key(None, str, "mask CSV (f_lo_hz,f_hi_hz,level_w_per_hz); default: bundled")
+
+# command -> keys; the handler is cmd_<command>, and its docstring the help
+_COMMANDS = {
+    "design": {
+        "order": _ORDER,
+        "fc_hz": _Key(defaults.CENTER_FREQ, float, "monocycle centre frequency in Hz"),
+        "monocycle_clocks": _Key(defaults.MONOCYCLE_CLOCKS, int, "monocycle length in clocks"),
+        "samples_per_clock": _Key(defaults.SAMPLES_PER_CLOCK, int, "grid steps per clock"),
+        "grid_density": _Key(512, int, "fit and LP nodes per mask segment"),
+        "mask_csv": _MASK_CSV,
+    },
+    "orthogonalize": {
+        "pulse_csv": _PULSE_CSV,
+        "shift_ratio": _SHIFT_RATIO,
+        "m_multiple": _M_MULTIPLE,
+        "kind": _Key("lo", ("lo", "alo", "limit"), "family kind"),
+    },
+    "analyze": {
+        "pulse_csv": _PULSE_CSV,
+        "shift_clocks": _Key(None, float, "translate shift in clocks"),
+        "mask_csv": _MASK_CSV,
+    },
+    "simulate": {
+        "scheme": _Key("psm", ("psm", "oppm-lo", "oppm-alo"), "modulation scheme"),
+        "order": _ORDER,
+        "shift_ratio": _SHIFT_RATIO,
+        "m_multiple": _M_MULTIPLE,
+        "ebn0_db_list": _Key(
+            [1.0, 3.0, 6.0, 9.0], [float], "comma-separated E/N0 points in dB", "--ebn0-list"
+        ),
+        "trials": _Key(10000, int, "trials per E/N0 point"),
+        "seed": _Key(0, int, "random seed"),
+        "antipodal": _Key(True, bool, "antipodal symbols", ""),
+    },
+    "sweep": {
+        "order": _ORDER,
+        "k_list": _Key([1, 2, 3, 4, 5, 6], [int], "comma-separated overlap factors K"),
+        "m_multiple": _M_MULTIPLE,
+    },
+}
+
+
+def _fits(val, kind) -> bool:
+    """Whether ``val`` has the key kind ``kind`` (bools are not numbers)."""
+    if isinstance(kind, list):
+        return type(val) is list and len(val) > 0 and all(_fits(x, kind[0]) for x in val)
+    if isinstance(kind, tuple):
+        return val in kind
+    if kind is float:
+        return type(val) in (int, float) and abs(val) <= sys.float_info.max
+    return type(val) is kind
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, list):
+        return f"a non-empty list, each {_describe(kind[0])}"
+    if isinstance(kind, tuple):
+        return "one of " + ", ".join(kind)
+    names = {int: "an integer", float: "a finite number", bool: "true or false"}
+    return names.get(kind, "a string")
+
+
+def _write_json(path: Path, payload: dict):
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_manifest(outdir: Path, command: str, config: dict, outputs: list[Path], errors=None):
@@ -40,89 +121,56 @@ def _write_manifest(outdir: Path, command: str, config: dict, outputs: list[Path
         "config": config,
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
+        "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(outputs)},
     }
     if errors:
         manifest["errors"] = errors
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    _write_json(outdir / "manifest.json", manifest)
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def _fits_default(val, default) -> bool:
-    """Whether a config value has the type of its key's default.
-
-    Bools take bools, numbers take numbers, lists take lists of numbers
-    and strings take strings.  None marks a key left unset: it takes
-    null, a string (file paths) or a number (``shift_clocks``).
-    """
-    if isinstance(default, bool):
-        return isinstance(val, bool)
-    if _is_number(default):
-        return _is_number(val)
-    if isinstance(default, list):
-        return isinstance(val, list) and all(_is_number(x) for x in val)
-    if default is None:
-        return val is None or isinstance(val, str) or _is_number(val)
-    return isinstance(val, str)
-
-
-def _resolve_config(args, keys: dict) -> dict:
-    config = dict(keys)
-    if getattr(args, "config", None):
-        loaded = json.loads(Path(args.config).read_text())
+def _resolve(args) -> tuple[dict, Path]:
+    """The config (defaults, then the ``--config`` file, then the flags,
+    checked once) and the output directory, made if missing."""
+    keys = _COMMANDS[args.command]
+    config = {key: spec.default for key, spec in keys.items()}
+    if args.config:
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigurationError(f"config file {args.config} does not hold a JSON object")
         unknown = set(loaded) - set(keys)
         if unknown:
-            raise UwbPulseError(f"unknown config keys: {sorted(unknown)}")
-        for key, val in loaded.items():
-            if not _fits_default(val, keys[key]):
-                raise ConfigurationError(
-                    f"config key {key!r}: {val!r} does not match the type of "
-                    f"its default {keys[key]!r}"
-                )
+            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
-    return config
-
-
-def _outdir(args) -> Path:
+    for key, val in config.items():
+        spec = keys[key]
+        if not ((val is None and spec.default is None) or _fits(val, spec.kind)):
+            raise ConfigurationError(f"config key {key!r}: {val!r} is not {_describe(spec.kind)}")
     out = Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot use output directory {out}: {exc}") from None
+    return config, out
 
 
 def cmd_design(args) -> int:
-    config = _resolve_config(
-        args,
-        {
-            "order": defaults.FIR_ORDER,
-            "fc_hz": defaults.CENTER_FREQ,
-            "monocycle_clocks": defaults.MONOCYCLE_CLOCKS,
-            "samples_per_clock": defaults.SAMPLES_PER_CLOCK,
-            "grid_density": 512,
-            "mask_csv": None,
-        },
-    )
-    out = _outdir(args)
+    """Optimize the shaping filter against the mask."""
+    config, out = _resolve(args)
     mask = fcc_indoor_mask(config["mask_csv"])
     result = design_pulse(
-        order=int(config["order"]),
-        fc=float(config["fc_hz"]),
-        monocycle_clocks=int(config["monocycle_clocks"]),
-        samples_per_clock=int(config["samples_per_clock"]),
+        order=config["order"],
+        fc=config["fc_hz"],
+        monocycle_clocks=config["monocycle_clocks"],
+        samples_per_clock=config["samples_per_clock"],
         mask=mask,
-        grid_density=int(config["grid_density"]),
+        grid_density=config["grid_density"],
     )
     taps_path = out / "taps.csv"
     _write_csv(taps_path, ["index", "tap"], list(enumerate(result.taps.taps)))
@@ -155,21 +203,13 @@ def cmd_design(args) -> int:
 
 
 def cmd_orthogonalize(args) -> int:
-    config = _resolve_config(
-        args,
-        {
-            "pulse_csv": None,
-            "shift_ratio": 2,
-            "m_multiple": 2,
-            "kind": "lo",
-        },
-    )
+    """Build orthogonal pulse families."""
+    config, out = _resolve(args)
     if not config["pulse_csv"]:
-        raise UwbPulseError("orthogonalize requires pulse_csv")
-    out = _outdir(args)
+        raise ConfigurationError("orthogonalize requires pulse_csv")
     pulse = load_pulse_csv(config["pulse_csv"]).normalized()
     family, centered, report = build_family(
-        pulse, int(config["shift_ratio"]), int(config["m_multiple"]), config["kind"]
+        pulse, config["shift_ratio"], config["m_multiple"], config["kind"]
     )
     outputs = []
     if family is None:
@@ -194,18 +234,15 @@ def cmd_orthogonalize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = _resolve_config(
-        args,
-        {"pulse_csv": None, "shift_clocks": None, "mask_csv": None},
-    )
+    """Summarize a pulse file."""
+    config, out = _resolve(args)
     if not config["pulse_csv"]:
-        raise UwbPulseError("analyze requires pulse_csv")
-    out = _outdir(args)
+        raise ConfigurationError("analyze requires pulse_csv")
     mask = fcc_indoor_mask(config["mask_csv"])
     pulse = load_pulse_csv(config["pulse_csv"])
     shift = None
     if config["shift_clocks"] is not None:
-        shift = float(config["shift_clocks"]) * mask.clock
+        shift = config["shift_clocks"] * mask.clock
     report = analyze_pulse(pulse, mask, shift)
     report_path = out / "analysis.json"
     _write_json(report_path, report)
@@ -215,80 +252,52 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _resolve_config(
-        args,
-        {
-            "scheme": "psm",
-            "order": defaults.FIR_ORDER,
-            "shift_ratio": 2,
-            "m_multiple": 2,
-            "ebn0_db_list": [1.0, 3.0, 6.0, 9.0],
-            "trials": 10000,
-            "seed": 0,
-            "antipodal": True,
-        },
-    )
-    out = _outdir(args)
-    scheme_key = config["scheme"].lower()
-    if scheme_key not in ("psm", "oppm-lo", "oppm-alo"):
-        raise UwbPulseError("scheme must be psm, oppm-lo, or oppm-alo")
-    result = design_pulse(order=int(config["order"]))
-    kind = "lo" if scheme_key in ("psm", "oppm-lo") else "alo"
+    """Monte Carlo symbol error rates."""
+    config, out = _resolve(args)
+    scheme = config["scheme"]
+    result = design_pulse(order=config["order"])
+    kind = "alo" if scheme == "oppm-alo" else "lo"
     family, centered, _ = build_family(
-        result.pulse, int(config["shift_ratio"]), int(config["m_multiple"]), kind
+        result.pulse, config["shift_ratio"], config["m_multiple"], kind
     )
-    shift = family.shift
-    n_symbols = family.size
+    source = family if scheme == "psm" else centered
     symbol_period = defaults.SYMBOL_CLOCKS * result.mask.clock
     rows = []
     for ebn0_db in config["ebn0_db_list"]:
-        gamma = 10.0 ** (float(ebn0_db) / 10.0)
         cfg = LinkConfig(
-            n_symbols=n_symbols,
-            shift=shift,
+            n_symbols=family.size,
+            shift=family.shift,
             symbol_period=symbol_period,
             energy=1.0,
-            noise_density=1.0 / gamma,
-            scheme="PSM" if scheme_key == "psm" else ("OPPM_LO" if kind == "lo" else "OPPM_ALO"),
-            antipodal=bool(config["antipodal"]),
+            noise_density=1.0 / 10.0 ** (ebn0_db / 10.0),
+            scheme={"psm": "PSM", "oppm-lo": "OPPM_LO", "oppm-alo": "OPPM_ALO"}[scheme],
+            antipodal=config["antipodal"],
         )
-        source = family if scheme_key == "psm" else centered
-        res = simulate_ser(cfg, source, int(config["trials"]), int(config["seed"]))
-        rows.append(
-            (float(ebn0_db), res.ser, res.ci95, res.bound, res.wilson_lo, res.wilson_hi)
-        )
+        res = simulate_ser(cfg, source, config["trials"], config["seed"])
+        rows.append((ebn0_db, res.ser, res.ci95, res.bound, res.wilson_lo, res.wilson_hi))
     ser_path = out / "ser.csv"
     _write_csv(ser_path, ["ebn0_db", "ser", "ci95", "bound", "wilson_lo", "wilson_hi"], rows)
     _write_manifest(out, "simulate", config, [ser_path])
-    print(f"simulate: scheme={scheme_key} points={len(rows)}")
+    print(f"simulate: scheme={scheme} points={len(rows)}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    config = _resolve_config(
-        args,
-        {
-            "order": defaults.FIR_ORDER,
-            "k_list": [1, 2, 3, 4, 5, 6],
-            "m_multiple": 2,
-        },
-    )
-    out = _outdir(args)
-    result = design_pulse(order=int(config["order"]))
+    """Rate / efficiency trade table over K."""
+    config, out = _resolve(args)
+    result = design_pulse(order=config["order"])
     mask = result.mask
     rows = []
     errors = {}
     for k in config["k_list"]:
         try:
-            family, centered, report = build_family(
-                result.pulse, int(k), int(config["m_multiple"]), "lo"
-            )
+            family, centered, report = build_family(result.pulse, k, config["m_multiple"], "lo")
             _, scaled = compliant_spectrum(centered, mask)
             rows.append(
                 (
-                    int(k),
+                    k,
                     report["shift_seconds"] / mask.clock,
-                    bit_rate(int(k), mask.clock) / 1e9,
+                    bit_rate(k, mask.clock) / 1e9,
                     nesp(scaled, mask),
                     report["offdiag_max"],
                     report["A"],
@@ -304,9 +313,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--outdir", default=".", help="output directory")
+def _flag_type(kind) -> dict:
+    if isinstance(kind, tuple):
+        return {"choices": kind}
+    if isinstance(kind, list):  # a comma list
+        return {"type": lambda s: [kind[0](x) for x in s.split(",")]}
+    return {"type": kind}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,59 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("design", help="optimize the shaping filter against the mask")
-    _add_common(p)
-    p.add_argument("--order", type=int, help="FIR order L")
-    p.add_argument("--fc-hz", dest="fc_hz", type=float)
-    p.add_argument("--monocycle-clocks", dest="monocycle_clocks", type=int)
-    p.add_argument("--samples-per-clock", dest="samples_per_clock", type=int)
-    p.add_argument("--grid-density", dest="grid_density", type=int)
-    p.add_argument("--mask-csv", dest="mask_csv")
-    p.set_defaults(func=cmd_design)
-
-    p = subs.add_parser("orthogonalize", help="build orthogonal pulse families")
-    _add_common(p)
-    p.add_argument("--pulse-csv", dest="pulse_csv")
-    p.add_argument("--shift-ratio", dest="shift_ratio", type=int, help="K with T = Tp/K")
-    p.add_argument("--m-multiple", dest="m_multiple", type=int, help="m with M = m K")
-    p.add_argument("--kind", choices=["lo", "alo", "limit"])
-    p.set_defaults(func=cmd_orthogonalize)
-
-    p = subs.add_parser("analyze", help="summarize a pulse file")
-    _add_common(p)
-    p.add_argument("--pulse-csv", dest="pulse_csv")
-    p.add_argument("--shift-clocks", dest="shift_clocks", type=float)
-    p.add_argument("--mask-csv", dest="mask_csv")
-    p.set_defaults(func=cmd_analyze)
-
-    p = subs.add_parser("simulate", help="Monte Carlo symbol error rates")
-    _add_common(p)
-    p.add_argument("--scheme", choices=["psm", "oppm-lo", "oppm-alo"])
-    p.add_argument("--order", type=int)
-    p.add_argument("--shift-ratio", dest="shift_ratio", type=int)
-    p.add_argument("--m-multiple", dest="m_multiple", type=int)
-    p.add_argument(
-        "--ebn0-list",
-        dest="ebn0_db_list",
-        type=lambda s: [float(x) for x in s.split(",")],
-        help="comma-separated E/N0 points in dB",
-    )
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs.add_parser("sweep", help="rate / efficiency trade table over K")
-    _add_common(p)
-    p.add_argument("--order", type=int)
-    p.add_argument(
-        "--k-list",
-        dest="k_list",
-        type=lambda s: [int(x) for x in s.split(",")],
-        help="comma-separated overlap factors",
-    )
-    p.add_argument("--m-multiple", dest="m_multiple", type=int)
-    p.set_defaults(func=cmd_sweep)
+    for name, keys in _COMMANDS.items():
+        # looked up now, so a wrapped or patched handler is the one bound
+        func = globals()[f"cmd_{name}"]
+        p = subs.add_parser(name, help=func.__doc__)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        p.add_argument("--outdir", default=".", help="output directory")
+        for key, spec in keys.items():
+            if spec.flag != "":
+                flag = spec.flag or "--" + key.replace("_", "-")
+                p.add_argument(flag, dest=key, help=spec.help, **_flag_type(spec.kind))
+        p.set_defaults(func=func)
     return parser
 
 

@@ -123,6 +123,8 @@ def design_pulse(
     Order 1 degenerates to the identity filter: the output pulse is the
     monocycle itself.
     """
+    if samples_per_clock < 1 or grid_density < 1:
+        raise ConfigurationError("samples_per_clock and grid_density must be at least 1")
     if mask is None:
         mask = fcc_indoor_mask()
     clock = mask.clock

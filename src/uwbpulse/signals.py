@@ -432,26 +432,47 @@ def save_pulse_csv(path, p: SampledPulse) -> None:
     _write_csv(path, ["t_seconds", "amplitude"], np.column_stack([p.times(), p.samples]))
 
 
+def _read_csv(path, header: list[str]) -> np.ndarray:
+    """Read the leading ``header`` columns of a file written by
+    :func:`_write_csv`: one contiguous float array per column.
+
+    Blank lines are skipped.  An unreadable file, another header, or a
+    row that is short or holds a field that is not a finite number raises
+    :class:`ConfigurationError` naming the path (and the row's line).
+    """
+    n = len(header)
+    flat = []
+    try:
+        with open(path, newline="") as fh:
+            rows = csv.reader(fh)
+            if [h.strip() for h in next(rows, [])[:n]] != header:
+                raise ConfigurationError(f"{path}: expected header {','.join(header)}")
+            for lineno, line in enumerate(rows, start=2):
+                if not line:
+                    continue
+                try:
+                    vals = list(map(float, line[:n]))
+                except ValueError:
+                    vals = []
+                if len(vals) < n or not all(map(math.isfinite, vals)):
+                    raise ConfigurationError(f"{path}: line {lineno} needs {n} finite numbers")
+                flat += vals
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
+    # copied, not a strided view of the row-major array: a strided column
+    # would change the summation order of later dot products
+    return np.array(flat, dtype=float).reshape(-1, n).T.copy()
+
+
 def load_pulse_csv(path) -> SampledPulse:
-    """Read a pulse written by :func:`save_pulse_csv`; spacing must be uniform."""
-    times = []
-    amps = []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is None or [h.strip() for h in header[:2]] != ["t_seconds", "amplitude"]:
-            raise ConfigurationError(f"{path}: expected header t_seconds,amplitude")
-        for lineno, row in enumerate(rd, start=2):
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                amps.append(float(row[1]))
-            except (ValueError, IndexError):
-                raise ConfigurationError(f"{path}: parse error at line {lineno}") from None
-    if len(times) < 2:
+    """Read a pulse written by :func:`save_pulse_csv`; spacing must be uniform.
+
+    A missing or unreadable file, a malformed row or a non-finite value
+    raises :class:`ConfigurationError`.
+    """
+    t, amps = _read_csv(path, ["t_seconds", "amplitude"])
+    if len(t) < 2:
         raise ConfigurationError(f"{path}: fewer than two samples")
-    t = np.asarray(times)
     # the end-to-end step: t[1] - t[0] alone is ~1e-11 off at n0 ~ 1e5,
     # enough to misplace t = 0 and drift the grid by ~1e-6 steps
     dt = float((t[-1] - t[0]) / (len(t) - 1))
@@ -461,4 +482,4 @@ def load_pulse_csv(path) -> SampledPulse:
     if abs(-t[0] / dt - n0) > 1e-6:
         raise ConfigurationError(f"{path}: t = 0 does not fall on the grid")
     grid = TimeGrid(dt, n0, len(t))
-    return SampledPulse(grid, np.asarray(amps))
+    return SampledPulse(grid, amps)

@@ -9,7 +9,6 @@ into the filter program.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -17,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigurationError, DivisionHazardError, MaskFitError
-from .signals import SampledPulse, Spectrum, _power_at, _write_csv, cosine_series
+from .signals import SampledPulse, Spectrum, _power_at, _read_csv, _write_csv, cosine_series
 
 SUP_GRID_POINTS = 2**14  # grid for sup-norm style evaluations on [0, band top]
 SAFETY_FACTOR = 1.0 - 1e-6  # shrink applied to compliant scalings
@@ -94,28 +93,19 @@ def fcc_indoor_mask(path=None) -> SpectralMask:
 
 
 def load_mask_csv(path, passband=None) -> SpectralMask:
-    """Read segments from `f_lo_hz,f_hi_hz,level_w_per_hz` rows."""
-    rows = []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is None or [h.strip() for h in header[:3]] != [
-            "f_lo_hz",
-            "f_hi_hz",
-            "level_w_per_hz",
-        ]:
-            raise ConfigurationError(f"{path}: expected header f_lo_hz,f_hi_hz,level_w_per_hz")
-        for lineno, row in enumerate(rd, start=2):
-            if not row:
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError):
-                raise ConfigurationError(f"{path}: parse error at line {lineno}") from None
+    """Read segments from `f_lo_hz,f_hi_hz,level_w_per_hz` rows.
+
+    The passband defaults to the first segment of the highest level.  A
+    missing or unreadable file, a malformed row, a non-finite value or a
+    file with no rows raises :class:`ConfigurationError`.
+    """
+    f_lo, f_hi, level = _read_csv(path, ["f_lo_hz", "f_hi_hz", "level_w_per_hz"])
+    if len(level) == 0:
+        raise ConfigurationError(f"{path}: no mask segments")
     if passband is None:
-        lo, hi, _ = max(rows, key=lambda r: r[2])
-        passband = (lo, hi)
-    return SpectralMask(tuple(rows), tuple(passband))
+        i = int(np.argmax(level))
+        passband = (float(f_lo[i]), float(f_hi[i]))
+    return SpectralMask(tuple(zip(f_lo.tolist(), f_hi.tolist(), level.tolist())), tuple(passband))
 
 
 def save_mask_csv(path, mask: SpectralMask) -> None:

@@ -1,14 +1,18 @@
 """Command-line pipeline: artifacts, manifests, reproducibility, exit codes."""
 
+import argparse
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import uwbpulse as up
 from uwbpulse import defaults
-from uwbpulse.cli import main
+from uwbpulse.cli import build_parser, main
+from uwbpulse.spectral import save_mask_csv
 
 T0 = defaults.CLOCK_T0
 
@@ -350,3 +354,172 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     args = ["simulate", "--outdir", tmp_path, "--order", 1, "--trials", 10, "--seed", -1]
     assert run(args) == 2
     assert "seed" in capsys.readouterr().err
+
+
+# id: (argv, config file text or None, what stderr must name); "{tmp}" is
+# the test's directory, which holds the input files written below
+REFUSED_INPUTS = {
+    "config-missing": (["design", "--config", "{tmp}/absent.json"], None, "{tmp}/absent.json"),
+    "config-malformed": (["design"], "{", "{tmp}/cfg.json"),
+    "config-not-object": (["design"], "[]", "{tmp}/cfg.json"),
+    "config-shift-clocks-str": (
+        ["analyze", "--pulse-csv", "{tmp}/pulse.csv"],
+        '{"shift_clocks": "abc"}',
+        "shift_clocks",
+    ),
+    "config-pulse-csv-int": (["analyze"], '{"pulse_csv": 7}', "pulse_csv"),
+    "config-mask-csv-float": (["design"], '{"mask_csv": 3.5}', "mask_csv"),
+    "config-order-float": (["design"], '{"order": 2.7}', "order"),
+    "config-ebn0-list-empty": (["simulate"], '{"ebn0_db_list": []}', "ebn0_db_list"),
+    "config-k-list-empty": (["sweep"], '{"k_list": []}', "k_list"),
+    "flag-shift-clocks-nan": (
+        ["analyze", "--pulse-csv", "{tmp}/pulse.csv", "--shift-clocks", "nan"],
+        None,
+        "shift_clocks",
+    ),
+    "flag-ebn0-list-nan": (
+        ["simulate", "--order", "1", "--trials", "10", "--ebn0-list", "nan"],
+        None,
+        "ebn0_db_list",
+    ),
+    "pulse-csv-missing": (["analyze", "--pulse-csv", "{tmp}/absent.csv"], None, "{tmp}/absent.csv"),
+    "pulse-csv-nan": (
+        ["orthogonalize", "--pulse-csv", "{tmp}/nan_pulse.csv"],
+        None,
+        "{tmp}/nan_pulse.csv",
+    ),
+    "pulse-csv-huge-field": (
+        ["analyze", "--pulse-csv", "{tmp}/huge_field.csv"],
+        None,
+        "{tmp}/huge_field.csv",
+    ),
+    "mask-csv-missing": (["design", "--mask-csv", "{tmp}/absent.csv"], None, "{tmp}/absent.csv"),
+    "mask-csv-header-only": (
+        ["design", "--mask-csv", "{tmp}/header_mask.csv"],
+        None,
+        "{tmp}/header_mask.csv",
+    ),
+    "mask-csv-nan": (
+        ["analyze", "--pulse-csv", "{tmp}/pulse.csv", "--mask-csv", "{tmp}/nan_mask.csv"],
+        None,
+        "{tmp}/nan_mask.csv",
+    ),
+    "mask-csv-inf": (
+        ["analyze", "--pulse-csv", "{tmp}/pulse.csv", "--mask-csv", "{tmp}/inf_mask.csv"],
+        None,
+        "{tmp}/inf_mask.csv",
+    ),
+    "outdir-is-file": (["design", "--outdir", "{tmp}/pulse.csv"], None, "{tmp}/pulse.csv"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_INPUTS)
+def test_refused_input_exits_2(case, tmp_path, monocycle, capsys):
+    # outside input that is unreadable, mistyped or not finite exits 2 and
+    # names the key or the file, before any manifest is written
+    argv, config, named = REFUSED_INPUTS[case]
+    up.save_pulse_csv(tmp_path / "pulse.csv", monocycle)
+    samples = monocycle.samples.copy()
+    samples[len(samples) // 2] = np.nan
+    up.save_pulse_csv(tmp_path / "nan_pulse.csv", up.SampledPulse(monocycle.grid, samples))
+    # longer than the csv module's field limit
+    (tmp_path / "huge_field.csv").write_text("t_seconds,amplitude\n" + "1" * 200_000 + ",0\n")
+    save_mask_csv(tmp_path / "mask.csv", up.fcc_indoor_mask())
+    header, first, *rest = (tmp_path / "mask.csv").read_text().splitlines()
+    (tmp_path / "header_mask.csv").write_text(header + "\n")
+    for level in ("nan", "inf"):
+        bad = ",".join(first.split(",")[:2] + [level])
+        (tmp_path / f"{level}_mask.csv").write_text("\n".join([header, bad, *rest]) + "\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    if "--outdir" not in argv:
+        argv += ["--outdir", str(out)]
+    assert run(argv) == 2
+    assert named.format(tmp=tmp_path) in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_nan_in_a_report_is_an_internal_error(monkeypatch, tmp_path, monocycle):
+    # inputs are checked, so a NaN reaching a report is a fault: exit 1 and
+    # no report, never a JSON file with a bare NaN in it
+    import uwbpulse.cli as cli
+
+    monkeypatch.setattr(cli, "analyze_pulse", lambda *args: {"energy": 1.0, "nesp": np.nan})
+    up.save_pulse_csv(tmp_path / "q.csv", monocycle)
+    out = tmp_path / "a"
+    assert run(["analyze", "--outdir", out, "--pulse-csv", tmp_path / "q.csv"]) == 1
+    assert not (out / "analysis.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+# every subcommand's option strings with their dest and choices
+CLI_SURFACE = {
+    "design": {
+        "--order": "order",
+        "--fc-hz": "fc_hz",
+        "--monocycle-clocks": "monocycle_clocks",
+        "--samples-per-clock": "samples_per_clock",
+        "--grid-density": "grid_density",
+        "--mask-csv": "mask_csv",
+    },
+    "orthogonalize": {
+        "--pulse-csv": "pulse_csv",
+        "--shift-ratio": "shift_ratio",
+        "--m-multiple": "m_multiple",
+        "--kind": ("kind", ["lo", "alo", "limit"]),
+    },
+    "analyze": {
+        "--pulse-csv": "pulse_csv",
+        "--shift-clocks": "shift_clocks",
+        "--mask-csv": "mask_csv",
+    },
+    "simulate": {
+        "--scheme": ("scheme", ["psm", "oppm-lo", "oppm-alo"]),
+        "--order": "order",
+        "--shift-ratio": "shift_ratio",
+        "--m-multiple": "m_multiple",
+        "--ebn0-list": "ebn0_db_list",
+        "--trials": "trials",
+        "--seed": "seed",
+    },
+    "sweep": {"--order": "order", "--k-list": "k_list", "--m-multiple": "m_multiple"},
+}
+
+
+def test_cli_surface_is_pinned():
+    common = {"-h": "help", "--help": "help", "--config": "config", "--outdir": "outdir"}
+    expected = {
+        name: {
+            opt: spec if isinstance(spec, tuple) else (spec, None)
+            for opt, spec in {**common, **options}.items()
+        }
+        for name, options in CLI_SURFACE.items()
+    }
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {
+            opt: (a.dest, list(a.choices) if a.choices else None)
+            for a in sub._actions
+            for opt in a.option_strings
+        }
+        for name, sub in subs.choices.items()
+    }
+    assert got == expected
+    assert [a.option_strings for a in parser._actions] == [["-h", "--help"], ["--version"], []]
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv]
+    assert [argv[0] for argv in commands] == ["uwbpulse"] * 5
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1]

@@ -268,6 +268,13 @@ def test_design_nesp_matches_reference(order, ref, request):
     assert request.getfixturevalue(f"design{order}").nesp_value == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("empty_grid", ["samples_per_clock", "grid_density"])
+def test_design_rejects_an_empty_grid(empty_grid):
+    # zero steps per clock divided by zero, zero fit nodes took max() of nothing
+    with pytest.raises(ConfigurationError, match=empty_grid):
+        up.design_pulse(order=1, **{empty_grid: 0})
+
+
 def test_factorize_random_roundtrip():
     rng = np.random.default_rng(2024)
     for _ in range(100):

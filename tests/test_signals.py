@@ -291,6 +291,8 @@ def test_pulse_csv_roundtrip(tmp_path, monocycle):
     assert back.grid.dt == pytest.approx(monocycle.dt, rel=1e-12)
     assert back.grid.n0 == monocycle.grid.n0
     assert np.allclose(back.samples, monocycle.samples, rtol=0, atol=0)
+    # a strided column would change the summation order of later dot products
+    assert back.samples.flags.c_contiguous
 
 
 def _csv_writer_bytes(path, header, rows) -> bytes:
