@@ -58,9 +58,7 @@ from .optimizer import (
     spectral_factorize,
 )
 from .lowdin import (
-    CirculantGram,
     OrthogonalFamily,
-    ToeplitzGram,
     approx_lowdin_family,
     gram,
     gram_schmidt_family,
@@ -69,7 +67,6 @@ from .lowdin import (
     lowdin_optimality_probe,
     orthonormal_generator,
     riesz_bounds,
-    strang_circulant,
 )
 from .modem import (
     LinkConfig,

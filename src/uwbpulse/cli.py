@@ -251,10 +251,22 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _noise_density(ebn0_db: float) -> float:
+    """N0 at unit symbol energy; refuses a point past the float range."""
+    try:
+        n0 = 1.0 / 10.0 ** (ebn0_db / 10.0)
+        if n0 <= sys.float_info.max:
+            return n0
+    except ArithmeticError:
+        pass
+    raise ConfigurationError(f"ebn0_db_list: {ebn0_db!r} dB puts N0 outside the float range")
+
+
 def cmd_simulate(args) -> int:
     """Monte Carlo symbol error rates."""
     config, out = _resolve(args)
     scheme = config["scheme"]
+    noise = [_noise_density(ebn0_db) for ebn0_db in config["ebn0_db_list"]]
     result = design_pulse(order=config["order"])
     kind = "alo" if scheme == "oppm-alo" else "lo"
     family, centered, _ = build_family(
@@ -263,13 +275,13 @@ def cmd_simulate(args) -> int:
     source = family if scheme == "psm" else centered
     symbol_period = defaults.SYMBOL_CLOCKS * result.mask.clock
     rows = []
-    for ebn0_db in config["ebn0_db_list"]:
+    for ebn0_db, noise_density in zip(config["ebn0_db_list"], noise):
         cfg = LinkConfig(
             n_symbols=family.size,
             shift=family.shift,
             symbol_period=symbol_period,
             energy=1.0,
-            noise_density=1.0 / 10.0 ** (ebn0_db / 10.0),
+            noise_density=noise_density,
             scheme={"psm": "PSM", "oppm-lo": "OPPM_LO", "oppm-alo": "OPPM_ALO"}[scheme],
             antipodal=config["antipodal"],
         )

@@ -1,13 +1,14 @@
 """Orthogonalization of pulse translates.
 
 Given a pulse p and shift T, the translates {p(. - nT)} for |n| <= M have
-a banded symmetric Toeplitz Gram matrix built from autocorrelation
-samples.  Applying the Gram matrix's inverse square root to the translate
-family yields the unique orthonormal basis closest to it in summed L2
-distortion (symmetric orthogonalization); replacing the Toeplitz matrix
-by its circulant wrap makes the transform a DFT and gives time-limited
-approximants; letting the family grow recovers the square-root Nyquist
-pulse whose spectrum is p^ / sqrt(folded power).
+a banded symmetric Toeplitz Gram matrix, held as its lag row r(nT) =
+autocorr_samples(p, T).  Applying its inverse square root to the family
+yields the orthonormal basis closest to it in summed L2 distortion
+(symmetric orthogonalization).  Wrapping the band cyclically into a
+circulant, whose eigenvalues are the folded power spectrum at l/N, makes
+the transform a DFT and gives time-limited approximants; letting the
+family grow recovers the square-root Nyquist pulse whose spectrum is
+p^ / sqrt(folded power).
 
 Everything here takes the physical shift T and works with autocorrelation
 samples at multiples of T, which is equivalent to the unit-shift
@@ -41,53 +42,6 @@ RIESZ_GRID = 4096
 LIMIT_LEVEL = 1e-12  # converged tap ratio, and the limit pulse's truncation level
 LIMIT_MAX_M_HALF = 2048  # tap radius at which the limit generator stops doubling
 _PROBE_NODES = 256  # Gauss-Legendre nodes per probe piece: sqrt(Phi) to 1e-13 even at K = 15
-
-
-@dataclass(frozen=True, eq=False)
-class ToeplitzGram:
-    """Banded symmetric Toeplitz Gram of {p(. - nT)}, |n| <= M."""
-
-    first_row: np.ndarray  # r(0), r(T), ..., r(K T)
-    size: int  # N = 2M + 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "first_row", np.asarray(self.first_row, dtype=float))
-        if self.size < 1:
-            raise ConfigurationError("Gram dimension must be positive")
-
-    @property
-    def bandwidth(self) -> int:
-        return len(self.first_row) - 1
-
-    def dense(self) -> np.ndarray:
-        row = np.zeros(self.size)
-        upto = min(len(self.first_row), self.size)
-        row[:upto] = self.first_row[:upto]
-        return scipy.linalg.toeplitz(row)
-
-
-@dataclass(frozen=True, eq=False)
-class CirculantGram:
-    """Circulant wrap of a banded Toeplitz Gram (band folded cyclically)."""
-
-    first_row: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "first_row", np.asarray(self.first_row, dtype=float))
-
-    @property
-    def size(self) -> int:
-        return len(self.first_row)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues by DFT of the first row (real for a symmetric band)."""
-        lam = np.fft.fft(self.first_row)
-        if np.max(np.abs(lam.imag)) > 1e-9 * max(np.max(np.abs(lam.real)), 1e-300):
-            raise ConfigurationError("circulant row is not symmetric")
-        return lam.real
-
-    def dense(self) -> np.ndarray:
-        return scipy.linalg.circulant(self.first_row).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,17 +104,16 @@ def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
     return _power_at(p, f) / folded
 
 
-def gram(p: SampledPulse, shift: float, m_half: int) -> ToeplitzGram:
-    """Gram matrix of the 2M+1 translates from autocorrelation samples."""
+def gram(p: SampledPulse, shift: float, m_half: int) -> np.ndarray:
+    """Gram matrix of the 2M+1 translates: the Toeplitz matrix of r(0..2M T)."""
     if m_half < 1:
         raise ConfigurationError("need at least one shift on each side")
-    return ToeplitzGram(autocorr_samples(p, shift), 2 * m_half + 1)
+    return scipy.linalg.toeplitz(autocorr_samples(p, shift, 2 * m_half))
 
 
-def inverse_sqrt_spd(gm: ToeplitzGram | np.ndarray, min_eig: float = 1e-12) -> np.ndarray:
+def inverse_sqrt_spd(gm: np.ndarray, min_eig: float = 1e-12) -> np.ndarray:
     """Symmetric inverse square root of a positive definite matrix."""
-    dense = gm.dense() if isinstance(gm, ToeplitzGram) else np.asarray(gm, dtype=float)
-    vals, vecs = np.linalg.eigh(dense)
+    vals, vecs = np.linalg.eigh(gm)
     if float(vals.min()) <= min_eig:
         raise UnstableGeneratorError(
             f"Gram matrix nearly singular (min eigenvalue {vals.min():.3e}); "
@@ -195,8 +148,7 @@ def _lowdin_family(p: SampledPulse, shift: float, m_half: int, a: float) -> Orth
         raise UnstableGeneratorError(
             f"stability lower bound {a:.3e} too small at shift {shift!r}"
         )
-    gm = gram(p, shift, m_half)
-    return _family(p, shift, inverse_sqrt_spd(gm), "lo")
+    return _family(p, shift, inverse_sqrt_spd(gram(p, shift, m_half)), "lo")
 
 
 def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
@@ -205,42 +157,28 @@ def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> Orthogona
     With Gram G = L L^T (Cholesky), the combining weights are L^{-1}, so
     member m depends only on translates up to m.
     """
-    gm = gram(p, shift, m_half).dense()
-    chol = np.linalg.cholesky(gm)
-    weights = scipy.linalg.solve_triangular(chol, np.eye(gm.shape[0]), lower=True)
+    chol = np.linalg.cholesky(gram(p, shift, m_half))
+    weights = scipy.linalg.solve_triangular(chol, np.eye(2 * m_half + 1), lower=True)
     return _family(p, shift, weights, "gs")
-
-
-def strang_circulant(gm: ToeplitzGram) -> CirculantGram:
-    """Circulant approximant wrapping the Toeplitz band cyclically.
-
-    Needs the band to fit, i.e. M >= K; its eigenvalues are then exactly
-    the folded power spectrum sampled at l/N.
-    """
-    n = gm.size
-    k = gm.bandwidth
-    m_half = (n - 1) // 2
-    if m_half < k:
-        raise ConfigurationError(
-            f"band (K={k}) does not fit the circulant of dimension {n}; need M >= K"
-        )
-    row = np.zeros(n)
-    row[: k + 1] = gm.first_row
-    if k > 0:
-        row[n - k :] = gm.first_row[1:][::-1]
-    return CirculantGram(row)
 
 
 def _inverse_sqrt_taps(r: np.ndarray, m_half: int) -> np.ndarray:
     """Row 0 of the ALO weights: the N-aliased Fourier coefficients of the
-    folded power spectrum to the -1/2, N = 2M + 1, for autocorrelation
-    samples ``r`` (entry n, cyclic, weights the translate n shifts away)."""
-    circ = strang_circulant(ToeplitzGram(r, 2 * m_half + 1))
-    lam = circ.eigenvalues()
+    folded power spectrum to the -1/2, N = 2M + 1, for r = r(0..K T).  The
+    band wraps cyclically into a circulant's first row (entry n weights the
+    translate n shifts away), which needs M >= K; its DFT is the folded
+    power spectrum at l/N."""
+    n, k = 2 * m_half + 1, len(r) - 1
+    if m_half < k:
+        raise ConfigurationError(f"band (K={k}) does not fit the {n}-point circulant; need M >= K")
+    row = np.zeros(n)
+    row[: k + 1] = r
+    row[n - k :] = r[:0:-1]
+    lam = np.fft.fft(row).real
     if np.any(lam <= 0.0):
         bad = int(np.argmin(lam))
         raise UnstableGeneratorError(
-            f"circulant eigenvalue {lam[bad]:.3e} at sample {bad}/{circ.size} "
+            f"circulant eigenvalue {lam[bad]:.3e} at sample {bad}/{n} "
             "is not positive; translates are unstable at this shift"
         )
     return np.fft.ifft(lam**-0.5).real
@@ -254,10 +192,9 @@ def approx_lowdin_family(p: SampledPulse, shift: float, m_half: int) -> Orthogon
     cyclic wrap-around stops matching the straight transform, are zeroed,
     making the support claim exact.
     """
-    gm = gram(p, shift, m_half)
-    row = _inverse_sqrt_taps(gm.first_row, m_half)
-    fam = _family(p, shift, scipy.linalg.circulant(row).T, "alo")
-    cutoff = (m_half - gm.bandwidth / 2.0) * shift
+    r = autocorr_samples(p, shift)
+    fam = _family(p, shift, scipy.linalg.circulant(_inverse_sqrt_taps(r, m_half)).T, "alo")
+    cutoff = (m_half - (len(r) - 1) / 2.0) * shift
     fam.samples[:, np.abs(fam.grid.times()) > cutoff + 1e-9 * p.dt] = 0.0
     return replace(fam, support=(-cutoff, cutoff))
 

@@ -49,8 +49,8 @@ class LinkConfig:
             raise ConfigurationError(f"scheme must be one of {SCHEMES}")
         if self.n_symbols < 1:
             raise ConfigurationError("need at least one symbol")
-        if self.energy <= 0 or self.noise_density < 0:
-            raise ConfigurationError("energy must be positive, noise nonnegative")
+        if not (self.energy > 0 and 0 <= self.noise_density < math.inf):
+            raise ConfigurationError("energy must be positive, noise finite and nonnegative")
         if self.scheme != "PSM" and self.n_symbols * self.shift > self.symbol_period * (1 + 1e-12):
             raise ConfigurationError(
                 "position keying requires n_symbols * shift <= symbol_period"

@@ -21,7 +21,6 @@ from .lowdin import (
     _lowdin_family,
     _orthonormal_generator,
     approx_lowdin_family,
-    gram,
     riesz_bounds,
 )
 from .optimizer import (
@@ -185,11 +184,11 @@ def build_family(
     shift = shift_from_ratio(pulse, k_ratio)
     m_half = m_multiple * k_ratio
     a, b = riesz_bounds(pulse, shift)  # the one stability scan of this build
-    gm = gram(pulse, shift, m_half)
-    if gm.bandwidth > m_half:
-        raise ConfigurationError(f"band (K={gm.bandwidth}) does not fit M={m_half}")
-    lags = np.arange(gm.bandwidth + 1)
-    weak = math.sqrt(2.0 * np.dot(lags, gm.first_row**2) / gm.size)
+    r = autocorr_samples(pulse, shift)
+    band = len(r) - 1
+    if band > m_half:
+        raise ConfigurationError(f"band (K={band}) does not fit M={m_half}")
+    weak = math.sqrt(2.0 * np.dot(np.arange(band + 1), r**2) / (2 * m_half + 1))
     if kind == "lo":
         family = _lowdin_family(pulse, shift, m_half, a)
         centered = family.centered()

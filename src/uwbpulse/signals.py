@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -419,6 +420,10 @@ def _write_csv(path, header: list[str], rows) -> None:
     The bytes are those of :class:`csv.writer` fed the ``f"{x:.17g}"``
     strings: CRLF line ends, and numbers never need quoting.
     """
+    try:
+        path = os.fspath(path)  # an int would open (and close) a file descriptor
+    except TypeError:
+        raise ConfigurationError(f"{path!r} is not a file path") from None
     cols = len(header)
     flat = np.asarray(rows, dtype=float).reshape(-1, cols).ravel().tolist()
     line = ",".join(["%.17g"] * cols) + "\r\n"
@@ -443,7 +448,7 @@ def _read_csv(path, header: list[str]) -> np.ndarray:
     n = len(header)
     flat = []
     try:
-        with open(path, newline="") as fh:
+        with open(os.fspath(path), newline="") as fh:
             rows = csv.reader(fh)
             if [h.strip() for h in next(rows, [])[:n]] != header:
                 raise ConfigurationError(f"{path}: expected header {','.join(header)}")
@@ -457,7 +462,7 @@ def _read_csv(path, header: list[str]) -> np.ndarray:
                 if len(vals) < n or not all(map(math.isfinite, vals)):
                     raise ConfigurationError(f"{path}: line {lineno} needs {n} finite numbers")
                 flat += vals
-    except (OSError, ValueError, csv.Error) as exc:
+    except (OSError, ValueError, TypeError, csv.Error) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from None
     # copied, not a strided view of the row-major array: a strided column
     # would change the summation order of later dot products

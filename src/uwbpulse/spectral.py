@@ -165,23 +165,15 @@ def _gauss_nodes(a: float, b: float, cells: int) -> tuple[np.ndarray, np.ndarray
     return nodes, weights
 
 
-def _stable_order(a_w: np.ndarray, L: int, tol: float = 3e-6) -> int:
+def _stable_order(a_w: np.ndarray, tol: float = 3e-6) -> int:
     """Largest leading block of basis columns that stays well conditioned.
 
-    Incremental Gram-Schmidt on the weighted design matrix; stop once a
-    new column is numerically inside the span of the previous ones.
+    One QR of the weighted design matrix: the block ends at the first
+    column n >= 1 whose part outside the earlier columns' span, |R[n, n]|,
+    is below ``tol`` of its norm.
     """
-    q = a_w[:, :1] / np.linalg.norm(a_w[:, 0])
-    keep = 1
-    for n in range(1, L):
-        v = a_w[:, n].copy()
-        v -= q @ (q.T @ v)
-        v -= q @ (q.T @ v)
-        if np.linalg.norm(v) / np.linalg.norm(a_w[:, n]) < tol:
-            break
-        q = np.hstack([q, (v / np.linalg.norm(v))[:, None]])
-        keep = n + 1
-    return keep
+    rel = np.abs(np.diag(np.linalg.qr(a_w, mode="r"))) / np.linalg.norm(a_w, axis=0)
+    return next((n for n in range(1, len(rel)) if rel[n] < tol), len(rel))
 
 
 def fit_mask_polynomials(
@@ -228,7 +220,7 @@ def fit_mask_polynomials(
         target = (ratio**-32 + cap**-32) ** (-1.0 / 32.0)
         sw = np.sqrt(weights)
         a_w = cosine_basis(nodes, L, clock) * sw[:, None]
-        keep = _stable_order(a_w, L)
+        keep = _stable_order(a_w)
         coeffs, _, rank, _ = np.linalg.lstsq(a_w[:, :keep], target * sw, rcond=None)
         if rank < keep or not np.all(np.isfinite(coeffs)):
             raise MaskFitError(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import uwbpulse as up
 from uwbpulse import defaults
@@ -18,6 +19,15 @@ def direct_transform(p, freqs):
 def direct_power(p, freqs):
     """Oracle: |p^(f)|^2 from :func:`direct_transform`."""
     return np.abs(direct_transform(p, freqs)) ** 2
+
+
+def strang_circulant(g):
+    """Oracle: Strang's circulant of a symmetric Toeplitz matrix of odd size
+    2M + 1, its first row r(0..M) with the same lags mirrored cyclically.
+    Once the band K fits (M >= K) it is the translates' wrapped-band Gram."""
+    row = g[0]
+    m_half = (len(row) - 1) // 2
+    return scipy.linalg.circulant(np.concatenate([row[: m_half + 1], row[m_half:0:-1]]))
 
 
 @pytest.fixture(scope="session")

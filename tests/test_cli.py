@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import shlex
+import types
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,23 @@ REFUSED_INPUTS = {
         None,
         "ebn0_db_list",
     ),
+    # E/N0 points whose N0 = 10^(-E/N0 / 10) overflows, underflows to 0, or
+    # comes out infinite
+    "flag-ebn0-list-overflow": (
+        ["simulate", "--order", "1", "--trials", "10", "--ebn0-list", "4000"],
+        None,
+        "ebn0_db_list",
+    ),
+    "flag-ebn0-list-underflow": (
+        ["simulate", "--order", "1", "--trials", "10", "--ebn0-list=-4000"],
+        None,
+        "ebn0_db_list",
+    ),
+    "flag-ebn0-list-infinite-n0": (
+        ["simulate", "--order", "1", "--trials", "10", "--ebn0-list=0,-3100"],
+        None,
+        "ebn0_db_list",
+    ),
     "pulse-csv-missing": (["analyze", "--pulse-csv", "{tmp}/absent.csv"], None, "{tmp}/absent.csv"),
     "pulse-csv-nan": (
         ["orthogonalize", "--pulse-csv", "{tmp}/nan_pulse.csv"],
@@ -510,6 +528,34 @@ def test_cli_surface_is_pinned():
     }
     assert got == expected
     assert [a.option_strings for a in parser._actions] == [["-h", "--help"], ["--version"], []]
+
+
+# the package's public names, submodules left out: removing one is deliberate
+PACKAGE_SURFACE = [
+    "AutocorrVector", "ConfigurationError", "CosinePoly", "DivisionHazardError",
+    "FactorizationError", "FilterTaps", "GridAlignmentError", "InfeasibleError", "LinkConfig",
+    "MaskFitError", "OrthogonalFamily", "ResolutionError", "SampledPulse", "SerResult",
+    "SingularGramError", "SpectralMask", "Spectrum", "TimeGrid", "UnboundedError",
+    "UnstableGeneratorError", "UwbPulseError", "add_awgn", "analyze_pulse",
+    "approx_lowdin_family", "autocorrelation", "bit_rate", "build_family", "design_pulse",
+    "fcc_indoor_mask", "fit_mask_polynomials", "gaussian_monocycle", "gram",
+    "gram_schmidt_family", "gram_symbol", "inner", "inverse_sqrt_spd", "load_mask_csv",
+    "load_pulse_csv", "lowdin_family", "lowdin_optimality_probe", "max_compliant_scale",
+    "modulate", "nesp", "orthonormal_generator", "passband_weights", "psd_pam_ppm",
+    "psd_th_framed", "receive_oppm", "receive_psm", "reconciliation_filter_delta2",
+    "riesz_bounds", "save_pulse_csv", "semi_discrete_convolve", "shift_orthogonality_defect",
+    "simulate_ser", "solve_autocorr_lp", "spectral_factorize", "spectrum", "uncoded_bit_rate",
+    "union_bound_correlated", "union_bound_orthogonal", "zak_transform",
+]
+
+
+def test_package_surface_is_pinned():
+    got = sorted(
+        name
+        for name, obj in vars(up).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    )
+    assert got == PACKAGE_SURFACE
 
 
 def test_readme_commands_parse():

@@ -24,7 +24,7 @@ from uwbpulse.signals import (
     shift_samples,
 )
 
-from conftest import direct_power
+from conftest import direct_power, strang_circulant
 
 T0 = defaults.CLOCK_T0
 
@@ -44,15 +44,14 @@ def translate(p: SampledPulse, n_shifts: int, shift: float) -> SampledPulse:
 
 def test_gram_identity_for_disjoint_translates(monocycle):
     shift = monocycle.duration() + 64 * monocycle.dt
-    gm = up.gram(monocycle, shift, 3)
-    assert np.allclose(gm.dense(), np.eye(7), atol=1e-15)
+    assert np.allclose(up.gram(monocycle, shift, 3), np.eye(7), atol=1e-15)
 
 
 def test_gram_matches_direct_inner_products(pulse25):
     # oracle: build the translates explicitly and take raw inner products
     shift = pulse25.duration() / 2
     m_half = 3
-    gm = up.gram(pulse25, shift, m_half).dense()
+    gm = up.gram(pulse25, shift, m_half)
     pulses = [translate(pulse25, n, shift) for n in range(-m_half, m_half + 1)]
     for i in range(7):
         for j in range(7):
@@ -62,8 +61,9 @@ def test_gram_matches_direct_inner_products(pulse25):
 def test_gram_bandwidth(pulse25):
     for k in (2, 3, 5):
         shift = pulse25.duration() / k
-        gm = up.gram(pulse25, shift, 2 * k)
-        assert gm.bandwidth == k
+        assert len(autocorr_samples(pulse25, shift)) - 1 == k
+        row = up.gram(pulse25, shift, 2 * k)[0]
+        assert not np.any(row[k + 1 :])  # no lag past the band
 
 
 # --------------------------------------------------------- inverse sqrt
@@ -87,7 +87,7 @@ def test_inverse_sqrt_two_by_two_closed_form():
 def test_inverse_sqrt_against_denman_beavers(pulse25):
     # oracle: coupled Newton iteration for the matrix square root
     shift = pulse25.duration() / 5
-    gm = up.gram(pulse25, shift, 10).dense()  # 21 x 21
+    gm = up.gram(pulse25, shift, 10)  # 21 x 21
     y = gm.copy()
     z = np.eye(len(gm))
     for _ in range(60):
@@ -134,7 +134,7 @@ def test_lowdin_beats_gram_schmidt_distortion(pulse25):
     d_gs = summed_distortion(gs, pulse25)
     assert d_lo < d_gs  # strictly, since the translates overlap
     # closed-form distortion from the weights: 2 sum (1 - [G^{1/2}]_mm)
-    gm = up.gram(pulse25, shift, m_half).dense()
+    gm = up.gram(pulse25, shift, m_half)
     vals, vecs = np.linalg.eigh(gm)
     sqrt_g = (vecs * np.sqrt(vals)) @ vecs.T
     expect = float(2 * np.sum(1.0 - np.diag(sqrt_g)))
@@ -161,7 +161,7 @@ def test_family_gram_matches_weighted_toeplitz(pulse25, k):
     # combining weights, against the Gram of the member matrix
     shift = pulse25.duration() / k
     m_half = 2 * k
-    g = up.gram(pulse25, shift, m_half).dense()
+    g = up.gram(pulse25, shift, m_half)
     for fam in (up.lowdin_family(pulse25, shift, m_half), gram_schmidt_family(pulse25, shift, m_half)):
         expect = fam.weights @ g @ fam.weights.T
         assert np.abs(fam.gram() - expect).max() <= 1e-13
@@ -174,7 +174,7 @@ def test_alo_rows_are_clipped_tapped_delay_lines(pulse25, k):
     shift = pulse25.duration() / k
     m_half = 2 * k
     fam = up.approx_lowdin_family(pulse25, shift, m_half)
-    cutoff = (m_half - up.gram(pulse25, shift, m_half).bandwidth / 2.0) * shift
+    cutoff = (m_half - (len(autocorr_samples(pulse25, shift)) - 1) / 2.0) * shift
     for m in range(fam.size):
         row = semi_discrete_convolve(pulse25, fam.weights[m], shift)
         assert row.grid == fam.grid
@@ -186,27 +186,39 @@ def test_alo_rows_are_clipped_tapped_delay_lines(pulse25, k):
 
 
 def test_strang_eigenvalues_match_folded_spectrum(pulse25):
-    shift = pulse25.duration() / 2
-    for m_half in (2, 4, 8):
-        gm = up.gram(pulse25, shift, m_half)
-        lam = up.strang_circulant(gm).eigenvalues()
-        n = gm.size
-        expect = np.asarray(up.gram_symbol(pulse25, shift, np.arange(n) / n))
-        assert np.abs(lam - expect).max() <= 1e-12
+    # oracle: Strang's circulant built here from the Gram's first row, its
+    # eigenvalues by a dense symmetric solver
+    for k in (2, 5, 15, 20):
+        shift = pulse25.duration() / k
+        for m_half in (k, 2 * k, 4 * k):
+            lam = np.linalg.eigvalsh(strang_circulant(up.gram(pulse25, shift, m_half)))
+            n = 2 * m_half + 1
+            expect = np.sort(up.gram_symbol(pulse25, shift, np.arange(n) / n))
+            assert np.abs(lam - expect).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 5, 15, 20])
+def test_alo_weights_invert_the_strang_circulant(pulse25, k):
+    # the ALO weights W are C^(-1/2) for the wrapped-band Gram C: W C W = I
+    shift = pulse25.duration() / k
+    m_half = 2 * k
+    w = up.approx_lowdin_family(pulse25, shift, m_half).weights
+    c = strang_circulant(up.gram(pulse25, shift, m_half))
+    assert np.abs(w @ c @ w - np.eye(2 * m_half + 1)).max() <= 1e-12
 
 
 def test_strang_identity_for_disjoint_translates(monocycle):
     shift = monocycle.duration() + 32 * monocycle.dt
-    gm = up.gram(monocycle, shift, 3)
-    circ = up.strang_circulant(gm)
-    assert np.allclose(circ.dense(), np.eye(7), atol=1e-15)
+    c = strang_circulant(up.gram(monocycle, shift, 3))
+    assert np.allclose(c, np.eye(7), atol=1e-15)
+    fam = up.approx_lowdin_family(monocycle, shift, 3)
+    assert np.allclose(fam.weights, np.eye(7), atol=1e-15)
 
 
 def test_strang_band_overflow_rejected(pulse25):
     shift = pulse25.duration() / 4  # K = 4
-    gm = up.gram(pulse25, shift, 3)  # M = 3 < K
     with pytest.raises(ConfigurationError):
-        up.strang_circulant(gm)
+        up.approx_lowdin_family(pulse25, shift, 3)  # M = 3 < K
 
 
 def test_strang_weak_norm_decreases(pulse25):
@@ -215,7 +227,7 @@ def test_strang_weak_norm_decreases(pulse25):
     gaps = []
     for m_half in (k, 2 * k, 4 * k, 8 * k):
         gm = up.gram(pulse25, shift, m_half)
-        diff = up.strang_circulant(gm).dense() - gm.dense()
+        diff = strang_circulant(gm) - gm
         gaps.append(float(np.sqrt(np.mean(np.linalg.eigvalsh(diff) ** 2))))
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < gaps[0]
@@ -223,7 +235,7 @@ def test_strang_weak_norm_decreases(pulse25):
     for k, m_multiple in ((2, 2), (8, 8), (20, 2)):
         shift = pulse25.duration() / k
         gm = up.gram(pulse25, shift, m_multiple * k)
-        diff = up.strang_circulant(gm).dense() - gm.dense()
+        diff = strang_circulant(gm) - gm
         expect = float(np.sqrt(np.mean(np.linalg.eigvalsh(diff) ** 2)))
         report = build_family(pulse25, k, m_multiple, "alo")[2]
         assert report["weak_norm_gap"] == pytest.approx(expect, rel=1e-12, abs=0.0)
@@ -238,11 +250,10 @@ def test_alo_on_orthonormal_translates(limit_k2, pulse25):
     shift = pulse25.duration() / 2
     m_half = 16
     fam = up.approx_lowdin_family(limit_k2.pulse, shift, m_half)
-    gm = up.gram(limit_k2.pulse, shift, m_half)
-    lam = up.strang_circulant(gm).eigenvalues()
+    lam = np.linalg.eigvalsh(strang_circulant(up.gram(limit_k2.pulse, shift, m_half)))
     assert np.abs(lam - 1.0).max() <= 1e-8
     # inside the clipped window the members equal the translates
-    k = gm.bandwidth
+    k = len(autocorr_samples(limit_k2.pulse, shift)) - 1
     cutoff = (m_half - k / 2.0) * shift
     center = fam.centered()
     t = center.times()
@@ -256,7 +267,7 @@ def test_alo_support_clipped_exactly(pulse25):
     shift = pulse25.duration() / 2
     m_half = 4
     fam = up.approx_lowdin_family(pulse25, shift, m_half)
-    k = up.gram(pulse25, shift, m_half).bandwidth
+    k = len(autocorr_samples(pulse25, shift)) - 1
     cutoff = (m_half - k / 2.0) * shift
     for member in fam.pulses:
         t = member.times()
@@ -269,7 +280,7 @@ def test_alo_local_shift_character(pulse25):
     shift = pulse25.duration() / 2
     m_half = 4
     fam = up.approx_lowdin_family(pulse25, shift, m_half)
-    kb = up.gram(pulse25, shift, m_half).bandwidth
+    kb = len(autocorr_samples(pulse25, shift)) - 1
     s = shift_samples(pulse25, shift)
     center = fam.centered()
     for k in range(-m_half + 1, m_half):
@@ -483,7 +494,7 @@ def test_gram_eigenvalues_within_stability_bounds(pulse25):
     shift = pulse25.duration() / 2
     a, b = up.riesz_bounds(pulse25, shift)
     for m_half in (2, 4, 8, 16):
-        vals = np.linalg.eigvalsh(up.gram(pulse25, shift, m_half).dense())
+        vals = np.linalg.eigvalsh(up.gram(pulse25, shift, m_half))
         assert vals.min() >= a - 1e-9
         assert vals.max() <= b + 1e-9
 

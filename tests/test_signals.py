@@ -1,6 +1,7 @@
 """Pulse, spectrum, autocorrelation, folded spectrum, and Zak transform."""
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -248,12 +249,11 @@ def test_zak_quasi_periodicity(pulse25):
 
 
 def test_zak_of_autocorr_matches_circulant_eigenvalues(pulse25):
+    # the circulant's eigenvalues are the folded spectrum at l/N
     shift = pulse25.duration() / 2
-    m_half = 4
-    gm = up.gram(pulse25, shift, m_half)
-    lam = up.strang_circulant(gm).eigenvalues()
+    n = 9
+    lam = up.gram_symbol(pulse25, shift, np.arange(n) / n)
     r = up.autocorrelation(pulse25)
-    n = gm.size
     for l in range(n):
         z = up.zak_transform(r, shift, 0.0, l / n)
         assert z.imag == pytest.approx(0.0, abs=1e-12)
@@ -293,6 +293,27 @@ def test_pulse_csv_roundtrip(tmp_path, monocycle):
     assert np.allclose(back.samples, monocycle.samples, rtol=0, atol=0)
     # a strided column would change the summation order of later dot products
     assert back.samples.flags.c_contiguous
+
+
+def test_csv_paths_refuse_file_descriptors(tmp_path, monocycle):
+    # open() takes an int for a descriptor, reads or writes it and closes
+    # it; the loaders and the writer refuse one and leave it open
+    path = tmp_path / "q.csv"
+    up.save_pulse_csv(path, monocycle)
+    before = path.read_bytes()
+    fd = os.open(path, os.O_RDWR)
+    try:
+        for call in (
+            lambda: up.load_pulse_csv(fd),
+            lambda: up.load_mask_csv(fd),
+            lambda: up.save_pulse_csv(fd, monocycle),
+        ):
+            with pytest.raises(ConfigurationError):
+                call()
+            os.fstat(fd)
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == before
 
 
 def _csv_writer_bytes(path, header, rows) -> bytes:

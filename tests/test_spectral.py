@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import uwbpulse as up
-from uwbpulse import defaults, pipeline, signals
+from uwbpulse import defaults, pipeline, signals, spectral
 from uwbpulse.errors import ConfigurationError, DivisionHazardError
 from uwbpulse.pipeline import band_bins, band_spectrum, compliant_spectrum
 from uwbpulse.signals import Spectrum
@@ -110,6 +110,35 @@ def test_fit_keeps_the_well_conditioned_block(mask, monocycle):
     polys = up.fit_mask_polynomials(mask, monocycle, 25)
     assert [poly.order for poly in polys] == [4, 5, 6, 25, 7]
     assert all(poly.coeffs[-1] != 0.0 for poly in polys)
+
+
+def _gram_schmidt_order(a_w, tol=3e-6):
+    """Reference: incremental Gram-Schmidt that stops at the first column
+    numerically inside the span of the columns before it."""
+    q = a_w[:, :1] / np.linalg.norm(a_w[:, 0])
+    for n in range(1, a_w.shape[1]):
+        v = a_w[:, n] - q @ (q.T @ a_w[:, n])
+        v -= q @ (q.T @ v)
+        if np.linalg.norm(v) / np.linalg.norm(a_w[:, n]) < tol:
+            return n
+        q = np.column_stack([q, v / np.linalg.norm(v)])
+    return a_w.shape[1]
+
+
+@pytest.mark.parametrize("order", [5, 25, 40])
+def test_stable_order_matches_gram_schmidt(monkeypatch, mask, monocycle, order):
+    # the one QR keeps the block the loop keeps, on each segment's matrix
+    kept = []
+    qr_order = spectral._stable_order
+
+    def both(a_w):
+        kept.append((qr_order(a_w), _gram_schmidt_order(a_w)))
+        return kept[-1][0]
+
+    monkeypatch.setattr(spectral, "_stable_order", both)
+    up.fit_mask_polynomials(mask, monocycle, order, density=256)
+    assert len(kept) == len(mask.segments)
+    assert all(qr == loop for qr, loop in kept)
 
 
 def test_fit_stays_below_true_ratio_on_dense_grid(mask, monocycle):
