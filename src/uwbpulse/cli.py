@@ -29,7 +29,7 @@ from .pipeline import analyze_pulse, build_family, compliant_spectrum, design_pu
 from .signals import Spectrum, _write_csv, load_pulse_csv, save_pulse_csv
 from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 class _Key(NamedTuple):

@@ -237,13 +237,28 @@ def _translate_sum(x: np.ndarray, weights: np.ndarray, step: int) -> np.ndarray:
     """Tapped-delay line sum_k weights[..., k] * x(. - k*step) in samples.
 
     1-D taps give one output; each row of 2-D weights gives one output
-    row.  Translates are added one at a time in tap order, so every row
-    is the same sum whatever the number of rows.
+    row.  Polyphase form: x, zero-padded to nb = ceil(len(x)/step) blocks
+    of ``step`` samples, is an (nb, step) matrix, and output block b is
+    sum_j w[b - j] * block j.  So each row is one banded Toeplitz matrix
+    band[b, j] = w[b - j] of shape (n + nb - 1, nb) times that matrix.
+    Every row runs the same products on its own band, so row m of a 2-D
+    call is bit-identical to the 1-D call with weights[m].
     """
-    n = weights.shape[-1]
-    out = np.zeros(weights.shape[:-1] + (len(x) + (n - 1) * step,))
-    for k in range(n):
-        out[..., k * step : k * step + len(x)] += np.multiply.outer(weights[..., k], x)
+    rows, n = weights.shape[:-1], weights.shape[-1]
+    nb = -(-len(x) // step)
+    xb = np.pad(x, (0, nb * step - len(x))).reshape(nb, step)
+    padded = np.zeros(rows + (n + 2 * (nb - 1),))
+    padded[..., nb - 1 : nb - 1 + n] = weights
+    band = np.lib.stride_tricks.sliding_window_view(padded, nb, axis=-1)[..., ::-1]
+    band = np.ascontiguousarray(band)
+    size = len(x) + (n - 1) * step
+    full, rest = divmod(size, step)
+    out = np.empty(rows + (size,))
+    # whole blocks straight into out (splitting its last axis is a view),
+    # then the last, partial block
+    np.matmul(band[..., :full, :], xb, out=out[..., : full * step].reshape(rows + (full, step)))
+    if rest:
+        out[..., full * step :] = (band[..., full:, :] @ xb[:, :rest])[..., 0, :]
     return out
 
 

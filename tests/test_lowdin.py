@@ -18,6 +18,7 @@ from uwbpulse.pipeline import build_family
 from uwbpulse.signals import (
     SampledPulse,
     TimeGrid,
+    _translate_sum,
     autocorr_samples,
     inner,
     semi_discrete_convolve,
@@ -143,7 +144,7 @@ def test_lowdin_beats_gram_schmidt_distortion(pulse25):
 
 def test_lowdin_family_filter_rows(family_k2, pulse25):
     # weights rows are the combining filters: rebuilding member m from
-    # raw translates reproduces the stored pulse
+    # raw translates reproduces the stored pulse to rounding
     shift = pulse25.duration() / 2
     m = 1
     rebuilt = np.zeros(family_k2.pulses[m].grid.size)
@@ -152,7 +153,52 @@ def test_lowdin_family_filter_rows(family_k2, pulse25):
         rebuilt[n * s : n * s + pulse25.grid.size] += (
             family_k2.weights[m, n] * pulse25.samples
         )
-    assert np.array_equal(rebuilt, family_k2.pulses[m].samples)
+    bound = sum_bound(family_k2.weights[m], pulse25.samples)
+    assert np.abs(rebuilt - family_k2.pulses[m].samples).max() <= bound
+
+
+# ----------------------------------------------------- tapped-delay lines
+
+
+def direct_translate_sum(x, weights, step):
+    # oracle: add the translates one at a time in tap order
+    n = weights.shape[-1]
+    out = np.zeros(weights.shape[:-1] + (len(x) + (n - 1) * step,))
+    for k in range(n):
+        out[..., k * step : k * step + len(x)] += np.multiply.outer(weights[..., k], x)
+    return out
+
+
+def sum_bound(weights, x):
+    # rounding of a sum of translates: 4 eps sum_k |w_k| max|x| per sample
+    return 4 * np.finfo(float).eps * np.abs(weights).sum(axis=-1, keepdims=True) * np.abs(x).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 4097])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_translate_sum_matches_direct_sum(n, rows):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(50)
+    weights = rng.standard_normal(n if rows is None else (rows, n))
+    for step in (1, 7, len(x) - 1, len(x), len(x) + 5):  # 50 % 7 != 0
+        got = _translate_sum(x, weights, step)
+        expect = direct_translate_sum(x, weights, step)
+        assert got.shape == expect.shape
+        assert got.flags.c_contiguous
+        assert np.all(np.abs(got - expect) <= sum_bound(weights, x))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8, 15, 20])
+def test_translate_sum_rows_are_independent(pulse25, k):
+    # row m of a 2-D sum is bit for bit the 1-D sum with that row's taps
+    shift = pulse25.duration() / k
+    m_half = 2 * k
+    s = shift_samples(pulse25, shift)
+    for builder in (up.lowdin_family, gram_schmidt_family, up.approx_lowdin_family):
+        weights = builder(pulse25, shift, m_half).weights
+        rows = _translate_sum(pulse25.samples, weights, s)
+        for m in range(len(weights)):
+            assert np.array_equal(rows[m], _translate_sum(pulse25.samples, weights[m], s))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8])
