@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 import scipy.special
 
@@ -29,6 +30,7 @@ from .errors import ConfigurationError, GridAlignmentError, UnstableGeneratorErr
 from .signals import (
     SampledPulse,
     TimeGrid,
+    _index_range,
     _power_at,
     _translate_sum,
     autocorr_samples,
@@ -77,8 +79,11 @@ class OrthogonalFamily:
         return self.samples @ self.samples.T * self.grid.dt
 
     def max_offdiagonal(self) -> float:
-        g = self.gram()
-        return float(np.max(np.abs(g - np.diag(np.diag(g)))))
+        return _max_offdiagonal(self.gram())
+
+
+def _max_offdiagonal(g: np.ndarray) -> float:
+    return float(np.max(np.abs(g - np.diag(np.diag(g)))))
 
 
 class LimitPulse(NamedTuple):
@@ -106,9 +111,16 @@ def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
 
 def gram(p: SampledPulse, shift: float, m_half: int) -> np.ndarray:
     """Gram matrix of the 2M+1 translates: the Toeplitz matrix of r(0..2M T)."""
+    return _gram(autocorr_samples(p, shift), m_half)
+
+
+def _gram(r: np.ndarray, m_half: int) -> np.ndarray:
+    """:func:`gram` from the lag row r = r(0..K T), zero past K."""
     if m_half < 1:
         raise ConfigurationError("need at least one shift on each side")
-    return scipy.linalg.toeplitz(autocorr_samples(p, shift, 2 * m_half))
+    row = np.zeros(2 * m_half + 1)
+    row[: len(r)] = r[: len(row)]
+    return scipy.linalg.toeplitz(row)
 
 
 def inverse_sqrt_spd(gm: np.ndarray, min_eig: float = 1e-12) -> np.ndarray:
@@ -139,16 +151,19 @@ def lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamil
     member m is the filtered pulse sum_n weights[m, n] p(. - nT).
     """
     a, _ = riesz_bounds(p, shift)
-    return _lowdin_family(p, shift, m_half, a)
+    return _lowdin_family(p, shift, m_half, autocorr_samples(p, shift), a)
 
 
-def _lowdin_family(p: SampledPulse, shift: float, m_half: int, a: float) -> OrthogonalFamily:
-    """:func:`lowdin_family` given the lower Riesz bound ``a`` at ``shift``."""
+def _lowdin_family(
+    p: SampledPulse, shift: float, m_half: int, r: np.ndarray, a: float
+) -> OrthogonalFamily:
+    """:func:`lowdin_family` from the lag row ``r`` and the lower Riesz bound
+    ``a`` at ``shift``."""
     if a <= 1e-8:
         raise UnstableGeneratorError(
             f"stability lower bound {a:.3e} too small at shift {shift!r}"
         )
-    return _family(p, shift, inverse_sqrt_spd(gram(p, shift, m_half)), "lo")
+    return _family(p, shift, inverse_sqrt_spd(_gram(r, m_half)), "lo")
 
 
 def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
@@ -162,19 +177,23 @@ def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> Orthogona
     return _family(p, shift, weights, "gs")
 
 
+def _folded_spectrum(r: np.ndarray, n: int) -> np.ndarray:
+    """Folded power spectrum at l/n, l = 0..n-1, for r = r(0..K T): the DFT
+    of the lags -K..K wrapped onto n points, lags equal mod n adding up.
+    For n >= 2K + 1 the wrapped row is a circulant's first row (entry j
+    weights the translate j shifts away), and these are its eigenvalues."""
+    lags = np.arange(1 - len(r), len(r)) % n
+    return np.fft.fft(np.bincount(lags, np.concatenate([r[:0:-1], r]), n)).real
+
+
 def _inverse_sqrt_taps(r: np.ndarray, m_half: int) -> np.ndarray:
     """Row 0 of the ALO weights: the N-aliased Fourier coefficients of the
     folded power spectrum to the -1/2, N = 2M + 1, for r = r(0..K T).  The
-    band wraps cyclically into a circulant's first row (entry n weights the
-    translate n shifts away), which needs M >= K; its DFT is the folded
-    power spectrum at l/N."""
+    circulant is the band wrapped without overlap, which needs M >= K."""
     n, k = 2 * m_half + 1, len(r) - 1
     if m_half < k:
         raise ConfigurationError(f"band (K={k}) does not fit the {n}-point circulant; need M >= K")
-    row = np.zeros(n)
-    row[: k + 1] = r
-    row[n - k :] = r[:0:-1]
-    lam = np.fft.fft(row).real
+    lam = _folded_spectrum(r, n)
     if np.any(lam <= 0.0):
         bad = int(np.argmin(lam))
         raise UnstableGeneratorError(
@@ -192,26 +211,40 @@ def approx_lowdin_family(p: SampledPulse, shift: float, m_half: int) -> Orthogon
     cyclic wrap-around stops matching the straight transform, are zeroed,
     making the support claim exact.
     """
-    r = autocorr_samples(p, shift)
+    return _approx_lowdin_family(p, shift, m_half, autocorr_samples(p, shift))
+
+
+def _approx_lowdin_family(
+    p: SampledPulse, shift: float, m_half: int, r: np.ndarray
+) -> OrthogonalFamily:
+    """:func:`approx_lowdin_family` from the lag row ``r`` at ``shift``."""
     fam = _family(p, shift, scipy.linalg.circulant(_inverse_sqrt_taps(r, m_half)).T, "alo")
     cutoff = (m_half - (len(r) - 1) / 2.0) * shift
-    fam.samples[:, np.abs(fam.grid.times()) > cutoff + 1e-9 * p.dt] = 0.0
+    lo, hi = _index_range(fam.grid, -cutoff, cutoff)
+    fam.samples[:, :lo] = 0.0
+    fam.samples[:, hi:] = 0.0
     return replace(fam, support=(-cutoff, cutoff))
 
 
 def riesz_bounds(p: SampledPulse, shift: float) -> tuple[float, float]:
     """Extrema of the folded power spectrum over one period.
 
-    Scanned on a RIESZ_GRID-point grid over [0, 1/2] (the function is
-    even) with one local bisection refinement around each extremum.  A
-    non-positive lower bound means the translates are not a stable basis.
+    Scanned at the RIESZ_GRID nodes l/n, n = 2 (RIESZ_GRID - 1), which
+    cover [0, 1/2] (the function is even), with one local bisection
+    refinement around each extremum.  A non-positive lower bound means the
+    translates are not a stable basis.
     """
-    r = autocorr_samples(p, shift)
-    nu = np.linspace(0.0, 0.5, RIESZ_GRID)
-    vals = cosine_series(r, nu)
+    return _riesz_bounds(autocorr_samples(p, shift), shift)
+
+
+def _riesz_bounds(r: np.ndarray, shift: float) -> tuple[float, float]:
+    """:func:`riesz_bounds` from the lag row r = r(0..K T): the scan is one
+    FFT (:func:`_folded_spectrum`), the refinement exact cosine series."""
+    n = 2 * (RIESZ_GRID - 1)
+    vals = _folded_spectrum(r, n)[:RIESZ_GRID]
     lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
     # both refinements in one call: half a step either side of each extremum
-    cand = np.clip(nu[[lo, lo, hi, hi]] + np.array([-0.5, 0.5, -0.5, 0.5]) * nu[1], 0.0, 0.5)
+    cand = np.clip((np.array([lo, lo, hi, hi]) + [-0.5, 0.5, -0.5, 0.5]) / n, 0.0, 0.5)
     near = cosine_series(r, cand)
     a = float(min(vals[lo], near[0], near[1]))
     b = float(max(vals[hi], near[2], near[3]))
@@ -235,12 +268,12 @@ def orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
     the peak are dropped, and the truncation radius is reported.
     """
     riesz_bounds(p, shift)  # raises if unstable
-    return _orthonormal_generator(p, shift)
+    return _orthonormal_generator(p, shift, autocorr_samples(p, shift))
 
 
-def _orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
-    """:func:`orthonormal_generator` once :func:`riesz_bounds` has passed."""
-    r = autocorr_samples(p, shift)
+def _orthonormal_generator(p: SampledPulse, shift: float, r: np.ndarray) -> LimitPulse:
+    """:func:`orthonormal_generator` from the lag row ``r`` at ``shift``,
+    once :func:`riesz_bounds` has passed."""
     m_half = 128
     while m_half < len(r) - 1:  # the band must fit the circulant
         m_half *= 2
@@ -263,6 +296,23 @@ def _orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
     radius = max(n0 - lo, hi - n0) * p.dt
     pulse = SampledPulse(grid, samples)
     return LimitPulse(pulse.normalized(), radius, tail, m_half, taps)
+
+
+def _translate_defect(p: SampledPulse, shift: float) -> float:
+    """Worst translate correlation max_{k >= 1} |r(kT)| of the sampled pulse.
+
+    Every sample lag of the autocorrelation comes from one zero-padded real
+    FFT, and the multiples of the shift are read off it: O(n log n) where
+    per-lag dot products (:func:`signals.lag_autocorrelation`) cost
+    O(n^2 / shift) on a long limit pulse.  Kept apart from that function,
+    whose exact per-lag sums feed the design chain.
+    """
+    s = shift_samples(p, shift)
+    n = p.grid.size
+    size = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    spec = scipy.fft.rfft(p.samples, size)
+    lags = scipy.fft.irfft(spec.real**2 + spec.imag**2, size)[s:n:s]
+    return float(np.max(np.abs(lags), initial=0.0)) * p.dt
 
 
 def summed_distortion(family: OrthogonalFamily, p: SampledPulse) -> float:

@@ -18,10 +18,13 @@ from .errors import ConfigurationError
 from .lowdin import (
     LIMIT_LEVEL,
     OrthogonalFamily,
+    _approx_lowdin_family,
+    _gram,
     _lowdin_family,
+    _max_offdiagonal,
     _orthonormal_generator,
-    approx_lowdin_family,
-    riesz_bounds,
+    _riesz_bounds,
+    _translate_defect,
 )
 from .optimizer import (
     AutocorrVector,
@@ -169,40 +172,51 @@ def build_family(
     """Family (or limit pulse) plus a stability report.
 
     Returns (family, centered_pulse, report); family is None for kind
-    "limit".  The report carries the stability bounds, the family's worst
-    off-diagonal inner product (translate correlation defect for the
-    limit pulse), and the weak-norm gap between the Toeplitz Gram and its
-    circulant wrap at the family dimension: the RMS eigenvalue of their
-    difference, i.e. its Frobenius norm over sqrt(N), which is exactly
-    sqrt(2 sum_k k r_k^2 / N) once the band fits (M >= K).  For kind
-    "limit" it also carries the generator's tap radius ``limit_m_half``,
-    its ``tail_level`` (outermost over centre tap, above LIMIT_LEVEL =
-    1e-12 when the tap-radius cap stopped the generator before its taps
-    converged), ``converged`` (tail_level <= LIMIT_LEVEL) and
-    ``truncation_radius``.
+    "limit".  The report carries the stability bounds and ``offdiag_max``,
+    the worst off-diagonal inner product of the result.  What it measures
+    depends on the kind:
+
+    - "lo": W G W^T, with W the combining weights and G the Toeplitz Gram
+      they were computed from; it equals the Gram of the sampled members
+      to rounding, and costs O(N^3) on the N x N weights;
+    - "alo": the Gram of the sampled members, whose clip to the cutoff
+      breaks the W G W^T identity;
+    - "limit": max_{k >= 1} |r(kT)| of the sampled limit pulse, the
+      translate correlation defect, from one real FFT.
+
+    The report also carries the weak-norm gap between the Toeplitz Gram
+    and its circulant wrap at the family dimension: the RMS eigenvalue of
+    their difference, i.e. its Frobenius norm over sqrt(N), which is
+    exactly sqrt(2 sum_k k r_k^2 / N) once the band fits (M >= K).  For
+    kind "limit" it also carries the generator's tap radius
+    ``limit_m_half``, its ``tail_level`` (outermost over centre tap, above
+    LIMIT_LEVEL = 1e-12 when the tap-radius cap stopped the generator
+    before its taps converged), ``converged`` (tail_level <= LIMIT_LEVEL)
+    and ``truncation_radius``.  The pulse's lag row r(kT) is computed once
+    and feeds the stability scan, the Gram and the circulant.
     """
     shift = shift_from_ratio(pulse, k_ratio)
     m_half = m_multiple * k_ratio
-    a, b = riesz_bounds(pulse, shift)  # the one stability scan of this build
     r = autocorr_samples(pulse, shift)
+    a, b = _riesz_bounds(r, shift)  # the one stability scan of this build
     band = len(r) - 1
     if band > m_half:
         raise ConfigurationError(f"band (K={band}) does not fit M={m_half}")
     weak = math.sqrt(2.0 * np.dot(np.arange(band + 1), r**2) / (2 * m_half + 1))
     if kind == "lo":
-        family = _lowdin_family(pulse, shift, m_half, a)
+        family = _lowdin_family(pulse, shift, m_half, r, a)
         centered = family.centered()
-        offdiag = family.max_offdiagonal()
+        w = family.weights
+        offdiag = _max_offdiagonal(w @ _gram(r, m_half) @ w.T)
     elif kind == "alo":
-        family = approx_lowdin_family(pulse, shift, m_half)
+        family = _approx_lowdin_family(pulse, shift, m_half, r)
         centered = family.centered()
         offdiag = family.max_offdiagonal()
     elif kind == "limit":
         family = None
-        limit = _orthonormal_generator(pulse, shift)
+        limit = _orthonormal_generator(pulse, shift, r)
         centered = limit.pulse
-        r = autocorr_samples(centered, shift)
-        offdiag = float(np.max(np.abs(r[1:]))) if len(r) > 1 else 0.0
+        offdiag = _translate_defect(centered, shift)
     else:
         raise ConfigurationError("kind must be lo, alo, or limit")
     report = {
@@ -232,8 +246,8 @@ def analyze_pulse(
         steps = round(shift / pulse.dt)
         shift = steps * pulse.dt
     alpha, scaled = compliant_spectrum(pulse, mask)
-    a, b = riesz_bounds(pulse, shift)
     r = autocorr_samples(pulse, shift)
+    a, b = _riesz_bounds(r, shift)
     return {
         "energy": pulse.energy(),
         "Tp": pulse.duration(),

@@ -51,6 +51,31 @@ class TimeGrid:
         return ki
 
 
+def _index_range(grid: TimeGrid, t_lo: float, t_hi: float) -> tuple[int, int]:
+    """Indices lo..hi-1 of the grid times in [t_lo, t_hi], widened by
+    _SUPPORT_EPS steps at each end.
+
+    Each index is decided by the same float comparison as on
+    ``grid.times()``, whose values rise with the index, so the range is
+    found from a guess near each end without building the times.
+    """
+    dt, n0, size = grid.dt, grid.n0, grid.size
+
+    def prefix(holds, t):  # how many leading indices k satisfy holds(k)
+        k = min(max(math.ceil(max(-1.0, min(t / dt + n0, size + 1.0))), 0), size)
+        while k < size and holds(k):
+            k += 1
+        while k > 0 and not holds(k - 1):
+            k -= 1
+        return k
+
+    lo_t, hi_t = t_lo - _SUPPORT_EPS * dt, t_hi + _SUPPORT_EPS * dt
+    return (
+        prefix(lambda k: (k - n0) * dt < lo_t, lo_t),
+        prefix(lambda k: not (k - n0) * dt > hi_t, hi_t),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SampledPulse:
     """Real pulse samples on a grid with compact support [t_lo, t_hi].
@@ -68,17 +93,14 @@ class SampledPulse:
         object.__setattr__(self, "samples", samples)
         if samples.shape != (self.grid.size,):
             raise ConfigurationError("samples length must match the grid")
-        if self.support is None:
-            t = self.grid.times()
-            object.__setattr__(self, "support", (float(t[0]), float(t[-1])))
+        g = self.grid
+        if self.support is None:  # the first and last grid times, as times() gives them
+            object.__setattr__(self, "support", (-g.n0 * g.dt, (g.size - 1 - g.n0) * g.dt))
         t_lo, t_hi = self.support
-        if t_lo > t_hi:
-            raise ConfigurationError("support interval is reversed")
-        t = self.grid.times()
-        outside = (t < t_lo - _SUPPORT_EPS * self.grid.dt) | (
-            t > t_hi + _SUPPORT_EPS * self.grid.dt
-        )
-        if np.any(samples[outside] != 0.0):
+        if not t_lo <= t_hi:
+            raise ConfigurationError("support interval is reversed or not a number")
+        lo, hi = _index_range(g, t_lo, t_hi)
+        if np.any(samples[:lo]) or np.any(samples[hi:]):
             raise ConfigurationError("nonzero samples outside declared support")
 
     @property

@@ -20,6 +20,7 @@ from uwbpulse.signals import (
     TimeGrid,
     _translate_sum,
     autocorr_samples,
+    cosine_series,
     inner,
     semi_discrete_convolve,
     shift_samples,
@@ -471,20 +472,76 @@ def test_centered_members_converge_geometrically_to_limit(pulse25, k, radii):
 
 @pytest.mark.parametrize("kind", ["lo", "alo", "limit"])
 def test_build_family_scans_riesz_bounds_once(pulse25, monkeypatch, kind):
+    # one lag row of the input pulse feeds one stability scan and the build
     import uwbpulse.lowdin
     import uwbpulse.pipeline
+    import uwbpulse.signals
 
-    calls = []
-    scan = uwbpulse.lowdin.riesz_bounds
+    rows, scans = [], []
+    lags, scan = uwbpulse.signals.lag_autocorrelation, uwbpulse.lowdin._riesz_bounds
 
-    def counted(*args):
-        calls.append(args)
+    def counted_lags(x, *args):
+        rows.append(x)
+        return lags(x, *args)
+
+    def counted_scan(*args):
+        scans.append(args)
         return scan(*args)
 
-    monkeypatch.setattr(uwbpulse.lowdin, "riesz_bounds", counted)
-    monkeypatch.setattr(uwbpulse.pipeline, "riesz_bounds", counted)
+    monkeypatch.setattr(uwbpulse.signals, "lag_autocorrelation", counted_lags)
+    monkeypatch.setattr(uwbpulse.lowdin, "_riesz_bounds", counted_scan)
+    monkeypatch.setattr(uwbpulse.pipeline, "_riesz_bounds", counted_scan)
     build_family(pulse25, 2, 2, kind)
-    assert len(calls) == 1
+    assert len(rows) == 1 and rows[0] is pulse25.samples
+    assert len(scans) == 1
+
+
+def test_build_family_lo_never_samples_the_member_gram(pulse25, monkeypatch):
+    calls = []
+    monkeypatch.setattr(up.OrthogonalFamily, "gram", lambda self: calls.append(self))
+    for k, m_multiple in ((2, 2), (8, 8)):
+        build_family(pulse25, k, m_multiple, "lo")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "k, m_multiple", [(1, 2), (2, 2), (4, 2), (8, 2), (15, 2), (20, 2), (4, 8), (8, 8)]
+)
+def test_lo_offdiag_report_matches_sampled_members(pulse25, k, m_multiple):
+    # oracle: the Gram of the sampled member matrix, against the report's
+    # W G W^T
+    family, _, report = build_family(pulse25, k, m_multiple, "lo")
+    assert abs(report["offdiag_max"] - family.max_offdiagonal()) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [2, 12, 15, 16, 20])
+def test_limit_defect_matches_lag_dot_products(pulse25, k):
+    # oracle: one dot product per lag of the sampled limit pulse
+    _, centered, report = build_family(pulse25, k, 2, "limit")
+    r = autocorr_samples(centered, report["shift_seconds"])
+    assert abs(report["offdiag_max"] - np.max(np.abs(r[1:]))) <= 1e-14
+
+
+def _cosine_series_riesz_scan(r):
+    """Oracle: the folded spectrum summed as a cosine series at the scan's
+    nodes, refined half a step either side of each extremum."""
+    nu = np.linspace(0.0, 0.5, 4096)
+    vals = cosine_series(r, nu)
+    lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
+    cand = np.clip(nu[[lo, lo, hi, hi]] + np.array([-0.5, 0.5, -0.5, 0.5]) * nu[1], 0.0, 0.5)
+    near = cosine_series(r, cand)
+    return min(vals[lo], near[0], near[1]), max(vals[hi], near[2], near[3])
+
+
+def test_riesz_fft_scan_matches_cosine_series(pulse25):
+    steps = round(pulse25.duration() / pulse25.dt)
+    for k in range(1, 21):
+        shift = round(steps / k) * pulse25.dt
+        r = autocorr_samples(pulse25, shift)
+        a, b = up.riesz_bounds(pulse25, shift)
+        a_ref, b_ref = _cosine_series_riesz_scan(r)
+        assert abs(a - a_ref) <= 1e-13 * r[0]
+        assert abs(b - b_ref) <= 1e-13 * r[0]
 
 
 def test_public_builders_keep_their_stability_check(pulse25, monkeypatch):

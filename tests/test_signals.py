@@ -393,6 +393,8 @@ def test_support_invariant_enforced():
     samples = np.ones(5)
     with pytest.raises(ConfigurationError):
         SampledPulse(grid, samples, (-1e-11, 1e-11))
+    with pytest.raises(ConfigurationError, match="not a number"):
+        SampledPulse(grid, samples, (float("nan"), 1e-11))
 
 
 # ----------------------------------------------------- property checks
@@ -448,6 +450,58 @@ def test_lag_autocorrelation_matches_full_correlation(x, step, kmax):
     assert got.shape == (kmax + 1,)
     assert np.all(got[lags >= n] == 0.0)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(float(np.dot(x, x)), 1.0))
+
+
+_EDGE_STEPS = st.sampled_from([0.0, 1e-12, 5e-10, 9.9e-10, 1e-9, 1.01e-9, 2e-9, 0.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1e-11, 7.3e-12, 1.1160714285714286e-12, 0.1, 3.0]),
+    st.integers(-40, 300),
+    st.integers(1, 200),
+    st.integers(-20, 220),
+    st.one_of(
+        st.none(),
+        st.tuples(_EDGE_STEPS, st.booleans(), st.integers(0, 60), _EDGE_STEPS, st.booleans()),
+    ),
+    st.booleans(),
+    st.integers(-1, 1),
+)
+# widened edges that round onto a grid time: t_lo - 1e-9 dt onto index a,
+# where the first guess from t / dt lands one index high, and
+# t_hi + 1e-9 dt onto index a + width
+@example(
+    dt=1e-11, n0=-40, size=200, a=55, support=(1e-9, False, 7, 0.0, False), at_hi=False, step=0
+)
+@example(dt=1e-11, n0=0, size=200, a=0, support=(0.0, False, 7, 1e-9, True), at_hi=True, step=0)
+def test_support_check_matches_time_mask(dt, n0, size, a, support, at_hi, step):
+    # oracle: the boolean mask over the whole of grid.times(); one nonzero
+    # sample next to an edge of the support (index a
+    # or a + width) must raise exactly when the mask puts it outside the
+    # support widened by 1e-9 steps
+    grid = TimeGrid(dt, n0, size)
+    t = grid.times()
+    width = 0 if support is None else support[2]
+    j = min(max(a + step + (width if at_hi else 0), 0), size - 1)
+    if support is not None:
+        lo_off, lo_neg, width, hi_off, hi_neg = support
+        t_lo = (a - n0) * dt + (-lo_off if lo_neg else lo_off) * dt
+        t_hi = (a + width - n0) * dt + (-hi_off if hi_neg else hi_off) * dt
+        if t_lo > t_hi:
+            t_lo, t_hi = t_hi, t_lo
+        support = (t_lo, t_hi)
+        outside = (t < t_lo - 1e-9 * dt) | (t > t_hi + 1e-9 * dt)
+    else:
+        outside = np.zeros(size, dtype=bool)
+    samples = np.zeros(size)
+    samples[j] = -2.5
+    if outside[j]:
+        with pytest.raises(ConfigurationError, match="outside declared support"):
+            SampledPulse(grid, samples, support)
+    else:
+        p = SampledPulse(grid, samples, support)
+        assert p.support == (support or (float(t[0]), float(t[-1])))
 
 
 @settings(max_examples=80, deadline=None)
