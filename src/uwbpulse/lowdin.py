@@ -30,6 +30,7 @@ from .errors import ConfigurationError, GridAlignmentError, UnstableGeneratorErr
 from .signals import (
     SampledPulse,
     TimeGrid,
+    _cosine_extrema,
     _index_range,
     _power_at,
     _translate_sum,
@@ -40,7 +41,6 @@ from .signals import (
     shift_samples,
 )
 
-RIESZ_GRID = 4096
 LIMIT_LEVEL = 1e-12  # converged tap ratio, and the limit pulse's truncation level
 LIMIT_MAX_M_HALF = 2048  # tap radius at which the limit generator stops doubling
 _PROBE_NODES = 256  # Gauss-Legendre nodes per probe piece: sqrt(Phi) to 1e-13 even at K = 15
@@ -123,10 +123,10 @@ def _gram(r: np.ndarray, m_half: int) -> np.ndarray:
     return scipy.linalg.toeplitz(row)
 
 
-def inverse_sqrt_spd(gm: np.ndarray, min_eig: float = 1e-12) -> np.ndarray:
+def inverse_sqrt_spd(gm: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root of a positive definite matrix."""
     vals, vecs = np.linalg.eigh(gm)
-    if float(vals.min()) <= min_eig:
+    if float(vals.min()) <= 1e-12:
         raise UnstableGeneratorError(
             f"Gram matrix nearly singular (min eigenvalue {vals.min():.3e}); "
             "the shift is too small or the pulse is degenerate"
@@ -177,15 +177,6 @@ def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> Orthogona
     return _family(p, shift, weights, "gs")
 
 
-def _folded_spectrum(r: np.ndarray, n: int) -> np.ndarray:
-    """Folded power spectrum at l/n, l = 0..n-1, for r = r(0..K T): the DFT
-    of the lags -K..K wrapped onto n points, lags equal mod n adding up.
-    For n >= 2K + 1 the wrapped row is a circulant's first row (entry j
-    weights the translate j shifts away), and these are its eigenvalues."""
-    lags = np.arange(1 - len(r), len(r)) % n
-    return np.fft.fft(np.bincount(lags, np.concatenate([r[:0:-1], r]), n)).real
-
-
 def _inverse_sqrt_taps(r: np.ndarray, m_half: int) -> np.ndarray:
     """Row 0 of the ALO weights: the N-aliased Fourier coefficients of the
     folded power spectrum to the -1/2, N = 2M + 1, for r = r(0..K T).  The
@@ -193,7 +184,10 @@ def _inverse_sqrt_taps(r: np.ndarray, m_half: int) -> np.ndarray:
     n, k = 2 * m_half + 1, len(r) - 1
     if m_half < k:
         raise ConfigurationError(f"band (K={k}) does not fit the {n}-point circulant; need M >= K")
-    lam = _folded_spectrum(r, n)
+    # the folded spectrum at l/n: the DFT of the lags -K..K wrapped onto n
+    # points, i.e. the eigenvalues of the circulant with that first row
+    lags = np.arange(1 - len(r), len(r)) % n
+    lam = np.fft.fft(np.bincount(lags, np.concatenate([r[:0:-1], r]), n)).real
     if np.any(lam <= 0.0):
         bad = int(np.argmin(lam))
         raise UnstableGeneratorError(
@@ -227,27 +221,20 @@ def _approx_lowdin_family(
 
 
 def riesz_bounds(p: SampledPulse, shift: float) -> tuple[float, float]:
-    """Extrema of the folded power spectrum over one period.
+    """Exact extrema of the folded power spectrum over one period.
 
-    Scanned at the RIESZ_GRID nodes l/n, n = 2 (RIESZ_GRID - 1), which
-    cover [0, 1/2] (the function is even), with one local bisection
-    refinement around each extremum.  A non-positive lower bound means the
-    translates are not a stable basis.
+    The folded spectrum is a cosine series in the lags r(kT), so its
+    extrema are taken at the roots of its derivative in u = cos(2 pi nu)
+    or at nu = 0, 1/2 (:func:`signals._cosine_extrema`); no grid is
+    scanned.  A non-positive lower bound means the translates are not a
+    stable basis.
     """
     return _riesz_bounds(autocorr_samples(p, shift), shift)
 
 
 def _riesz_bounds(r: np.ndarray, shift: float) -> tuple[float, float]:
-    """:func:`riesz_bounds` from the lag row r = r(0..K T): the scan is one
-    FFT (:func:`_folded_spectrum`), the refinement exact cosine series."""
-    n = 2 * (RIESZ_GRID - 1)
-    vals = _folded_spectrum(r, n)[:RIESZ_GRID]
-    lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
-    # both refinements in one call: half a step either side of each extremum
-    cand = np.clip((np.array([lo, lo, hi, hi]) + [-0.5, 0.5, -0.5, 0.5]) / n, 0.0, 0.5)
-    near = cosine_series(r, cand)
-    a = float(min(vals[lo], near[0], near[1]))
-    b = float(max(vals[hi], near[2], near[3]))
+    """:func:`riesz_bounds` from the lag row r = r(0..K T)."""
+    a, b = _cosine_extrema(r)
     if a <= 0.0:
         raise UnstableGeneratorError(
             f"lower stability bound {a:.3e} is not positive at shift {shift!r}"

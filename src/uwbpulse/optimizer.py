@@ -32,7 +32,7 @@ from .errors import (
     InfeasibleError,
     UnboundedError,
 )
-from .signals import SampledPulse, gram_symbol, lag_autocorrelation
+from .signals import SampledPulse, _cosine_extrema, gram_symbol, lag_autocorrelation
 from .spectral import CosinePoly, SpectralMask, cosine_basis, segment_bounds
 
 GRID_REFINE = 4  # the LP grid is this much denser than ``grid_density``
@@ -292,15 +292,17 @@ def _factor_by_roots(r: np.ndarray) -> np.ndarray:
 def spectral_factorize(r: AutocorrVector, tol: float = 1e-7) -> FilterTaps:
     """Recover minimum-phase taps whose autocorrelation matches ``r``.
 
-    The taps come from the roots of the two-sided lag polynomial
-    (:func:`_factor_by_roots`) and are checked by their round trip: an
-    autocorrelation more than ``tol`` off ``r`` raises
-    :class:`FactorizationError`.  The leading tap is made positive, and
-    the spectrum must be strictly positive.
+    The spectrum must be strictly positive: its exact minimum
+    (:func:`signals._cosine_extrema`, no grid) at or below 1e-12 of its
+    maximum raises :class:`FactorizationError`, so a zero between any
+    grid's nodes is caught.  The taps come from the roots of the two-sided
+    lag polynomial (:func:`_factor_by_roots`) and are checked by their
+    round trip: an autocorrelation more than ``tol`` off ``r`` raises
+    :class:`FactorizationError`.  The leading tap is made positive.
     """
     rv = np.asarray(r.r, dtype=float)
-    check = CosinePoly(rv, r.clock)(np.linspace(0.0, 0.5 / r.clock, 4096))
-    if float(np.min(check)) <= 1e-12 * float(np.max(check)):
+    lo, hi = _cosine_extrema(rv)
+    if lo <= 1e-12 * hi:
         raise FactorizationError(
             "autocorrelation spectrum touches zero; re-solve with a larger floor"
         )

@@ -193,12 +193,12 @@ def build_family(
     LIMIT_LEVEL = 1e-12 when the tap-radius cap stopped the generator
     before its taps converged), ``converged`` (tail_level <= LIMIT_LEVEL)
     and ``truncation_radius``.  The pulse's lag row r(kT) is computed once
-    and feeds the stability scan, the Gram and the circulant.
+    and feeds the stability bounds, the Gram and the circulant.
     """
     shift = shift_from_ratio(pulse, k_ratio)
     m_half = m_multiple * k_ratio
     r = autocorr_samples(pulse, shift)
-    a, b = _riesz_bounds(r, shift)  # the one stability scan of this build
+    a, b = _riesz_bounds(r, shift)  # exact extrema of the folded spectrum
     band = len(r) - 1
     if band > m_half:
         raise ConfigurationError(f"band (K={band}) does not fit M={m_half}")

@@ -177,15 +177,6 @@ def triangle_window(t: np.ndarray, width: float) -> np.ndarray:
     return np.clip(1.0 - np.abs(t) / (width / 2.0), 0.0, None)
 
 
-def hann_window(t: np.ndarray, width: float) -> np.ndarray:
-    """Hann window on [-width/2, width/2]."""
-    w = 0.5 * (1.0 + np.cos(2.0 * np.pi * t / width))
-    return np.where(np.abs(t) <= width / 2.0, w, 0.0)
-
-
-_WINDOWS = {"triangle": triangle_window, "hann": hann_window}
-
-
 def monocycle_sigma(fc: float) -> float:
     """Width parameter placing the monocycle's spectral peak at fc.
 
@@ -195,17 +186,12 @@ def monocycle_sigma(fc: float) -> float:
     return 1.0 / (math.sqrt(2.0) * math.pi * fc)
 
 
-def gaussian_monocycle(
-    fc: float,
-    Tq: float,
-    grid: TimeGrid | None = None,
-    window: str = "triangle",
-) -> SampledPulse:
+def gaussian_monocycle(fc: float, Tq: float, grid: TimeGrid | None = None) -> SampledPulse:
     """Windowed Gaussian monocycle, unit energy, support [-Tq/2, Tq/2].
 
     The raw monocycle t*exp(-t^2/sigma^2) has its spectral-magnitude peak
-    at fc; the window (triangle by default, "hann" as alternative) makes
-    the pulse continuous and strictly time-limited.
+    at fc; the triangle window makes the pulse continuous and strictly
+    time-limited.
     """
     if fc <= 0 or Tq <= 0:
         raise ConfigurationError("fc and Tq must be positive")
@@ -217,42 +203,31 @@ def gaussian_monocycle(
         raise ConfigurationError("grid does not span [-Tq/2, Tq/2]")
     if Tq / grid.dt < 16:
         raise ResolutionError("fewer than 16 samples across the monocycle window")
-    try:
-        win = _WINDOWS[window]
-    except KeyError:
-        raise ConfigurationError(f"unknown window {window!r}") from None
     sigma = monocycle_sigma(fc)
     raw = t * np.exp(-(t**2) / sigma**2)
-    samples = raw * win(t, Tq)
+    samples = raw * triangle_window(t, Tq)
     pulse = SampledPulse(grid, samples, (-Tq / 2, Tq / 2))
     return pulse.normalized()
 
 
-def semi_discrete_convolve(
-    p: SampledPulse, taps: np.ndarray, clock: float, center: bool = True
-) -> SampledPulse:
+def semi_discrete_convolve(p: SampledPulse, taps: np.ndarray, clock: float) -> SampledPulse:
     """Filter a pulse with a tap sequence at the given clock period.
 
-    Returns sum_k taps[k] * p(t - k*clock).  With ``center`` the output
-    time origin is moved to the middle of the tap span, which keeps odd-
-    order filters grid-aligned and the result centered.
+    Returns sum_k taps[k] * p(t - k*clock), with the output time origin
+    moved to the middle of the tap span, which keeps odd-order filters
+    grid-aligned and the result centered.
     """
     taps = np.asarray(taps, dtype=float)
     step_f = clock / p.dt
     step = int(round(step_f))
     if abs(step_f - step) > 1e-9:
         raise GridAlignmentError("clock period is not a grid multiple")
-    n = len(taps)
+    if (len(taps) - 1) * step % 2 != 0:
+        raise GridAlignmentError("cannot center an even tap span on the grid")
+    half = (len(taps) - 1) * step // 2
     out = _translate_sum(p.samples, taps, step)
-    n0 = p.grid.n0
-    if center:
-        if (n - 1) * step % 2 != 0:
-            raise GridAlignmentError("cannot center an even tap span on the grid")
-        n0 = p.grid.n0 + (n - 1) * step // 2
-    grid = TimeGrid(p.dt, n0, len(out))
-    t_lo = p.support[0] - (n0 - p.grid.n0) * p.dt
-    t_hi = p.support[1] + ((n - 1) * step - (n0 - p.grid.n0)) * p.dt
-    return SampledPulse(grid, out, (t_lo, t_hi))
+    grid = TimeGrid(p.dt, p.grid.n0 + half, len(out))
+    return SampledPulse(grid, out, (p.support[0] - half * p.dt, p.support[1] + half * p.dt))
 
 
 def _translate_sum(x: np.ndarray, weights: np.ndarray, step: int) -> np.ndarray:
@@ -408,6 +383,28 @@ def cosine_series(c, x) -> np.ndarray:
                 np.subtract(e, b, out=b)
         out[sel] = c[0] + s * e + 0.5 * lam * b
     return out
+
+
+def _cosine_extrema(c) -> tuple[float, float]:
+    """Exact min and max over x of the cosine series of :func:`cosine_series`.
+
+    In u = cos(2 pi x) the series is the Chebyshev series c[0] + sum_n
+    2 c[n] T_n(u) on [-1, 1], so its extrema lie at u = +-1 or at roots of
+    its derivative (Battles & Trefethen 2004).  The real part of every
+    root, clipped to [-1, 1], is a candidate, so a root pair split off the
+    real line by rounding still counts; each candidate is evaluated by
+    :func:`cosine_series` at x = arccos(u) / (2 pi).
+    """
+    c = np.asarray(c, dtype=float)
+    cheb = np.polynomial.chebyshev
+    d = cheb.chebder(np.concatenate([c[:1], 2.0 * c[1:]]))
+    # leading coefficients below the others' rounding would swamp the
+    # colleague matrix's eigenvalues; dropping them changes the derivative
+    # on [-1, 1] by no more than that rounding
+    roots = cheb.chebroots(cheb.chebtrim(d, np.finfo(float).eps * np.max(np.abs(d))))
+    u = np.clip(np.concatenate([[-1.0, 1.0], roots.real]), -1.0, 1.0)
+    vals = cosine_series(c, np.arccos(u) / (2.0 * np.pi))
+    return float(vals.min()), float(vals.max())
 
 
 def _power_at(p: SampledPulse, f) -> np.ndarray:

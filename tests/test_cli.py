@@ -92,7 +92,7 @@ def test_design_rerun_byte_identical(tmp_path):
 def test_manifest_lists_outputs_with_hashes(design_dir):
     manifest = json.loads((design_dir / "manifest.json").read_text())
     assert manifest["command"] == "design"
-    assert manifest["schema_version"] == 10
+    assert manifest["schema_version"] == 11
     for name in ("taps.csv", "pulse.csv", "achieved_spectrum.csv", "design_report.json"):
         assert name in manifest["outputs"]
         assert len(manifest["outputs"][name]) == 64

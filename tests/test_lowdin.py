@@ -3,6 +3,7 @@ the shift-orthonormal limit, and optimality diagnostics."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -522,26 +523,50 @@ def test_limit_defect_matches_lag_dot_products(pulse25, k):
     assert abs(report["offdiag_max"] - np.max(np.abs(r[1:]))) <= 1e-14
 
 
-def _cosine_series_riesz_scan(r):
-    """Oracle: the folded spectrum summed as a cosine series at the scan's
-    nodes, refined half a step either side of each extremum."""
-    nu = np.linspace(0.0, 0.5, 4096)
-    vals = cosine_series(r, nu)
-    lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
-    cand = np.clip(nu[[lo, lo, hi, hi]] + np.array([-0.5, 0.5, -0.5, 0.5]) * nu[1], 0.0, 0.5)
-    near = cosine_series(r, cand)
-    return min(vals[lo], near[0], near[1]), max(vals[hi], near[2], near[3])
+def _riesz_shifts(p):
+    """Shifts Tp/K, K = 1..20, rounded to whole grid steps."""
+    steps = round(p.duration() / p.dt)
+    return {k: round(steps / k) * p.dt for k in range(1, 21)}
 
 
-def test_riesz_fft_scan_matches_cosine_series(pulse25):
-    steps = round(pulse25.duration() / pulse25.dt)
-    for k in range(1, 21):
-        shift = round(steps / k) * pulse25.dt
+def test_riesz_bounds_bracket_the_folded_spectrum(pulse25):
+    # oracle: the folded spectrum summed as a cosine series on 2^16 + 1
+    # nodes of [0, 1/2]; no node may fall below A or rise above B
+    nu = np.linspace(0.0, 0.5, 2**16 + 1)
+    for k, shift in _riesz_shifts(pulse25).items():
         r = autocorr_samples(pulse25, shift)
         a, b = up.riesz_bounds(pulse25, shift)
-        a_ref, b_ref = _cosine_series_riesz_scan(r)
-        assert abs(a - a_ref) <= 1e-13 * r[0]
-        assert abs(b - b_ref) <= 1e-13 * r[0]
+        vals = cosine_series(r, nu)
+        assert vals.min() >= a - 1e-15 * r[0], k
+        assert vals.max() <= b + 1e-15 * r[0], k
+
+
+@pytest.mark.parametrize("k", [3, 8, 12, 15, 20])
+def test_riesz_bounds_match_mpmath_extrema(pulse25, k):
+    # oracle: every local extremum of a 4,097-node scan of [0, 1/2],
+    # polished as a root of Phi'(nu) at 30 digits by the secant method from
+    # the neighbouring nodes, with Phi summed in mpmath
+    shift = _riesz_shifts(pulse25)[k]
+    r = autocorr_samples(pulse25, shift)
+    a, b = up.riesz_bounds(pulse25, shift)
+    nu = np.linspace(0.0, 0.5, 4097)
+    step = np.sign(np.diff(cosine_series(r, nu)))
+    turns = np.flatnonzero(step[1:] != step[:-1]) + 1
+    with mpmath.workdps(30):
+        c = [mpmath.mpf(float(x)) for x in r]
+        n = range(1, len(c))
+
+        def phi(x):
+            return c[0] + 2 * mpmath.fsum(c[j] * mpmath.cos(2 * mpmath.pi * j * x) for j in n)
+
+        def dphi(x):
+            return mpmath.fsum(j * c[j] * mpmath.sin(2 * mpmath.pi * j * x) for j in n)
+
+        roots = [mpmath.findroot(dphi, (float(nu[i - 1]), float(nu[i + 1]))) for i in turns]
+        extrema = [float(phi(x)) for x in roots]
+    extrema += [float(phi(mpmath.mpf(0))), float(phi(mpmath.mpf(0.5)))]
+    assert abs(a - min(extrema)) <= 1e-14 * r[0]
+    assert abs(b - max(extrema)) <= 1e-14 * r[0]
 
 
 def test_public_builders_keep_their_stability_check(pulse25, monkeypatch):

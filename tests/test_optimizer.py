@@ -303,6 +303,15 @@ def test_factorize_rejects_vanishing_spectrum():
         up.spectral_factorize(AutocorrVector(r, T0))
 
 
+def test_factorize_rejects_a_double_zero_between_grid_nodes():
+    # r^ = (cos(2 pi nu T0) - u0)^2 vanishes to second order at
+    # nu T0 = 1/(2 (sqrt(2) + 1)), an irrational point no uniform grid holds
+    u0 = math.cos(math.pi / (math.sqrt(2) + 1))
+    r = AutocorrVector(np.array([0.5 + u0**2, -u0, 0.25]), T0)
+    with pytest.raises(FactorizationError, match="touches zero"):
+        up.spectral_factorize(r)
+
+
 def test_factorize_rejects_a_bad_round_trip(monkeypatch):
     # root finding is the only path: taps that miss r are not repaired
     monkeypatch.setattr(optimizer, "_factor_by_roots", lambda r: np.sqrt(r[:1]))
