@@ -18,7 +18,7 @@ normalization of the underlying theory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,12 +31,10 @@ from .signals import (
     SampledPulse,
     TimeGrid,
     _cosine_extrema,
-    _index_range,
     _power_at,
     _translate_sum,
     autocorr_samples,
     cosine_series,
-    gram_symbol,
     inner,
     shift_samples,
 )
@@ -50,15 +48,15 @@ _PROBE_NODES = 256  # Gauss-Legendre nodes per probe piece: sqrt(Phi) to 1e-13 e
 class OrthogonalFamily:
     """2M+1 pulses spanning the translate space, as one sample matrix.
 
-    Row m of ``samples`` is member m - M.  All members share one ``grid``
-    and one declared ``support``.  ``weights[m, n]`` is the coefficient of
-    p(. - (n - M) T) in that member, so each member is the output of the
-    tapped-delay line whose taps are its row of ``weights``.
+    Row m of ``samples`` is member m - M.  All members share one ``grid``,
+    the span of the 2M+1 translates.  ``weights[m, n]`` is the coefficient
+    of p(. - (n - M) T) in that member, so each member is the output of
+    the tapped-delay line whose taps are its row of ``weights`` (for
+    "alo", clipped: zero past the cutoff).
     """
 
     samples: np.ndarray  # (2M+1, grid.size)
     grid: TimeGrid
-    support: tuple[float, float]
     kind: str  # "lo", "alo" or "gs"
     m_half: int
     shift: float
@@ -70,10 +68,10 @@ class OrthogonalFamily:
 
     @property
     def pulses(self) -> tuple[SampledPulse, ...]:
-        return tuple(SampledPulse(self.grid, row, self.support) for row in self.samples)
+        return tuple(SampledPulse(self.grid, row) for row in self.samples)
 
     def centered(self) -> SampledPulse:
-        return SampledPulse(self.grid, self.samples[self.m_half], self.support)
+        return SampledPulse(self.grid, self.samples[self.m_half])
 
     def gram(self) -> np.ndarray:
         return self.samples @ self.samples.T * self.grid.dt
@@ -100,13 +98,14 @@ def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
     The orthonormalized spectrum power is |p^(f)|^2 divided by the folded
     power spectrum at f * shift; both are finite cosine series over the
     pulse's autocorrelation, so this needs no truncation and works even
-    when the generator decays slowly.
+    when the generator decays slowly.  Raises unless the folded spectrum
+    is positive at every frequency (:func:`riesz_bounds`), not only at
+    ``freqs``.
     """
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    folded = np.asarray(gram_symbol(p, shift, f * shift))
-    if np.min(folded) <= 0.0:
-        raise UnstableGeneratorError("folded spectrum not positive on the grid")
-    return _power_at(p, f) / folded
+    r = autocorr_samples(p, shift)
+    _riesz_bounds(r, shift)
+    return _power_at(p, f) / cosine_series(r, f * shift)
 
 
 def gram(p: SampledPulse, shift: float, m_half: int) -> np.ndarray:
@@ -140,8 +139,7 @@ def _family(p: SampledPulse, shift: float, weights: np.ndarray, kind: str) -> Or
     m_half = (len(weights) - 1) // 2
     samples = _translate_sum(p.samples, weights, s)
     grid = TimeGrid(p.dt, p.grid.n0 + m_half * s, samples.shape[1])
-    support = (p.support[0] - m_half * shift, p.support[1] + m_half * shift)
-    return OrthogonalFamily(samples, grid, support, kind, m_half, shift, weights)
+    return OrthogonalFamily(samples, grid, kind, m_half, shift, weights)
 
 
 def lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
@@ -201,9 +199,10 @@ def approx_lowdin_family(p: SampledPulse, shift: float, m_half: int) -> Orthogon
     """Time-limited approximants from the circulant inverse square root.
 
     The combining weights diagonalize by DFT, so member m is a cyclic
-    filter of the translates; samples beyond |t| = (M - K/2) T, where the
-    cyclic wrap-around stops matching the straight transform, are zeroed,
-    making the support claim exact.
+    filter of the translates.  Samples beyond |t| = (M - K/2) T, where the
+    cyclic wrap-around stops matching the straight transform, are zeroed:
+    the members stay on the translates' grid, and are time-limited to
+    the cutoff by those zeros.
     """
     return _approx_lowdin_family(p, shift, m_half, autocorr_samples(p, shift))
 
@@ -213,11 +212,12 @@ def _approx_lowdin_family(
 ) -> OrthogonalFamily:
     """:func:`approx_lowdin_family` from the lag row ``r`` at ``shift``."""
     fam = _family(p, shift, scipy.linalg.circulant(_inverse_sqrt_taps(r, m_half)).T, "alo")
-    cutoff = (m_half - (len(r) - 1) / 2.0) * shift
-    lo, hi = _index_range(fam.grid, -cutoff, cutoff)
-    fam.samples[:, :lo] = 0.0
-    fam.samples[:, hi:] = 0.0
-    return replace(fam, support=(-cutoff, cutoff))
+    # the cutoff (M - K/2) T in grid steps, rounded down at a half step
+    cutoff = (2 * m_half - (len(r) - 1)) * shift_samples(p, shift) // 2
+    n0 = fam.grid.n0
+    fam.samples[:, : max(n0 - cutoff, 0)] = 0.0
+    fam.samples[:, max(n0 + cutoff + 1, 0) :] = 0.0
+    return fam
 
 
 def riesz_bounds(p: SampledPulse, shift: float) -> tuple[float, float]:

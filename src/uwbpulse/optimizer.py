@@ -32,7 +32,13 @@ from .errors import (
     InfeasibleError,
     UnboundedError,
 )
-from .signals import SampledPulse, _cosine_extrema, gram_symbol, lag_autocorrelation
+from .signals import (
+    SampledPulse,
+    _cosine_extrema,
+    autocorr_samples,
+    gram_symbol,
+    lag_autocorrelation,
+)
 from .spectral import CosinePoly, SpectralMask, cosine_basis, segment_bounds
 
 GRID_REFINE = 4  # the LP grid is this much denser than ``grid_density``
@@ -342,16 +348,16 @@ def reconciliation_filter_delta2(g: FilterTaps, q: SampledPulse) -> CosinePoly:
     """
     clock = g.clock
     rg = g.autocorrelation()
-    rg_poly = CosinePoly(rg, clock)
+    # exact minima (signals._cosine_extrema): a zero between grid nodes counts
+    if _cosine_extrema(rg)[0] <= 0:
+        raise ConfigurationError("filter power spectrum must be positive")
+    if _cosine_extrema(autocorr_samples(q, clock))[0] <= 0:
+        raise ConfigurationError("folded spectrum of q must be positive")
     n_grid = 4096
     nu = np.arange(n_grid) / (n_grid * clock)  # one full period
-    rhat = np.asarray(rg_poly(nu))
-    if np.min(rhat) <= 0:
-        raise ConfigurationError("filter power spectrum must be positive")
+    rhat = np.asarray(CosinePoly(rg, clock)(nu))
     phi = gram_symbol(q, clock, nu * clock)
     phi_shift = gram_symbol(q, clock, nu * clock + 0.5)
-    if np.min(phi) <= 0:
-        raise ConfigurationError("folded spectrum of q must be positive")
     vals = 1.0 / (1.0 + (2.0 * rg[0] / rhat - 1.0) * phi_shift / phi)
     # cosine coefficients of the sampled even periodic function
     spec = np.fft.rfft(vals) / n_grid

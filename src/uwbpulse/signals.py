@@ -1,10 +1,11 @@
 """Uniform-grid pulses: spectra, inner products, autocorrelation, Zak transform.
 
-A pulse is a finite array of samples on a uniform grid with an integer
-index marking t = 0, plus a declared compact support.  All quadrature is
-the rectangle rule (samples are treated as exact point values), and all
-shifts used by the orthogonalization machinery are integer numbers of
-grid steps; there is no interpolation anywhere.
+A pulse is its samples on a uniform grid with an integer index marking
+t = 0; it is zero off the grid, so its duration is the grid's span, and
+a clip is zeros in the samples.  All quadrature is the rectangle rule
+(samples are treated as exact point values), and all shifts used by the
+orthogonalization machinery are integer numbers of grid steps; there is
+no interpolation anywhere.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
 from .errors import ConfigurationError, GridAlignmentError, ResolutionError
-
-_SUPPORT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,57 +50,22 @@ class TimeGrid:
         return ki
 
 
-def _index_range(grid: TimeGrid, t_lo: float, t_hi: float) -> tuple[int, int]:
-    """Indices lo..hi-1 of the grid times in [t_lo, t_hi], widened by
-    _SUPPORT_EPS steps at each end.
-
-    Each index is decided by the same float comparison as on
-    ``grid.times()``, whose values rise with the index, so the range is
-    found from a guess near each end without building the times.
-    """
-    dt, n0, size = grid.dt, grid.n0, grid.size
-
-    def prefix(holds, t):  # how many leading indices k satisfy holds(k)
-        k = min(max(math.ceil(max(-1.0, min(t / dt + n0, size + 1.0))), 0), size)
-        while k < size and holds(k):
-            k += 1
-        while k > 0 and not holds(k - 1):
-            k -= 1
-        return k
-
-    lo_t, hi_t = t_lo - _SUPPORT_EPS * dt, t_hi + _SUPPORT_EPS * dt
-    return (
-        prefix(lambda k: (k - n0) * dt < lo_t, lo_t),
-        prefix(lambda k: not (k - n0) * dt > hi_t, hi_t),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SampledPulse:
-    """Real pulse samples on a grid with compact support [t_lo, t_hi].
+    """Real pulse samples on a grid, zero off it.
 
-    Samples outside the declared support are exactly zero.  Instances are
-    treated as immutable values; do not write into ``samples``.
+    Instances are treated as immutable values; do not write into
+    ``samples``.
     """
 
     grid: TimeGrid
     samples: np.ndarray
-    support: tuple[float, float] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
         if samples.shape != (self.grid.size,):
             raise ConfigurationError("samples length must match the grid")
-        g = self.grid
-        if self.support is None:  # the first and last grid times, as times() gives them
-            object.__setattr__(self, "support", (-g.n0 * g.dt, (g.size - 1 - g.n0) * g.dt))
-        t_lo, t_hi = self.support
-        if not t_lo <= t_hi:
-            raise ConfigurationError("support interval is reversed or not a number")
-        lo, hi = _index_range(g, t_lo, t_hi)
-        if np.any(samples[:lo]) or np.any(samples[hi:]):
-            raise ConfigurationError("nonzero samples outside declared support")
 
     @property
     def dt(self) -> float:
@@ -117,7 +81,7 @@ class SampledPulse:
         e = self.energy()
         if e <= 0.0:
             raise ConfigurationError("cannot normalize the zero pulse")
-        return SampledPulse(self.grid, self.samples / math.sqrt(e), self.support)
+        return SampledPulse(self.grid, self.samples / math.sqrt(e))
 
     def value_at(self, t: float) -> float:
         """Sample value at a grid time (zero outside the stored range)."""
@@ -127,7 +91,9 @@ class SampledPulse:
         return 0.0
 
     def duration(self) -> float:
-        return self.support[1] - self.support[0]
+        """The grid's span, from its first to its last time."""
+        g = self.grid
+        return (g.size - 1 - g.n0) * g.dt + g.n0 * g.dt
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,11 +153,12 @@ def monocycle_sigma(fc: float) -> float:
 
 
 def gaussian_monocycle(fc: float, Tq: float, grid: TimeGrid | None = None) -> SampledPulse:
-    """Windowed Gaussian monocycle, unit energy, support [-Tq/2, Tq/2].
+    """Windowed Gaussian monocycle, unit energy, on a grid spanning [-Tq/2, Tq/2].
 
     The raw monocycle t*exp(-t^2/sigma^2) has its spectral-magnitude peak
     at fc; the triangle window makes the pulse continuous and strictly
-    time-limited.
+    time-limited.  The grid must end at the window's edges to within
+    1e-9 steps, so that the pulse's duration is Tq.
     """
     if fc <= 0 or Tq <= 0:
         raise ConfigurationError("fc and Tq must be positive")
@@ -199,15 +166,14 @@ def gaussian_monocycle(fc: float, Tq: float, grid: TimeGrid | None = None) -> Sa
         half = 96  # 192 samples across Tq
         grid = TimeGrid(dt=Tq / (2 * half), n0=half, size=2 * half + 1)
     t = grid.times()
-    if t[0] > -Tq / 2 + _SUPPORT_EPS * grid.dt or t[-1] < Tq / 2 - _SUPPORT_EPS * grid.dt:
-        raise ConfigurationError("grid does not span [-Tq/2, Tq/2]")
+    if max(abs(t[0] + Tq / 2), abs(t[-1] - Tq / 2)) > 1e-9 * grid.dt:
+        raise ConfigurationError("grid does not span exactly [-Tq/2, Tq/2]")
     if Tq / grid.dt < 16:
         raise ResolutionError("fewer than 16 samples across the monocycle window")
     sigma = monocycle_sigma(fc)
     raw = t * np.exp(-(t**2) / sigma**2)
     samples = raw * triangle_window(t, Tq)
-    pulse = SampledPulse(grid, samples, (-Tq / 2, Tq / 2))
-    return pulse.normalized()
+    return SampledPulse(grid, samples).normalized()
 
 
 def semi_discrete_convolve(p: SampledPulse, taps: np.ndarray, clock: float) -> SampledPulse:
@@ -227,7 +193,7 @@ def semi_discrete_convolve(p: SampledPulse, taps: np.ndarray, clock: float) -> S
     half = (len(taps) - 1) * step // 2
     out = _translate_sum(p.samples, taps, step)
     grid = TimeGrid(p.dt, p.grid.n0 + half, len(out))
-    return SampledPulse(grid, out, (p.support[0] - half * p.dt, p.support[1] + half * p.dt))
+    return SampledPulse(grid, out)
 
 
 def _translate_sum(x: np.ndarray, weights: np.ndarray, step: int) -> np.ndarray:
@@ -262,15 +228,13 @@ def _translate_sum(x: np.ndarray, weights: np.ndarray, step: int) -> np.ndarray:
 def autocorrelation(p: SampledPulse) -> SampledPulse:
     """Deterministic autocorrelation r(t) = integral p(s) p(s - t) ds.
 
-    The result is exactly even (computed once and mirrored) with support
-    twice the pulse support, and r(0) equals the pulse energy.
+    The result is exactly even (computed once and mirrored) on a grid
+    twice the pulse's span, and r(0) equals the pulse energy.
     """
     r = np.correlate(p.samples, p.samples, mode="full") * p.dt
     r = (r + r[::-1]) / 2.0  # bitwise-even by construction
     n = p.grid.size
-    grid = TimeGrid(p.dt, n - 1, 2 * n - 1)
-    half = p.duration()
-    return SampledPulse(grid, r, (-half, half))
+    return SampledPulse(TimeGrid(p.dt, n - 1, 2 * n - 1), r)
 
 
 def spectrum(p: SampledPulse, nfft: int) -> Spectrum:
@@ -326,8 +290,9 @@ def shift_samples(p: SampledPulse, shift: float) -> int:
 
 
 def autocorr_span(p: SampledPulse, shift: float) -> int:
-    """Number of one-sided shifts with overlapping support: ceil(Tp/T)."""
-    return int(math.ceil(p.duration() / shift - 1e-9))
+    """Number of one-sided shifts whose translates overlap: ceil(Tp/T), in
+    grid steps."""
+    return -(-(p.grid.size - 1) // shift_samples(p, shift))
 
 
 def autocorr_samples(p: SampledPulse, shift: float, kmax: int | None = None) -> np.ndarray:
@@ -435,7 +400,7 @@ def zak_transform(p: SampledPulse, shift: float, t: float, nu: float) -> complex
     """Zak transform sum_n p(t - n*T) exp(2i pi n nu) at a grid time t."""
     s = shift_samples(p, shift)
     k0 = p.grid.index_of(t)  # raises off-grid
-    # translates with support intersecting t: p(t - nT) nonzero needs
+    # translates whose grid holds t: p(t - nT) nonzero needs
     # 0 <= k0 - n*s < size
     n_lo = int(math.floor((k0 - (p.grid.size - 1)) / s))
     n_hi = int(math.floor(k0 / s))

@@ -34,12 +34,7 @@ T0 = defaults.CLOCK_T0
 
 def translate(p: SampledPulse, n_shifts: int, shift: float) -> SampledPulse:
     s = shift_samples(p, shift)
-    grid = TimeGrid(p.dt, p.grid.n0 - n_shifts * s, p.grid.size)
-    return SampledPulse(
-        grid,
-        p.samples,
-        (p.support[0] + n_shifts * shift, p.support[1] + n_shifts * shift),
-    )
+    return SampledPulse(TimeGrid(p.dt, p.grid.n0 - n_shifts * s, p.grid.size), p.samples)
 
 
 # ------------------------------------------------------------------ gram
@@ -215,18 +210,31 @@ def test_family_gram_matches_weighted_toeplitz(pulse25, k):
         assert np.abs(fam.gram() - expect).max() <= 1e-13
 
 
-@pytest.mark.parametrize("k", [1, 2, 5, 8])
-def test_alo_rows_are_clipped_tapped_delay_lines(pulse25, k):
+# (pulse, shift in grid steps, M / K) for ALO families whose cutoff
+# (M - K/2) T falls half a step between two samples: the monocycle spans
+# 192 steps, so K = 39 at 5 steps and K = 15 at 13 steps, both with K s =
+# 195 odd.  No T = Tp/K of the designed pulses does that.
+HALF_STEP_CUTOFFS = [("monocycle", s, mult) for s in (5, 13) for mult in (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "name, steps, mult",
+    [pytest.param("pulse25", 960 // k, 2, id=str(k)) for k in (1, 2, 5, 8)] + HALF_STEP_CUTOFFS,
+)
+def test_alo_rows_are_clipped_tapped_delay_lines(request, name, steps, mult):
     # member m is the shaping-filter convolution with taps weights[m],
-    # clipped to the cutoff, bit for bit
-    shift = pulse25.duration() / k
-    m_half = 2 * k
-    fam = up.approx_lowdin_family(pulse25, shift, m_half)
-    cutoff = (m_half - (len(autocorr_samples(pulse25, shift)) - 1) / 2.0) * shift
+    # clipped to the cutoff, bit for bit (pulse25 spans 960 steps, so its
+    # shifts are Tp/K with M = 2K for K = 1, 2, 5, 8)
+    p = request.getfixturevalue(name)
+    shift = steps * p.dt
+    k = len(autocorr_samples(p, shift)) - 1
+    m_half = mult * k
+    fam = up.approx_lowdin_family(p, shift, m_half)
+    cutoff = (m_half - k / 2.0) * shift
     for m in range(fam.size):
-        row = semi_discrete_convolve(pulse25, fam.weights[m], shift)
+        row = semi_discrete_convolve(p, fam.weights[m], shift)
         assert row.grid == fam.grid
-        clipped = np.where(np.abs(row.times()) > cutoff + 1e-9 * pulse25.dt, 0.0, row.samples)
+        clipped = np.where(np.abs(row.times()) > cutoff + 1e-9 * p.dt, 0.0, row.samples)
         assert np.array_equal(fam.samples[m], clipped)
 
 
@@ -311,15 +319,17 @@ def test_alo_on_orthonormal_translates(limit_k2, pulse25):
     assert np.abs(center.samples[sel] - ref_on).max() <= 1e-6
 
 
-def test_alo_support_clipped_exactly(pulse25):
-    shift = pulse25.duration() / 2
-    m_half = 4
-    fam = up.approx_lowdin_family(pulse25, shift, m_half)
-    k = len(autocorr_samples(pulse25, shift)) - 1
-    cutoff = (m_half - k / 2.0) * shift
-    for member in fam.pulses:
-        t = member.times()
-        assert np.all(member.samples[np.abs(t) > cutoff + 1e-9 * member.dt] == 0.0)
+def test_alo_support_clipped_exactly(request):
+    for name, steps, mult in [("pulse25", 480, 2)] + HALF_STEP_CUTOFFS:
+        p = request.getfixturevalue(name)
+        shift = steps * p.dt
+        k = len(autocorr_samples(p, shift)) - 1
+        m_half = mult * k
+        fam = up.approx_lowdin_family(p, shift, m_half)
+        cutoff = (m_half - k / 2.0) * shift
+        for member in fam.pulses:
+            t = member.times()
+            assert np.all(member.samples[np.abs(t) > cutoff + 1e-9 * member.dt] == 0.0)
 
 
 def test_alo_local_shift_character(pulse25):
@@ -720,3 +730,11 @@ def test_nyquist_spectrum_power_matches_limit_pulse(pulse25, limit_k2):
     analytic = nyquist_spectrum_power(pulse25, shift, freqs)
     constructed = direct_power(limit_k2.pulse, freqs)
     assert np.abs(analytic - constructed).max() <= 1e-9 * np.max(analytic)
+
+
+def test_nyquist_spectrum_power_refuses_unstable_translates():
+    # [1, -1] at a one-step shift: the folded spectrum 2 - 2 cos(2 pi nu) is
+    # zero at nu = 0 only, so it is positive at every frequency asked for
+    p = SampledPulse(TimeGrid(1.0, 0, 2), [1.0, -1.0])
+    with pytest.raises(UnstableGeneratorError):
+        nyquist_spectrum_power(p, 1.0, [0.1, 0.25, 0.4])

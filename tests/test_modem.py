@@ -152,7 +152,7 @@ def test_receive_psm_sign_flip_invariant(family_k2, psm_cfg):
 
     for j in (0, 4, 8):
         s = family_k2.pulses[j]
-        neg = SampledPulse(s.grid, -s.samples, s.support)
+        neg = SampledPulse(s.grid, -s.samples)
         assert up.receive_psm(neg, family_k2) == j
 
 

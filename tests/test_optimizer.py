@@ -369,6 +369,20 @@ def test_reconciliation_orthogonal_input_is_constant(monocycle):
     assert np.abs(vals - 0.5).max() <= 1e-6
 
 
+def test_reconciliation_refuses_double_zero_between_nodes(design1):
+    # [1, -2 cos th, 1] has the power spectrum (2 cos(2 pi nu T0) - 2 cos th)^2,
+    # a double zero at nu T0 = th / (2 pi), irrational for th = pi / (sqrt 2 + 1)
+    # and so off every uniform grid; as filter taps, and as a pulse sampled
+    # at the clock whose folded spectrum is that same series
+    th = math.pi / (math.sqrt(2.0) + 1.0)
+    taps = np.array([1.0, -2.0 * math.cos(th), 1.0])
+    with pytest.raises(ConfigurationError, match="filter power spectrum"):
+        up.reconciliation_filter_delta2(FilterTaps(taps, T0), design1.monocycle)
+    q = SampledPulse(TimeGrid(T0, 1, 3), taps)
+    with pytest.raises(ConfigurationError, match="folded spectrum of q"):
+        up.reconciliation_filter_delta2(FilterTaps(np.array([1.0]), T0), q)
+
+
 def test_orthogonalize_then_shape_equals_shape_then_orthogonalize(design25):
     # at the clock shift, the shaping filter drops out of the
     # orthogonalized power spectrum entirely

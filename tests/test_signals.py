@@ -69,7 +69,7 @@ def test_monocycle_peak_frequency_closed_form():
 
 def test_monocycle_unit_energy_and_support(monocycle):
     assert monocycle.energy() == pytest.approx(1.0, abs=1e-12)
-    assert monocycle.support == (-TQ / 2, TQ / 2)
+    assert monocycle.duration() == TQ
     t = monocycle.times()
     assert np.all(monocycle.samples[np.abs(t) > TQ / 2 + 1e-15] == 0.0)
 
@@ -78,6 +78,14 @@ def test_monocycle_resolution_error():
     grid = TimeGrid(TQ / 8, 4, 9)
     with pytest.raises(ResolutionError):
         up.gaussian_monocycle(FC, TQ, grid)
+
+
+@pytest.mark.parametrize("n0, size", [(97, 195), (96, 194), (97, 194), (95, 191)])
+def test_monocycle_grid_must_end_at_window(n0, size):
+    # the pulse's duration is its grid's span, so a grid reaching past
+    # +-Tq/2 (or short of it) would misstate Tq
+    with pytest.raises(ConfigurationError, match="span exactly"):
+        up.gaussian_monocycle(FC, TQ, TimeGrid(TQ / 192, n0, size))
 
 
 # ----------------------------------------------------------- autocorrelation
@@ -93,7 +101,7 @@ def test_autocorr_support(pulse25):
     tp = pulse25.duration()
     t = r.times()
     assert np.all(r.samples[np.abs(t) > tp + 1e-15] == 0.0)
-    assert r.support == (-tp, tp)
+    assert r.duration() == 2 * tp
 
 
 def test_autocorr_exactly_even(pulse25):
@@ -236,11 +244,7 @@ def test_zak_quasi_periodicity(pulse25):
         t = int(rng.integers(-2 * s, 2 * s)) * pulse25.dt
         nu = float(rng.uniform(0, 1))
         grid = TimeGrid(pulse25.dt, pulse25.grid.n0 - k * s, pulse25.grid.size)
-        shifted = SampledPulse(
-            grid,
-            pulse25.samples,
-            (pulse25.support[0] + k * shift, pulse25.support[1] + k * shift),
-        )
+        shifted = SampledPulse(grid, pulse25.samples)
         lhs = up.zak_transform(shifted, shift, t, nu)
         rhs = np.exp(-2j * np.pi * nu * k) * up.zak_transform(pulse25, shift, t, nu)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
@@ -386,15 +390,6 @@ def test_pulse_csv_parse_error_reports_line(tmp_path):
         up.load_pulse_csv(path)
 
 
-def test_support_invariant_enforced():
-    grid = TimeGrid(1e-11, 2, 5)
-    samples = np.ones(5)
-    with pytest.raises(ConfigurationError):
-        SampledPulse(grid, samples, (-1e-11, 1e-11))
-    with pytest.raises(ConfigurationError, match="not a number"):
-        SampledPulse(grid, samples, (float("nan"), 1e-11))
-
-
 # ----------------------------------------------------- property checks
 
 
@@ -417,6 +412,19 @@ def test_pulse_csv_roundtrip_random(tmp_path_factory, samples, n0):
     back = up.load_pulse_csv(path)
     assert np.array_equal(back.samples, p.samples)
     assert back.grid.n0 == p.grid.n0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1e-15, 1e3, allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6),
+    st.integers(1, 10**5),
+)
+def test_duration_is_grid_span(dt, n0, size):
+    # oracle: the first and last of the grid's own times, bit for bit
+    p = SampledPulse(TimeGrid(dt, n0, size), np.zeros(size))
+    t = p.times()
+    assert p.duration() == t[-1] - t[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -448,58 +456,6 @@ def test_lag_autocorrelation_matches_full_correlation(x, step, kmax):
     assert got.shape == (kmax + 1,)
     assert np.all(got[lags >= n] == 0.0)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(float(np.dot(x, x)), 1.0))
-
-
-_EDGE_STEPS = st.sampled_from([0.0, 1e-12, 5e-10, 9.9e-10, 1e-9, 1.01e-9, 2e-9, 0.5])
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from([1e-11, 7.3e-12, 1.1160714285714286e-12, 0.1, 3.0]),
-    st.integers(-40, 300),
-    st.integers(1, 200),
-    st.integers(-20, 220),
-    st.one_of(
-        st.none(),
-        st.tuples(_EDGE_STEPS, st.booleans(), st.integers(0, 60), _EDGE_STEPS, st.booleans()),
-    ),
-    st.booleans(),
-    st.integers(-1, 1),
-)
-# widened edges that round onto a grid time: t_lo - 1e-9 dt onto index a,
-# where the first guess from t / dt lands one index high, and
-# t_hi + 1e-9 dt onto index a + width
-@example(
-    dt=1e-11, n0=-40, size=200, a=55, support=(1e-9, False, 7, 0.0, False), at_hi=False, step=0
-)
-@example(dt=1e-11, n0=0, size=200, a=0, support=(0.0, False, 7, 1e-9, True), at_hi=True, step=0)
-def test_support_check_matches_time_mask(dt, n0, size, a, support, at_hi, step):
-    # oracle: the boolean mask over the whole of grid.times(); one nonzero
-    # sample next to an edge of the support (index a
-    # or a + width) must raise exactly when the mask puts it outside the
-    # support widened by 1e-9 steps
-    grid = TimeGrid(dt, n0, size)
-    t = grid.times()
-    width = 0 if support is None else support[2]
-    j = min(max(a + step + (width if at_hi else 0), 0), size - 1)
-    if support is not None:
-        lo_off, lo_neg, width, hi_off, hi_neg = support
-        t_lo = (a - n0) * dt + (-lo_off if lo_neg else lo_off) * dt
-        t_hi = (a + width - n0) * dt + (-hi_off if hi_neg else hi_off) * dt
-        if t_lo > t_hi:
-            t_lo, t_hi = t_hi, t_lo
-        support = (t_lo, t_hi)
-        outside = (t < t_lo - 1e-9 * dt) | (t > t_hi + 1e-9 * dt)
-    else:
-        outside = np.zeros(size, dtype=bool)
-    samples = np.zeros(size)
-    samples[j] = -2.5
-    if outside[j]:
-        with pytest.raises(ConfigurationError, match="outside declared support"):
-            SampledPulse(grid, samples, support)
-    else:
-        p = SampledPulse(grid, samples, support)
-        assert p.support == (support or (float(t[0]), float(t[-1])))
 
 
 @settings(max_examples=80, deadline=None)
