@@ -13,12 +13,12 @@ class ResolutionError(UwbPulseError):
     """Time grid too coarse for the requested operation."""
 
 
-class GridAlignmentError(UwbPulseError):
-    """Times or shifts do not land on the sampling grid."""
-
-
 class ConfigurationError(UwbPulseError):
     """Parameters violate a documented precondition."""
+
+
+class GridAlignmentError(ConfigurationError):
+    """Times or shifts are not whole numbers of grid steps."""
 
 
 class DivisionHazardError(UwbPulseError):

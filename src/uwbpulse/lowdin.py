@@ -98,9 +98,9 @@ def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
     The orthonormalized spectrum power is |p^(f)|^2 divided by the folded
     power spectrum at f * shift; both are finite cosine series over the
     pulse's autocorrelation, so this needs no truncation and works even
-    when the generator decays slowly.  Raises unless the folded spectrum
-    is positive at every frequency (:func:`riesz_bounds`), not only at
-    ``freqs``.
+    when the generator decays slowly.  Raises unless the translates are
+    stable (:func:`riesz_bounds`, the minimum over every frequency, not
+    only ``freqs``).
     """
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
     r = autocorr_samples(p, shift)
@@ -123,11 +123,12 @@ def _gram(r: np.ndarray, m_half: int) -> np.ndarray:
 
 
 def inverse_sqrt_spd(gm: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of a positive definite matrix."""
+    """Symmetric inverse square root of a positive definite matrix; raises
+    unless its least eigenvalue is above 1e-12 of its largest."""
     vals, vecs = np.linalg.eigh(gm)
-    if float(vals.min()) <= 1e-12:
+    if not vals.min() > 1e-12 * vals.max():
         raise UnstableGeneratorError(
-            f"Gram matrix nearly singular (min eigenvalue {vals.min():.3e}); "
+            f"Gram matrix nearly singular (eigenvalues {vals.min():.3e} to {vals.max():.3e}); "
             "the shift is too small or the pulse is degenerate"
         )
     return (vecs * vals**-0.5) @ vecs.T
@@ -146,22 +147,11 @@ def lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamil
     """Mutually orthonormal pulses closest to the translates in summed L2.
 
     Rows of the Gram inverse square root are the combining filter bank;
-    member m is the filtered pulse sum_n weights[m, n] p(. - nT).
+    member m is the filtered pulse sum_n weights[m, n] p(. - nT).  Raises
+    unless the translates are stable (:func:`riesz_bounds`).
     """
-    a, _ = riesz_bounds(p, shift)
-    return _lowdin_family(p, shift, m_half, autocorr_samples(p, shift), a)
-
-
-def _lowdin_family(
-    p: SampledPulse, shift: float, m_half: int, r: np.ndarray, a: float
-) -> OrthogonalFamily:
-    """:func:`lowdin_family` from the lag row ``r`` and the lower Riesz bound
-    ``a`` at ``shift``."""
-    if a <= 1e-8:
-        raise UnstableGeneratorError(
-            f"stability lower bound {a:.3e} too small at shift {shift!r}"
-        )
-    return _family(p, shift, inverse_sqrt_spd(_gram(r, m_half)), "lo")
+    riesz_bounds(p, shift)  # raises if unstable
+    return _family(p, shift, inverse_sqrt_spd(gram(p, shift, m_half)), "lo")
 
 
 def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
@@ -183,15 +173,11 @@ def _inverse_sqrt_taps(r: np.ndarray, m_half: int) -> np.ndarray:
     if m_half < k:
         raise ConfigurationError(f"band (K={k}) does not fit the {n}-point circulant; need M >= K")
     # the folded spectrum at l/n: the DFT of the lags -K..K wrapped onto n
-    # points, i.e. the eigenvalues of the circulant with that first row
+    # points, i.e. the eigenvalues of the circulant with that first row:
+    # each is at least the Riesz bound A > 1e-8 r(0) that callers checked,
+    # far above the FFT's rounding (~1e-13 r(0))
     lags = np.arange(1 - len(r), len(r)) % n
     lam = np.fft.fft(np.bincount(lags, np.concatenate([r[:0:-1], r]), n)).real
-    if np.any(lam <= 0.0):
-        bad = int(np.argmin(lam))
-        raise UnstableGeneratorError(
-            f"circulant eigenvalue {lam[bad]:.3e} at sample {bad}/{n} "
-            "is not positive; translates are unstable at this shift"
-        )
     return np.fft.ifft(lam**-0.5).real
 
 
@@ -202,15 +188,18 @@ def approx_lowdin_family(p: SampledPulse, shift: float, m_half: int) -> Orthogon
     filter of the translates.  Samples beyond |t| = (M - K/2) T, where the
     cyclic wrap-around stops matching the straight transform, are zeroed:
     the members stay on the translates' grid, and are time-limited to
-    the cutoff by those zeros.
+    the cutoff by those zeros.  Raises unless the translates are stable
+    (:func:`riesz_bounds`), which N circulant eigenvalues cannot show.
     """
+    riesz_bounds(p, shift)  # raises if unstable
     return _approx_lowdin_family(p, shift, m_half, autocorr_samples(p, shift))
 
 
 def _approx_lowdin_family(
     p: SampledPulse, shift: float, m_half: int, r: np.ndarray
 ) -> OrthogonalFamily:
-    """:func:`approx_lowdin_family` from the lag row ``r`` at ``shift``."""
+    """:func:`approx_lowdin_family` from the lag row ``r`` at ``shift``, once
+    :func:`riesz_bounds` has passed."""
     fam = _family(p, shift, scipy.linalg.circulant(_inverse_sqrt_taps(r, m_half)).T, "alo")
     # the cutoff (M - K/2) T in grid steps, rounded down at a half step
     cutoff = (2 * m_half - (len(r) - 1)) * shift_samples(p, shift) // 2
@@ -226,8 +215,8 @@ def riesz_bounds(p: SampledPulse, shift: float) -> tuple[float, float]:
     The folded spectrum is a cosine series in the lags r(kT), so its
     extrema are taken at the roots of its derivative in u = cos(2 pi nu)
     or at nu = 0, 1/2 (:func:`signals._cosine_extrema`); no grid is
-    scanned.  A non-positive lower bound means the translates are not a
-    stable basis.
+    scanned.  The stability rule of every transform here: a lower bound
+    A <= 1e-8 r(0), the spectrum's mean, raises :class:`UnstableGeneratorError`.
     """
     return _riesz_bounds(autocorr_samples(p, shift), shift)
 
@@ -235,10 +224,8 @@ def riesz_bounds(p: SampledPulse, shift: float) -> tuple[float, float]:
 def _riesz_bounds(r: np.ndarray, shift: float) -> tuple[float, float]:
     """:func:`riesz_bounds` from the lag row r = r(0..K T)."""
     a, b = _cosine_extrema(r)
-    if a <= 0.0:
-        raise UnstableGeneratorError(
-            f"lower stability bound {a:.3e} is not positive at shift {shift!r}"
-        )
+    if not a > 1e-8 * r[0]:
+        raise UnstableGeneratorError(f"stability bound A = {a:.3e} <= 1e-8 r(0) at shift {shift!r}")
     return a, b
 
 

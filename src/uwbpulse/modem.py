@@ -21,7 +21,7 @@ from scipy.special import erfc
 from . import defaults
 from .errors import ConfigurationError, SingularGramError
 from .lowdin import OrthogonalFamily
-from .signals import SampledPulse, TimeGrid, _overlap, autocorr_samples, shift_samples
+from .signals import SampledPulse, TimeGrid, _grid_steps, _overlap, autocorr_samples, shift_samples
 
 SCHEMES = ("PSM", "OPPM_LO", "OPPM_ALO")
 
@@ -49,6 +49,8 @@ class LinkConfig:
             raise ConfigurationError(f"scheme must be one of {SCHEMES}")
         if self.n_symbols < 1:
             raise ConfigurationError("need at least one symbol")
+        if not (0 < self.shift < math.inf and 0 < self.symbol_period < math.inf):
+            raise ConfigurationError("shift and symbol period must be positive and finite")
         if not (self.energy > 0 and 0 <= self.noise_density < math.inf):
             raise ConfigurationError("energy must be positive, noise finite and nonnegative")
         if self.scheme != "PSM" and self.n_symbols * self.shift > self.symbol_period * (1 + 1e-12):
@@ -81,11 +83,7 @@ def _wilson95(errors: int, trials: int) -> tuple[float, float]:
 
 
 def _slot_step(cfg: LinkConfig, dt: float) -> int:
-    step = cfg.symbol_period / dt
-    si = int(round(step))
-    if abs(step - si) > 1e-6:
-        raise ConfigurationError("symbol period must be a grid multiple")
-    return si
+    return _grid_steps(cfg.symbol_period, dt, "symbol period")
 
 
 def _check_source(cfg: LinkConfig, waveform_source) -> None:

@@ -44,6 +44,7 @@ from .spectral import CosinePoly, SpectralMask, cosine_basis, segment_bounds
 GRID_REFINE = 4  # the LP grid is this much denser than ``grid_density``
 _ROW_STRIDE = 64  # row generation starts from every 64th row
 _ROW_TOL = 1e-12  # a row violated by more than this joins the working set
+_FACTOR_TOL = 1e-7  # largest error of the taps' autocorrelation round trip
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +296,7 @@ def _factor_by_roots(r: np.ndarray) -> np.ndarray:
     return g
 
 
-def spectral_factorize(r: AutocorrVector, tol: float = 1e-7) -> FilterTaps:
+def spectral_factorize(r: AutocorrVector) -> FilterTaps:
     """Recover minimum-phase taps whose autocorrelation matches ``r``.
 
     The spectrum must be strictly positive: its exact minimum
@@ -303,7 +304,7 @@ def spectral_factorize(r: AutocorrVector, tol: float = 1e-7) -> FilterTaps:
     maximum raises :class:`FactorizationError`, so a zero between any
     grid's nodes is caught.  The taps come from the roots of the two-sided
     lag polynomial (:func:`_factor_by_roots`) and are checked by their
-    round trip: an autocorrelation more than ``tol`` off ``r`` raises
+    round trip: an autocorrelation more than 1e-7 off ``r`` raises
     :class:`FactorizationError`.  The leading tap is made positive.
     """
     rv = np.asarray(r.r, dtype=float)
@@ -314,8 +315,8 @@ def spectral_factorize(r: AutocorrVector, tol: float = 1e-7) -> FilterTaps:
         )
     g = _factor_by_roots(rv)
     err = float(np.max(np.abs(lag_autocorrelation(g, 1, len(rv) - 1) - rv)))
-    if err > tol:
-        raise FactorizationError(f"round-trip error {err:.3e} exceeds {tol:.1e}")
+    if err > _FACTOR_TOL:
+        raise FactorizationError(f"round-trip error {err:.3e} exceeds {_FACTOR_TOL:.1e}")
     return FilterTaps(g, r.clock, err)
 
 

@@ -19,12 +19,13 @@ from .lowdin import (
     LIMIT_LEVEL,
     OrthogonalFamily,
     _approx_lowdin_family,
+    _family,
     _gram,
-    _lowdin_family,
     _max_offdiagonal,
     _orthonormal_generator,
     _riesz_bounds,
     _translate_defect,
+    inverse_sqrt_spd,
 )
 from .optimizer import (
     AutocorrVector,
@@ -39,6 +40,7 @@ from .signals import (
     Spectrum,
     TimeGrid,
     _dft_bins,
+    _grid_steps,
     autocorr_samples,
     gaussian_monocycle,
     semi_discrete_convolve,
@@ -153,17 +155,10 @@ def design_pulse(
 
 
 def shift_from_ratio(pulse: SampledPulse, k_ratio: int) -> float:
-    """Shift T = Tp / K, validated against the grid."""
+    """Shift T = Tp / K, which must be a whole number of grid steps."""
     if k_ratio < 1:
         raise ConfigurationError("shift ratio must be a positive integer")
-    duration = pulse.duration()
-    shift = duration / k_ratio
-    steps = shift / pulse.dt
-    if abs(steps - round(steps)) > 1e-6:
-        raise ConfigurationError(
-            f"shift Tp/{k_ratio} is not a whole number of grid steps"
-        )
-    return round(steps) * pulse.dt
+    return _grid_steps(pulse.duration() / k_ratio, pulse.dt, f"shift Tp/{k_ratio}") * pulse.dt
 
 
 def build_family(
@@ -204,10 +199,10 @@ def build_family(
         raise ConfigurationError(f"band (K={band}) does not fit M={m_half}")
     weak = math.sqrt(2.0 * np.dot(np.arange(band + 1), r**2) / (2 * m_half + 1))
     if kind == "lo":
-        family = _lowdin_family(pulse, shift, m_half, r, a)
+        g = _gram(r, m_half)
+        family = _family(pulse, shift, inverse_sqrt_spd(g), "lo")
         centered = family.centered()
-        w = family.weights
-        offdiag = _max_offdiagonal(w @ _gram(r, m_half) @ w.T)
+        offdiag = _max_offdiagonal(family.weights @ g @ family.weights.T)
     elif kind == "alo":
         family = _approx_lowdin_family(pulse, shift, m_half, r)
         centered = family.centered()
@@ -238,13 +233,15 @@ def build_family(
 def analyze_pulse(
     pulse: SampledPulse, mask: SpectralMask | None = None, shift: float | None = None
 ) -> dict:
-    """Summary report: energy, duration, spectral efficiency, stability."""
+    """Summary report: energy, duration, spectral efficiency, stability.
+
+    The stability bounds are taken at ``shift``, by default Tp/2 as
+    :func:`shift_from_ratio` takes it, which a span of an odd number of
+    grid steps does not have: such a pulse then raises."""
     if mask is None:
         mask = fcc_indoor_mask()
     if shift is None:
-        shift = pulse.duration() / 2
-        steps = round(shift / pulse.dt)
-        shift = steps * pulse.dt
+        shift = shift_from_ratio(pulse, 2)
     alpha, scaled = compliant_spectrum(pulse, mask)
     r = autocorr_samples(pulse, shift)
     a, b = _riesz_bounds(r, shift)

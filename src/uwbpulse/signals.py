@@ -40,14 +40,17 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Index of a grid time; raises if t is not on the grid."""
-        k = t / self.dt + self.n0
-        ki = int(round(k))
-        if abs(k - ki) > 1e-6:
-            raise GridAlignmentError(
-                f"time {t!r} is {abs(k - ki):.2e} steps off the grid; "
-                "use grid times"
-            )
-        return ki
+        return _grid_steps(t, self.dt, "time") + self.n0
+
+
+def _grid_steps(span: float, dt: float, what: str) -> int:
+    """The whole number of grid steps in ``span`` seconds: round(span / dt),
+    or :class:`GridAlignmentError` naming ``what`` if that quotient is not
+    finite or is more than 1e-6 from an integer."""
+    steps = span / dt
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-6:
+        raise GridAlignmentError(f"{what} is {float(steps)!r} grid steps, not a whole number")
+    return round(steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,13 +184,11 @@ def semi_discrete_convolve(p: SampledPulse, taps: np.ndarray, clock: float) -> S
 
     Returns sum_k taps[k] * p(t - k*clock), with the output time origin
     moved to the middle of the tap span, which keeps odd-order filters
-    grid-aligned and the result centered.
+    grid-aligned and the result centered.  The clock is a shift: a
+    positive whole number of grid steps (:func:`shift_samples`).
     """
     taps = np.asarray(taps, dtype=float)
-    step_f = clock / p.dt
-    step = int(round(step_f))
-    if abs(step_f - step) > 1e-9:
-        raise GridAlignmentError("clock period is not a grid multiple")
+    step = shift_samples(p, clock)
     if (len(taps) - 1) * step % 2 != 0:
         raise GridAlignmentError("cannot center an even tap span on the grid")
     half = (len(taps) - 1) * step // 2
@@ -279,13 +280,11 @@ def _dft_bins(x: np.ndarray, first: int, nfft: int, m: int) -> np.ndarray:
 
 
 def shift_samples(p: SampledPulse, shift: float) -> int:
-    """Number of grid steps in one shift; raises if off-grid."""
-    s_f = shift / p.dt
-    s = int(round(s_f))
-    if abs(s_f - s) > 1e-6:
-        raise GridAlignmentError("shift is not an integer number of grid steps")
+    """Number of grid steps in one shift: a positive whole number
+    (:func:`_grid_steps`), or it raises :class:`ConfigurationError`."""
+    s = _grid_steps(shift, p.dt, "shift")
     if s <= 0:
-        raise ConfigurationError("shift must be positive")
+        raise ConfigurationError(f"shift of {s} grid steps is not positive")
     return s
 
 
@@ -385,14 +384,9 @@ def gram_symbol(p: SampledPulse, shift: float, nu) -> np.ndarray | float:
     ``nu`` is in cycles per shift; the function is 1-periodic and even.
     Its range over [0, 1) gives the translate family's stability bounds,
     and its samples at l/N are the circulant approximant's eigenvalues.
+    It is a polyphase sum of squares, so it is nonnegative up to rounding.
     """
-    r = autocorr_samples(p, shift)
-    vals = cosine_series(r, nu)
-    if np.min(vals) < -1e-9 * max(r[0], 1e-300):
-        raise ConfigurationError(
-            "folded power spectrum is significantly negative; "
-            "autocorrelation input looks inconsistent"
-        )
+    vals = cosine_series(autocorr_samples(p, shift), nu)
     return float(vals) if np.ndim(vals) == 0 else vals
 
 
@@ -482,8 +476,6 @@ def load_pulse_csv(path) -> SampledPulse:
     dt = float((t[-1] - t[0]) / (len(t) - 1))
     if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-6 * dt:
         raise ConfigurationError(f"{path}: non-uniform sample spacing")
-    n0 = int(round(-t[0] / dt))
-    if abs(-t[0] / dt - n0) > 1e-6:
-        raise ConfigurationError(f"{path}: t = 0 does not fall on the grid")
+    n0 = -_grid_steps(t[0], dt, f"{path}: the first time")
     grid = TimeGrid(dt, n0, len(t))
     return SampledPulse(grid, amps)

@@ -21,6 +21,7 @@ from .signals import SampledPulse, Spectrum, _power_at, _read_csv, _write_csv, c
 SUP_GRID_POINTS = 2**14  # grid for sup-norm style evaluations on [0, band top]
 SAFETY_FACTOR = 1.0 - 1e-6  # shrink applied to compliant scalings
 SINGULARITY_CAP = 2.0  # fit targets are capped at this times the right-edge ratio
+_STABLE_TOL = 3e-6  # a fit column whose new direction is below this share of it ends the fit
 
 
 @dataclass(frozen=True)
@@ -92,20 +93,19 @@ def fcc_indoor_mask(path=None) -> SpectralMask:
     return load_mask_csv(path)
 
 
-def load_mask_csv(path, passband=None) -> SpectralMask:
+def load_mask_csv(path) -> SpectralMask:
     """Read segments from `f_lo_hz,f_hi_hz,level_w_per_hz` rows.
 
-    The passband defaults to the first segment of the highest level.  A
+    The passband is the first segment of the highest level.  A
     missing or unreadable file, a malformed row, a non-finite value or a
     file with no rows raises :class:`ConfigurationError`.
     """
     f_lo, f_hi, level = _read_csv(path, ["f_lo_hz", "f_hi_hz", "level_w_per_hz"])
     if len(level) == 0:
         raise ConfigurationError(f"{path}: no mask segments")
-    if passband is None:
-        i = int(np.argmax(level))
-        passband = (float(f_lo[i]), float(f_hi[i]))
-    return SpectralMask(tuple(zip(f_lo.tolist(), f_hi.tolist(), level.tolist())), tuple(passband))
+    i = int(np.argmax(level))
+    passband = (float(f_lo[i]), float(f_hi[i]))
+    return SpectralMask(tuple(zip(f_lo.tolist(), f_hi.tolist(), level.tolist())), passband)
 
 
 def save_mask_csv(path, mask: SpectralMask) -> None:
@@ -165,15 +165,15 @@ def _gauss_nodes(a: float, b: float, cells: int) -> tuple[np.ndarray, np.ndarray
     return nodes, weights
 
 
-def _stable_order(a_w: np.ndarray, tol: float = 3e-6) -> int:
+def _stable_order(a_w: np.ndarray) -> int:
     """Largest leading block of basis columns that stays well conditioned.
 
     One QR of the weighted design matrix: the block ends at the first
     column n >= 1 whose part outside the earlier columns' span, |R[n, n]|,
-    is below ``tol`` of its norm.
+    is below ``_STABLE_TOL`` of its norm.
     """
     rel = np.abs(np.diag(np.linalg.qr(a_w, mode="r"))) / np.linalg.norm(a_w, axis=0)
-    return next((n for n in range(1, len(rel)) if rel[n] < tol), len(rel))
+    return next((n for n in range(1, len(rel)) if rel[n] < _STABLE_TOL), len(rel))
 
 
 def fit_mask_polynomials(

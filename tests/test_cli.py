@@ -220,6 +220,20 @@ def test_analyze_monocycle_energy(tmp_path, monocycle):
     assert report["energy"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_analyze_odd_span_needs_a_shift(tmp_path, monocycle, capsys):
+    # a span of 191 grid steps has no whole-step Tp/2, the default shift
+    odd = up.SampledPulse(up.TimeGrid(monocycle.dt, 96, 192), monocycle.samples[:192])
+    src = tmp_path / "odd.csv"
+    up.save_pulse_csv(src, odd)
+    out = tmp_path / "a"
+    assert run(["analyze", "--outdir", out, "--pulse-csv", src]) == 2
+    assert "Tp/2" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert run(["analyze", "--outdir", out, "--pulse-csv", src, "--shift-clocks", 3]) == 0
+    report = json.loads((out / "analysis.json").read_text())
+    assert report["shift_seconds"] == pytest.approx(96 * monocycle.dt, rel=1e-12)
+
+
 def test_sweep_table(tmp_path):
     out = tmp_path / "s"
     assert run(["sweep", "--outdir", out, "--k-list", "1,2,6"]) == 0

@@ -104,6 +104,15 @@ def test_inverse_sqrt_rejects_near_singular():
         up.inverse_sqrt_spd(g)
 
 
+def test_inverse_sqrt_floor_is_relative(pulse25):
+    # the singularity floor scales with the matrix: a tiny Gram is as
+    # invertible as the one it is a multiple of
+    g = up.gram(pulse25, pulse25.duration() / 5, 10)
+    s = up.inverse_sqrt_spd(g)
+    scaled = up.inverse_sqrt_spd(1e-14 * g)
+    assert np.abs(scaled - 1e7 * s).max() <= 1e-12 * np.abs(1e7 * s).max()
+
+
 # ------------------------------------------------------------- lo family
 
 
@@ -590,7 +599,35 @@ def test_public_builders_keep_their_stability_check(pulse25, monkeypatch):
     with pytest.raises(UnstableGeneratorError):
         up.lowdin_family(pulse25, shift, 4)
     with pytest.raises(UnstableGeneratorError):
+        up.approx_lowdin_family(pulse25, shift, 4)
+    with pytest.raises(UnstableGeneratorError):
         up.orthonormal_generator(pulse25, shift)
+
+
+def test_builders_refuse_a_spectral_zero_between_nodes():
+    # p = [1, -2 cos th, 1] has |p^|^2 = (2 cos 2 pi nu - 2 cos th)^2, so
+    # A = 0 at nu = th / (2 pi), which no circulant node l/N hits for an
+    # irrational th / pi
+    theta = math.pi / (math.sqrt(2.0) + 1.0)
+    p = SampledPulse(TimeGrid(1.0, 0, 3), [1.0, -2.0 * math.cos(theta), 1.0])
+    for build in (
+        lambda: up.lowdin_family(p, 1.0, 2),
+        lambda: up.approx_lowdin_family(p, 1.0, 2),
+        lambda: up.orthonormal_generator(p, 1.0),
+    ):
+        with pytest.raises(UnstableGeneratorError):
+            build()
+
+
+def test_lowdin_family_ignores_the_pulse_scale(pulse25):
+    # the stability rule is relative to r(0): a scaled pulse has the same
+    # orthonormal members, however small its energy
+    shift = pulse25.duration() / 2
+    ref = up.lowdin_family(pulse25, shift, 4).samples
+    for c in (1e-6, 1e3):
+        scaled = SampledPulse(pulse25.grid, c * pulse25.samples)
+        got = up.lowdin_family(scaled, shift, 4).samples
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_riesz_bounds_orthonormal_generator(limit_k2, pulse25):

@@ -434,5 +434,13 @@ def test_simulation_checks_inputs(family_k2, psm_cfg):
     for cfg, source, error in cases:
         with pytest.raises(error):
             up.simulate_ser(cfg, source, trials=10)
+    for changes in (
+        {"symbol_period": 0.0},
+        {"symbol_period": -1e-9},
+        {"symbol_period": math.nan},
+        {"shift": -1.0},
+    ):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            up.simulate_ser(_link(psm_cfg, "PSM", **changes), family_k2, trials=10)
     with pytest.raises(ConfigurationError):
         up.simulate_ser(psm_cfg, family_k2, trials=0)

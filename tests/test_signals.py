@@ -268,6 +268,17 @@ def test_zak_rejects_off_grid_time(pulse25):
         up.zak_transform(pulse25, shift, 0.4999 * pulse25.dt, 0.0)
 
 
+def test_degenerate_shifts_and_times_raise_typed_errors(monocycle):
+    for clock in (0.0, -4 * monocycle.dt):
+        with pytest.raises(ConfigurationError, match="positive"):
+            semi_discrete_convolve(monocycle, [1.0, 0.5], clock)
+    with pytest.raises(GridAlignmentError, match="shift is nan"):
+        up.riesz_bounds(monocycle, float("nan"))
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(GridAlignmentError, match="time"):
+            monocycle.value_at(t)
+
+
 # ------------------------------------------------- quadrature and file I/O
 
 
