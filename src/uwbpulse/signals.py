@@ -30,8 +30,8 @@ class TimeGrid:
     size: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError("grid step dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"grid step dt must be positive and finite, not {self.dt!r}")
         if self.size <= 0:
             raise ConfigurationError("grid must contain at least one sample")
 
@@ -242,16 +242,17 @@ def spectrum(p: SampledPulse, nfft: int) -> Spectrum:
     """Zero-padded transform samples; freqs span [-1/2dt, 1/2dt).
 
     Scaled by dt and phase-referenced to the pulse's t = 0 so the values
-    approximate the continuous transform at each grid frequency.
+    approximate the continuous transform at each grid frequency: the
+    zero-padded samples are rotated so that t = 0 is index 0 (negative
+    times wrap to the end), which is exact, with no phase ramp.
     """
     if nfft < p.grid.size:
         raise ConfigurationError("nfft must be at least the pulse length")
     if nfft & (nfft - 1):
         raise ConfigurationError("nfft must be a power of two")
-    vals = np.fft.fft(p.samples, nfft) * p.dt
-    # exp(2i pi k n0 / nfft) with k n0 reduced mod nfft in integers: exact
-    # phases, where f * n0 * dt loses ~1e-13 at n0 ~ 1e4
-    vals *= np.exp(2j * np.pi * ((np.arange(nfft) * p.grid.n0) % nfft) / nfft)
+    x = np.roll(np.pad(p.samples, (0, nfft - p.grid.size)), -p.grid.n0)
+    vals = np.fft.fft(x)
+    vals *= p.dt
     freqs = np.fft.fftfreq(nfft, p.dt)
     return Spectrum(np.fft.fftshift(freqs), np.fft.fftshift(vals))
 

@@ -16,7 +16,15 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigurationError, DivisionHazardError, MaskFitError
-from .signals import SampledPulse, Spectrum, _power_at, _read_csv, _write_csv, cosine_series
+from .signals import (
+    SampledPulse,
+    Spectrum,
+    _grid_steps,
+    _power_at,
+    _read_csv,
+    _write_csv,
+    cosine_series,
+)
 
 SUP_GRID_POINTS = 2**14  # grid for sup-norm style evaluations on [0, band top]
 SAFETY_FACTOR = 1.0 - 1e-6  # shrink applied to compliant scalings
@@ -318,14 +326,47 @@ def _dirichlet_mean(nu, shift: float, n: int) -> np.ndarray:
     return np.abs(out, out=out)
 
 
-def _lines(p: Spectrum, energy: float, period: float, gain) -> list[tuple[float, float]]:
-    """Nonzero discrete lines energy |p^(f)|^2 gain(f)^2 / period^2 at
-    every f = n / period inside the spectrum's range, as (f, power) pairs."""
-    n_max = int(math.floor(float(np.max(np.abs(p.freqs))) * period))
+def _train_psd(
+    p: Spectrum, energy: float, period: float, total: float, mean: float, factors
+) -> tuple[Spectrum, list[tuple[float, float]]]:
+    """Continuum energy |p^|^2 (total - g^2) / period on p's grid, and the
+    nonzero lines energy |p^(f)|^2 g(f)^2 / period^2 at every f = n /
+    period inside the grid's range as (f, power) pairs, for the gain g(f)
+    = mean times the product of :func:`_dirichlet_mean` over (shift, n,
+    what) factors.  Line powers interpolate the grid's |p^|^2 as
+    :meth:`Spectrum.power_at` does.
+
+    g repeats every lcm over its factors of m / gcd(s, m) bins (see
+    :func:`psd_pam_ppm`), which divides m.  It is evaluated on that
+    period's bins nearest nu = 0, listed by index mod the period, where
+    nu * shift is smallest and the sines' arguments carry the least
+    rounding, and tiled.
+    """
+
+    def gain(f):
+        g = np.full(np.shape(f), float(mean))
+        for shift, n, _ in factors:
+            g *= _dirichlet_mean(f, shift, n)
+        return g
+
+    freqs, m = p.freqs, len(p.freqs)
+    dt = 1.0 / (m * p.df)
+    bins = math.lcm(*(m // math.gcd(_grid_steps(s, dt, what), m) for s, _, what in factors))
+    first = min(max(round(-freqs[0] / p.df) - bins // 2, 0), m - bins)
+    g = np.resize(gain(freqs[first + (np.arange(bins) - first) % bins]), m)
+    # in g's buffer, then into one complex output: on a 2^20-point grid
+    # each fresh temporary is 8-16 MB of page faults
+    np.square(g, out=g)
+    np.subtract(total, g, out=g)
+    g *= energy / period
+    psq = p.power()
+    cont = np.zeros(m, dtype=complex)
+    np.multiply(g, psq, out=cont.real)
+    n_max = int(math.floor(max(abs(freqs[0]), abs(freqs[-1])) * period))
     f = np.arange(-n_max, n_max + 1) / period
-    w = energy * p.power_at(f) / period**2 * gain(f) ** 2
+    w = energy * np.interp(f, freqs, psq) / period**2 * gain(f) ** 2
     keep = w > 0.0
-    return list(zip(f[keep].tolist(), w[keep].tolist()))
+    return Spectrum(freqs, cont), list(zip(f[keep].tolist(), w[keep].tolist()))
 
 
 def psd_pam_ppm(
@@ -344,19 +385,19 @@ def psd_pam_ppm(
     the continuous density on the spectrum's grid plus discrete lines at
     multiples of 1/Ts as explicit (frequency, power) pairs.
 
+    ``p`` is a uniform grid of m bins df apart, such as
+    :func:`signals.spectrum`'s, whose time step is 1/(m df).  The shift
+    must be a whole number s of those steps, else
+    :class:`GridAlignmentError`.  The position factor is 1/shift-periodic
+    in frequency, so it repeats every m / gcd(s, m) bins: it is evaluated
+    on one such period and tiled over the grid.
+
     Only independent symbol streams are covered; correlated-symbol
     spectra are out of scope for this model.
     """
     if Ts <= 0:
         raise ConfigurationError("symbol period must be positive")
-    e_a2 = var_a + mean_a**2
-    psq = p.power()
-    dir_mag = _dirichlet_mean(p.freqs, shift, n_positions)
-    line_factor = (mean_a * dir_mag) ** 2
-    cont_vals = energy * psq / Ts * (e_a2 - line_factor)
-    cont = Spectrum(p.freqs, cont_vals.astype(complex))
-    lines = _lines(p, energy, Ts, lambda f: mean_a * _dirichlet_mean(f, shift, n_positions))
-    return cont, lines
+    return _train_psd(p, energy, Ts, var_a + mean_a**2, mean_a, [(shift, n_positions, "shift")])
 
 
 def psd_th_framed(
@@ -372,7 +413,9 @@ def psd_th_framed(
 
     Hop codes are uniform on {0..Nc-1} at chip period Tc and data offsets
     uniform on {0..n_positions-1} at the PPM shift; anti-collision needs
-    n_positions*shift <= Tc and Nc*Tc <= Tf.
+    n_positions*shift <= Tc and Nc*Tc <= Tf.  As in :func:`psd_pam_ppm`,
+    the chip period and the shift must be whole numbers of the grid's
+    time steps, and the code factor is evaluated on one period of bins.
     """
     if n_positions * shift > Tc * (1 + 1e-12):
         raise ConfigurationError(
@@ -380,13 +423,8 @@ def psd_th_framed(
         )
     if Nc * Tc > Tf * (1 + 1e-12):
         raise ConfigurationError("hop span exceeds the frame (need Nc * Tc <= Tf)")
-    g_mag = _dirichlet_mean(p.freqs, Tc, Nc) * _dirichlet_mean(p.freqs, shift, n_positions)
-    cont_vals = energy * p.power() / Tf * (1.0 - g_mag**2)
-    cont = Spectrum(p.freqs, cont_vals.astype(complex))
-    lines = _lines(
-        p, energy, Tf, lambda f: _dirichlet_mean(f, Tc, Nc) * _dirichlet_mean(f, shift, n_positions)
-    )
-    return cont, lines
+    factors = [(Tc, Nc, "chip period"), (shift, n_positions, "shift")]
+    return _train_psd(p, energy, Tf, 1.0, 1.0, factors)
 
 
 def save_psd_csv(path, psd: Spectrum) -> None:

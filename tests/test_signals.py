@@ -27,6 +27,8 @@ from uwbpulse.signals import (
 )
 from uwbpulse.spectral import save_lines_csv, save_mask_csv, save_psd_csv
 
+from conftest import direct_transform
+
 T0 = defaults.CLOCK_T0
 TQ = defaults.MONOCYCLE_CLOCKS * T0
 FC = defaults.CENTER_FREQ
@@ -166,6 +168,15 @@ def test_spectrum_peak_matches_monocycle(monocycle):
     assert 3.1e9 < peak < 10.6e9
 
 
+def test_spectrum_matches_direct_transform(pulse25, spec25):
+    # 64 bins of the 2^20-point grid, both edges included, against one
+    # direct phasor sum per bin
+    idx = np.unique(np.linspace(0, len(spec25.freqs) - 1, 64).round().astype(int))
+    want = direct_transform(pulse25, spec25.freqs[idx])
+    peak = float(np.max(np.abs(spec25.values)))
+    assert np.max(np.abs(spec25.values[idx] - want)) <= 1e-13 * peak
+
+
 def test_power_at_matches_fft_grid(monocycle):
     s = up.spectrum(monocycle, 2**12)
     probe = s.freqs[np.searchsorted(s.freqs, [2e9, 6.85e9, 13.9e9])]
@@ -269,6 +280,9 @@ def test_zak_rejects_off_grid_time(pulse25):
 
 
 def test_degenerate_shifts_and_times_raise_typed_errors(monocycle):
+    for dt in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigurationError, match="grid step"):
+            TimeGrid(dt, 0, 3)
     for clock in (0.0, -4 * monocycle.dt):
         with pytest.raises(ConfigurationError, match="positive"):
             semi_discrete_convolve(monocycle, [1.0, 0.5], clock)

@@ -7,7 +7,7 @@ import pytest
 
 import uwbpulse as up
 from uwbpulse import defaults, pipeline, signals, spectral
-from uwbpulse.errors import ConfigurationError, DivisionHazardError
+from uwbpulse.errors import ConfigurationError, DivisionHazardError, GridAlignmentError
 from uwbpulse.pipeline import band_bins, band_spectrum, compliant_spectrum
 from uwbpulse.signals import Spectrum
 from uwbpulse.spectral import (
@@ -415,6 +415,75 @@ def test_psd_th_validates_collision_constraints(spec25):
         psd_th_framed(spec25, 1.0, 100 * T0, Nc=2, Tc=3 * T0, n_positions=4, shift=T0)
     with pytest.raises(ConfigurationError, match="frame"):
         psd_th_framed(spec25, 1.0, 5 * T0, Nc=4, Tc=2 * T0, n_positions=1, shift=T0)
+
+
+def _full_grid_psds(spec, dt, s, n):
+    """(tiled, full-grid) continua of both PSD models at a shift of s grid
+    steps; the full-grid one takes ``_dirichlet_mean`` on every bin."""
+    from uwbpulse.spectral import _dirichlet_mean
+
+    shift, tc = s * dt, (n * s + 5) * dt
+    psq, f = spec.power(), spec.freqs
+    pam, _ = psd_pam_ppm(spec, 2.0, 9 * tc, 0.6, 0.5, shift, n)
+    pam_ref = 2.0 * psq / (9 * tc) * (0.86 - (0.6 * _dirichlet_mean(f, shift, n)) ** 2)
+    th, _ = psd_th_framed(spec, 1.5, 3 * tc, Nc=3, Tc=tc, n_positions=n, shift=shift)
+    g = _dirichlet_mean(f, tc, 3) * _dirichlet_mean(f, shift, n)
+    th_ref = 1.5 * psq / (3 * tc) * (1.0 - g**2)
+    return [(pam.values, pam_ref), (th.values, th_ref)]
+
+
+@pytest.fixture(scope="module")
+def psd_grids(pulse25):
+    """A power-of-two grid from :func:`signals.spectrum`, and a uniform
+    grid of 3840 = 2^8 * 15 bins, where the bins per Dirichlet period
+    are not all powers of two."""
+    freqs = np.fft.fftshift(np.fft.fftfreq(3840, pulse25.dt))
+    return [up.spectrum(pulse25, 2**12), Spectrum(freqs, direct_transform(pulse25, freqs))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+@pytest.mark.parametrize("s", [1, 3, 32, 128, 320])
+def test_psd_continuum_tiles_one_period(pulse25, psd_grids, s, n):
+    # the full-grid formula's own rounding grows with nu * shift; the
+    # tiled period sits at the bins nearest nu = 0
+    for spec in psd_grids:
+        for got, want in _full_grid_psds(spec, pulse25.dt, s, n):
+            assert np.all(got.imag == 0.0)
+            assert np.max(np.abs(got.real - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_psd_refuses_shifts_off_the_grid(pulse25):
+    spec = up.spectrum(pulse25, 2**12)
+    dt = pulse25.dt
+    with pytest.raises(GridAlignmentError, match="shift is 1.5 grid steps"):
+        psd_pam_ppm(spec, 1.0, 40 * dt, 1.0, 0.0, 1.5 * dt, 4)
+    with pytest.raises(GridAlignmentError, match="shift is 1.5 grid steps"):
+        psd_th_framed(spec, 1.0, 40 * dt, Nc=2, Tc=8 * dt, n_positions=4, shift=1.5 * dt)
+    with pytest.raises(GridAlignmentError, match="chip period is 7.5 grid steps"):
+        psd_th_framed(spec, 1.0, 40 * dt, Nc=2, Tc=7.5 * dt, n_positions=4, shift=dt)
+
+
+def test_psd_evaluates_one_dirichlet_period(monkeypatch, spec25):
+    # a cost guard with no timing: at a shift of T0 = 32 grid steps the
+    # 2^20-point grid repeats the position factor every 32,768 bins
+    sizes, power_calls = [], []
+    dirichlet, power = spectral._dirichlet_mean, Spectrum.power
+
+    def counted_dirichlet(nu, shift, n):
+        sizes.append(np.size(nu))
+        return dirichlet(nu, shift, n)
+
+    def counted_power(self):
+        power_calls.append(1)
+        return power(self)
+
+    monkeypatch.setattr(spectral, "_dirichlet_mean", counted_dirichlet)
+    monkeypatch.setattr(Spectrum, "power", counted_power)
+    ts = 10 * T0
+    psd_pam_ppm(spec25, 1.0, ts, 1.0, 0.0, T0, 4)
+    n_lines = 2 * int(np.max(np.abs(spec25.freqs)) * ts) + 1
+    assert sum(sizes) <= 32768 + n_lines
+    assert len(power_calls) == 1
 
 
 def test_psd_csv_writers(tmp_path, spec25):
