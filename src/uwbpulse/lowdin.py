@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 import scipy.special
 
@@ -39,8 +38,8 @@ from .signals import (
     shift_samples,
 )
 
-LIMIT_LEVEL = 1e-12  # converged tap ratio, and the limit pulse's truncation level
-LIMIT_MAX_M_HALF = 2048  # tap radius at which the limit generator stops doubling
+LIMIT_LEVEL = 1e-12  # limit taps at or below this share of the centre tap are dropped
+LIMIT_MAX_M_HALF = 2048  # the limit generator's one circulant: taps at most this far out
 _PROBE_NODES = 256  # Gauss-Legendre nodes per probe piece: sqrt(Phi) to 1e-13 even at K = 15
 
 
@@ -86,10 +85,10 @@ def _max_offdiagonal(g: np.ndarray) -> float:
 
 class LimitPulse(NamedTuple):
     pulse: SampledPulse
-    truncation_radius: float  # seconds from center where samples were dropped
-    tail_level: float  # outermost over centre tap; <= LIMIT_LEVEL once converged
-    m_half: int  # tap radius M, in shifts
-    taps: np.ndarray  # weights of p(. - nT), n = -M..M
+    truncation_radius: float  # seconds from centre to the far end of the grid
+    tail_level: float  # tap at the cap over centre tap; <= LIMIT_LEVEL once converged
+    m_half: int  # tap radius m, in shifts: the last tap above LIMIT_LEVEL
+    taps: np.ndarray  # weights of p(. - nT), n = -m..m
 
 
 def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
@@ -233,13 +232,13 @@ def orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
     """Shift-orthonormal pulse with spectrum p^ / sqrt(folded power).
 
     It is the N -> infinity limit of the centred ALO member, computed as
-    that member without the clip: sum_n c_n p(. - nT) over |n| <= M, with
-    c row M of the ALO_M weights.  M doubles from 128 until the outermost
-    tap is at most LIMIT_LEVEL of the centre tap, or reaches
-    LIMIT_MAX_M_HALF; ``tail_level`` then tells how far from converged the
-    taps are (near-degenerate stability bounds can make the generator
-    decay over astronomically many shifts).  Samples below LIMIT_LEVEL of
-    the peak are dropped, and the truncation radius is reported.
+    that member without the clip: sum_n c_n p(. - nT), with c the centre
+    row of ALO_M at the cap M = LIMIT_MAX_M_HALF (or the band, if wider),
+    trimmed to the taps out to the last one above LIMIT_LEVEL of the
+    centre tap.  The taps decay geometrically, so the cap holds all of
+    them unless the stability bound is nearly degenerate; ``tail_level``,
+    the tap at the cap over the centre tap, then tells how far from
+    converged they are.  No sample of the sum is dropped.
     """
     riesz_bounds(p, shift)  # raises if unstable
     return _orthonormal_generator(p, shift, autocorr_samples(p, shift))
@@ -248,45 +247,18 @@ def orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
 def _orthonormal_generator(p: SampledPulse, shift: float, r: np.ndarray) -> LimitPulse:
     """:func:`orthonormal_generator` from the lag row ``r`` at ``shift``,
     once :func:`riesz_bounds` has passed."""
-    m_half = 128
-    while m_half < len(r) - 1:  # the band must fit the circulant
-        m_half *= 2
-    while True:
-        row = _inverse_sqrt_taps(r, m_half)
-        tail = float(np.max(np.abs(row[m_half : m_half + 2])) / row[0])  # taps at +-M
-        if tail <= LIMIT_LEVEL or m_half >= LIMIT_MAX_M_HALF:
-            break
-        m_half *= 2
-    taps = np.roll(row, m_half)
+    cap = max(LIMIT_MAX_M_HALF, len(r) - 1)  # the band must fit the circulant
+    row = _inverse_sqrt_taps(r, cap)
+    tail = float(np.max(np.abs(row[cap : cap + 2])) / row[0])  # taps at +-cap
+    taps = np.roll(row, cap)
+    kept = np.nonzero(np.abs(taps) > LIMIT_LEVEL * row[0])[0]
+    m_half = int(np.max(np.abs(kept - cap)))
+    taps = taps[cap - m_half : cap + m_half + 1]
     s = shift_samples(p, shift)
     out = _translate_sum(p.samples, taps, s)
-
-    peak = float(np.max(np.abs(out)))
-    keep = np.nonzero(np.abs(out) > LIMIT_LEVEL * peak)[0]
-    lo, hi = int(keep.min()), int(keep.max())
-    n0 = p.grid.n0 + m_half * s
-    samples = out[lo : hi + 1].copy()
-    grid = TimeGrid(p.dt, n0 - lo, len(samples))
-    radius = max(n0 - lo, hi - n0) * p.dt
-    pulse = SampledPulse(grid, samples)
-    return LimitPulse(pulse.normalized(), radius, tail, m_half, taps)
-
-
-def _translate_defect(p: SampledPulse, shift: float) -> float:
-    """Worst translate correlation max_{k >= 1} |r(kT)| of the sampled pulse.
-
-    Every sample lag of the autocorrelation comes from one zero-padded real
-    FFT, and the multiples of the shift are read off it: O(n log n) where
-    per-lag dot products (:func:`signals.lag_autocorrelation`) cost
-    O(n^2 / shift) on a long limit pulse.  Kept apart from that function,
-    whose exact per-lag sums feed the design chain.
-    """
-    s = shift_samples(p, shift)
-    n = p.grid.size
-    size = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    spec = scipy.fft.rfft(p.samples, size)
-    lags = scipy.fft.irfft(spec.real**2 + spec.imag**2, size)[s:n:s]
-    return float(np.max(np.abs(lags), initial=0.0)) * p.dt
+    grid = TimeGrid(p.dt, p.grid.n0 + m_half * s, len(out))
+    radius = max(grid.n0, grid.size - 1 - grid.n0) * p.dt
+    return LimitPulse(SampledPulse(grid, out).normalized(), radius, tail, m_half, taps)
 
 
 def summed_distortion(family: OrthogonalFamily, p: SampledPulse) -> float:

@@ -24,7 +24,6 @@ from .lowdin import (
     _max_offdiagonal,
     _orthonormal_generator,
     _riesz_bounds,
-    _translate_defect,
     inverse_sqrt_spd,
 )
 from .optimizer import (
@@ -176,19 +175,21 @@ def build_family(
       to rounding, and costs O(N^3) on the N x N weights;
     - "alo": the Gram of the sampled members, whose clip to the cutoff
       breaks the W G W^T identity;
-    - "limit": max_{k >= 1} |r(kT)| of the sampled limit pulse, the
-      translate correlation defect, from one real FFT.
+    - "limit": max_{k >= 1} |r(kT)| of the limit pulse, the translate
+      correlation defect, as its lag row c * c~ * r from the taps c and
+      the input's lag row r: the one-dimensional form of W G W^T.
 
     The report also carries the weak-norm gap between the Toeplitz Gram
     and its circulant wrap at the family dimension: the RMS eigenvalue of
     their difference, i.e. its Frobenius norm over sqrt(N), which is
     exactly sqrt(2 sum_k k r_k^2 / N) once the band fits (M >= K).  For
     kind "limit" it also carries the generator's tap radius
-    ``limit_m_half``, its ``tail_level`` (outermost over centre tap, above
-    LIMIT_LEVEL = 1e-12 when the tap-radius cap stopped the generator
-    before its taps converged), ``converged`` (tail_level <= LIMIT_LEVEL)
-    and ``truncation_radius``.  The pulse's lag row r(kT) is computed once
-    and feeds the stability bounds, the Gram and the circulant.
+    ``limit_m_half`` (its last tap above LIMIT_LEVEL = 1e-12 of the centre
+    tap), its ``tail_level`` (tap at the cap over centre tap, above
+    LIMIT_LEVEL when the taps have not decayed within the cap),
+    ``converged`` (tail_level <= LIMIT_LEVEL) and ``truncation_radius``
+    (the limit pulse's half-span).  The pulse's lag row r(kT) is computed
+    once and feeds the stability bounds, the Gram and the circulant.
     """
     shift = shift_from_ratio(pulse, k_ratio)
     m_half = m_multiple * k_ratio
@@ -211,7 +212,12 @@ def build_family(
         family = None
         limit = _orthonormal_generator(pulse, shift, r)
         centered = limit.pulse
-        offdiag = _translate_defect(centered, shift)
+        # lag row of sum_n c_n p(. - nT), c * c~ * r; lag 0 is the energy
+        # that normalized the pulse
+        c = limit.taps
+        lags = np.convolve(np.correlate(c, c, "full"), np.concatenate([r[:0:-1], r]))
+        mid = len(lags) // 2
+        offdiag = float(np.max(np.abs(lags[mid + 1 :]), initial=0.0) / lags[mid])
     else:
         raise ConfigurationError("kind must be lo, alo, or limit")
     report = {

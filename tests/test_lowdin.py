@@ -1,6 +1,7 @@
 """Gram matrices, symmetric orthogonalization, circulant approximants,
 the shift-orthonormal limit, and optimality diagnostics."""
 
+import inspect
 import math
 
 import mpmath
@@ -15,7 +16,7 @@ from uwbpulse.lowdin import (
     nyquist_spectrum_power,
     summed_distortion,
 )
-from uwbpulse.pipeline import build_family
+from uwbpulse.pipeline import build_family, shift_from_ratio
 from uwbpulse.signals import (
     SampledPulse,
     TimeGrid,
@@ -438,28 +439,76 @@ def test_limit_truncation_radius_reported(limit_k2, pulse25):
 
 
 def test_limit_report_shows_generator_convergence(pulse25):
-    # at K = 15 the generator stops at its 2048-shift tap-radius cap with
-    # the outermost tap far above 1e-12 of the centre tap; at K = 2 its
-    # taps converge at the first radius; ``converged`` says which
+    # at K = 15 the taps at the 2048-shift cap are still far above 1e-12 of
+    # the centre tap; at K = 2 they have decayed below it well inside the
+    # cap; ``converged`` says which
     _, _, capped = up.build_family(pulse25, 15, 2, "limit")
     assert capped["tail_level"] > 1e-6
     assert capped["limit_m_half"] == 2048
     assert capped["converged"] is False
     _, centered, converged = up.build_family(pulse25, 2, 2, "limit")
     assert converged["tail_level"] <= 1e-12
-    assert converged["limit_m_half"] == 128
     assert converged["converged"] is True
     t = centered.times()
     assert converged["truncation_radius"] == pytest.approx(max(-t[0], t[-1]), rel=1e-12)
 
 
-def test_generator_taps_are_the_alo_centre_row(monocycle):
-    # the limit generator is the unclipped centre member of ALO_M
+def test_generator_taps_are_the_alo_centre_row(monocycle, monkeypatch):
+    # the limit generator is the unclipped centre member of ALO at the cap,
+    # trimmed to its last tap above LIMIT_LEVEL of the centre tap
+    import uwbpulse.lowdin
+
+    cap = 64
+    monkeypatch.setattr(uwbpulse.lowdin, "LIMIT_MAX_M_HALF", cap)
     shift = 2 * T0
     lim = up.orthonormal_generator(monocycle, shift)
-    alo = up.approx_lowdin_family(monocycle, shift, lim.m_half)
-    assert np.array_equal(lim.taps, alo.weights[lim.m_half])
-    assert lim.tail_level == max(abs(lim.taps[0]), abs(lim.taps[-1])) / lim.taps[lim.m_half]
+    row = up.approx_lowdin_family(monocycle, shift, cap).weights[cap]
+    m = lim.m_half
+    assert m < cap
+    assert np.array_equal(lim.taps, row[cap - m : cap + m + 1])
+    assert lim.tail_level == max(abs(row[0]), abs(row[-1])) / row[cap]
+    level = uwbpulse.lowdin.LIMIT_LEVEL * row[cap]
+    assert max(abs(row[cap - m]), abs(row[cap + m])) > level
+    assert max(abs(row[cap - m - 1]), abs(row[cap + m + 1])) <= level
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_generator_taps_match_mpmath_fourier_coefficients(pulse25, k):
+    # oracle: c_n = 2 int_0^(1/2) Phi(nu)^(-1/2) cos(2 pi n nu) dnu by
+    # mpmath quadrature, with Phi summed from r at 30 digits
+    shift = shift_from_ratio(pulse25, k)
+    r = autocorr_samples(pulse25, shift)
+    lim = up.orthonormal_generator(pulse25, shift)
+    m = lim.m_half
+    with mpmath.workdps(30):
+        c = [mpmath.mpf(float(x)) for x in r]
+        lags = range(1, len(c))
+
+        def phi(x):
+            return c[0] + 2 * mpmath.fsum(c[j] * mpmath.cos(2 * mpmath.pi * j * x) for j in lags)
+
+        for n in (0, 1, 3, m):
+            ref = 2 * mpmath.quad(
+                lambda x: mpmath.cos(2 * mpmath.pi * n * x) / mpmath.sqrt(phi(x)),
+                mpmath.linspace(0, 0.5, 9),
+            )
+            assert abs(lim.taps[m + n] - float(ref)) <= 1e-13 * lim.taps[m], n
+
+
+@pytest.mark.parametrize("k", [2, 5, 8, 12, 16, 20])
+def test_alo_row_is_the_limit_taps_folded(pulse25, k):
+    # the paper's ALO-to-limit relation: the ALO_M centre row at N = 2M + 1
+    # is the limit's taps aliased mod N, here the row at the cap folded
+    from uwbpulse.lowdin import LIMIT_MAX_M_HALF as cap
+    from uwbpulse.lowdin import _inverse_sqrt_taps
+
+    r = autocorr_samples(pulse25, shift_from_ratio(pulse25, k))
+    limit = np.roll(_inverse_sqrt_taps(r, cap), cap)  # taps n = -cap..cap
+    for m_half in (k, 2 * k, 4 * k):
+        n = 2 * m_half + 1
+        folded = np.bincount(np.arange(-cap, cap + 1) % n, limit, n)
+        err = np.abs(_inverse_sqrt_taps(r, m_half) - folded).max()
+        assert err <= 1e-14 * limit[cap], (m_half, err)
 
 
 def _sup_distance(a: SampledPulse, b: SampledPulse) -> float:
@@ -534,12 +583,43 @@ def test_lo_offdiag_report_matches_sampled_members(pulse25, k, m_multiple):
     assert abs(report["offdiag_max"] - family.max_offdiagonal()) <= 1e-13
 
 
-@pytest.mark.parametrize("k", [2, 12, 15, 16, 20])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12, 15, 16, 20])
 def test_limit_defect_matches_lag_dot_products(pulse25, k):
     # oracle: one dot product per lag of the sampled limit pulse
     _, centered, report = build_family(pulse25, k, 2, "limit")
     r = autocorr_samples(centered, report["shift_seconds"])
     assert abs(report["offdiag_max"] - np.max(np.abs(r[1:]))) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [2, 12, 15])
+def test_limit_build_makes_one_circulant_and_no_long_fft(pulse25, monkeypatch, k):
+    # cost guard, no timing: one circulant at the cap, one tapped-delay line
+    # over the kept taps, and no FFT of the long limit pulse
+    import scipy.fft
+
+    import uwbpulse.lowdin
+
+    circulants, tap_counts = [], []
+    taps_at, translate_sum = uwbpulse.lowdin._inverse_sqrt_taps, uwbpulse.lowdin._translate_sum
+
+    def counted_taps(*args):
+        circulants.append(args)
+        return taps_at(*args)
+
+    def counted_sum(x, weights, step):
+        tap_counts.append(weights.shape[-1])
+        return translate_sum(x, weights, step)
+
+    monkeypatch.setattr(uwbpulse.lowdin, "_inverse_sqrt_taps", counted_taps)
+    monkeypatch.setattr(uwbpulse.lowdin, "_translate_sum", counted_sum)
+    _, centered, report = build_family(pulse25, k, 2, "limit")
+    m = report["limit_m_half"]
+    s = shift_samples(pulse25, report["shift_seconds"])
+    assert len(circulants) == 1
+    assert tap_counts == [2 * m + 1]
+    assert centered.grid.size == pulse25.grid.size + 2 * m * s
+    assert scipy.fft not in vars(uwbpulse.lowdin).values()
+    assert "scipy.fft" not in inspect.getsource(uwbpulse.lowdin)
 
 
 def _riesz_shifts(p):
