@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .errors import ConfigurationError, GridAlignmentError, UnstableGeneratorError
 from .signals import (
@@ -112,13 +110,20 @@ def gram(p: SampledPulse, shift: float, m_half: int) -> np.ndarray:
     return _gram(autocorr_samples(p, shift), m_half)
 
 
+def _toeplitz(row: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrix with first row ``row``: entry (i, j) is
+    row[|i - j|]."""
+    i = np.arange(len(row))
+    return row[np.abs(i - i[:, None])]
+
+
 def _gram(r: np.ndarray, m_half: int) -> np.ndarray:
     """:func:`gram` from the lag row r = r(0..K T), zero past K."""
     if m_half < 1:
         raise ConfigurationError("need at least one shift on each side")
     row = np.zeros(2 * m_half + 1)
     row[: len(r)] = r[: len(row)]
-    return scipy.linalg.toeplitz(row)
+    return _toeplitz(row)
 
 
 def inverse_sqrt_spd(gm: np.ndarray) -> np.ndarray:
@@ -157,11 +162,14 @@ def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> Orthogona
     """Order-dependent comparator: sequential orthonormalization left to right.
 
     With Gram G = L L^T (Cholesky), the combining weights are L^{-1}, so
-    member m depends only on translates up to m.
+    member m depends only on translates up to m.  Raises unless the
+    translates are stable (:func:`riesz_bounds`).
     """
+    riesz_bounds(p, shift)  # raises if unstable
     chol = np.linalg.cholesky(gram(p, shift, m_half))
-    weights = scipy.linalg.solve_triangular(chol, np.eye(2 * m_half + 1), lower=True)
-    return _family(p, shift, weights, "gs")
+    # L^{-1} is lower triangular; tril drops the rounding that the
+    # inverse's row pivoting can leave above the diagonal
+    return _family(p, shift, np.tril(np.linalg.inv(chol)), "gs")
 
 
 def _inverse_sqrt_taps(r: np.ndarray, m_half: int) -> np.ndarray:
@@ -199,7 +207,10 @@ def _approx_lowdin_family(
 ) -> OrthogonalFamily:
     """:func:`approx_lowdin_family` from the lag row ``r`` at ``shift``, once
     :func:`riesz_bounds` has passed."""
-    fam = _family(p, shift, scipy.linalg.circulant(_inverse_sqrt_taps(r, m_half)).T, "alo")
+    row = _inverse_sqrt_taps(r, m_half)
+    i = np.arange(len(row))
+    # the circulant W[m, n] = row[(n - m) mod N]: a negative index wraps
+    fam = _family(p, shift, row[i - i[:, None]], "alo")
     # the cutoff (M - K/2) T in grid steps, rounded down at a half step
     cutoff = (2 * m_half - (len(r) - 1)) * shift_samples(p, shift) // 2
     n0 = fam.grid.n0
@@ -292,7 +303,7 @@ def lowdin_optimality_probe(
     closed = 2.0 * (1.0 - inner(p, base))
 
     r = autocorr_samples(p, shift)
-    x, w = scipy.special.roots_legendre(_PROBE_NODES)
+    x, w = np.polynomial.legendre.leggauss(_PROBE_NODES)
     nu = (np.arange(pieces)[:, None] + (x + 1.0) / 2.0) / (2 * pieces)
     # integral of sqrt(Phi) over each bin plus its mirror image in (1/2, 1]
     bins = np.sqrt(cosine_series(r, nu)) @ w / (2 * pieces)

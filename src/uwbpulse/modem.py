@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import erfc
 
 from . import defaults
 from .errors import ConfigurationError, SingularGramError
-from .lowdin import OrthogonalFamily
+from .lowdin import OrthogonalFamily, _toeplitz
 from .signals import SampledPulse, TimeGrid, _grid_steps, _overlap, autocorr_samples, shift_samples
 
 SCHEMES = ("PSM", "OPPM_LO", "OPPM_ALO")
@@ -245,7 +244,7 @@ def _correlator_gram(cfg: LinkConfig, waveform_source) -> np.ndarray:
     _slot_step(cfg, waveform_source.grid.dt)
     if cfg.scheme == "PSM":
         return waveform_source.gram()
-    return toeplitz(autocorr_samples(waveform_source, cfg.shift, cfg.n_symbols - 1))
+    return _toeplitz(autocorr_samples(waveform_source, cfg.shift, cfg.n_symbols - 1))
 
 
 _CHUNK_BYTES = 8 << 20  # size of one batch's standard-normal block

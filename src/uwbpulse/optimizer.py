@@ -124,6 +124,12 @@ def passband_weights(
     return c
 
 
+def _linprog(c, a_ub, b_ub, options):
+    """Minimize c . x over free x with a_ub x <= b_ub: the one HiGHS call."""
+    bounds = [(None, None)] * len(c)
+    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=options)
+
+
 def _linprog_rows(c, a_ub, b_ub, options):
     """Minimize c . x over free x with a_ub x <= b_ub, by row generation.
 
@@ -139,13 +145,6 @@ def _linprog_rows(c, a_ub, b_ub, options):
     bound), plus ``rows_solved`` (the final working-set size) and
     ``solves`` (the linprog calls made).
     """
-    bounds = [(None, None)] * len(c)
-
-    def solve(rows):
-        return linprog(
-            c, A_ub=a_ub[rows], b_ub=b_ub[rows], bounds=bounds, method="highs", options=options
-        )
-
     n = len(b_ub)
     work = np.zeros(n, dtype=bool)
     work[::_ROW_STRIDE] = True
@@ -153,10 +152,10 @@ def _linprog_rows(c, a_ub, b_ub, options):
     solves = 0
     while True:
         rows = np.flatnonzero(work)
-        res = solve(rows)
+        res = _linprog(c, a_ub[rows], b_ub[rows], options)
         solves += 1
         if res.status != 0:
-            res = solve(slice(None))
+            res = _linprog(c, a_ub, b_ub, options)
             res.rows_solved, res.solves = n, solves + 1
             return res
         excess = a_ub @ res.x - b_ub
@@ -224,14 +223,7 @@ def solve_autocorr_lp(
     if res.status == 4:
         # solver could not tell infeasible from unbounded; a zero
         # objective settles which one it is
-        probe = linprog(
-            np.zeros(L),
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=[(None, None)] * L,
-            method="highs",
-            options=options,
-        )
+        probe = _linprog(np.zeros(L), a_ub, b_ub, options)
         solves += 1
         if probe.status == 0:
             raise UnboundedError("objective unbounded; an upper-bound segment is missing")
@@ -274,26 +266,9 @@ def _factor_by_roots(r: np.ndarray) -> np.ndarray:
             step = poly(roots) / dpoly(roots)
         step = np.where(np.isfinite(step), step, 0.0)
         roots = roots - step
-    mods = np.abs(roots)
-    inside = roots[mods < 1.0]
-    if len(inside) != len(r) - 1:
-        # pair boundary roots: keep the closest-to-circle ones to fill up
-        order = np.argsort(np.abs(mods - 1.0))
-        chosen = []
-        for idx in order:
-            if mods[idx] < 1.0 and len(chosen) < len(r) - 1:
-                chosen.append(roots[idx])
-        remaining = len(r) - 1 - len(chosen)
-        if remaining > 0:
-            boundary = [roots[i] for i in order if mods[i] >= 1.0]
-            for z in boundary[:remaining]:
-                chosen.append(z / abs(z) * (1.0 - 1e-12))
-        inside = np.asarray(chosen)
-    g = np.atleast_1d(np.real(np.poly(inside)))
-    g = g * math.sqrt(r[0] / np.dot(g, g))
-    if g[0] < 0:
-        g = -g
-    return g
+    # np.poly is monic and the scale positive, so the leading tap is positive
+    g = np.atleast_1d(np.real(np.poly(roots[np.abs(roots) < 1.0])))
+    return g * math.sqrt(r[0] / np.dot(g, g))
 
 
 def spectral_factorize(r: AutocorrVector) -> FilterTaps:
@@ -303,9 +278,11 @@ def spectral_factorize(r: AutocorrVector) -> FilterTaps:
     (:func:`signals._cosine_extrema`, no grid) at or below 1e-12 of its
     maximum raises :class:`FactorizationError`, so a zero between any
     grid's nodes is caught.  The taps come from the roots of the two-sided
-    lag polynomial (:func:`_factor_by_roots`) and are checked by their
-    round trip: an autocorrelation more than 1e-7 off ``r`` raises
-    :class:`FactorizationError`.  The leading tap is made positive.
+    lag polynomial inside the unit circle (:func:`_factor_by_roots`), and
+    their round trip is the one check on them: an autocorrelation more
+    than 1e-7 off ``r`` (a wrong count of roots inside the circle among
+    the causes) raises :class:`FactorizationError`.  The leading tap is
+    positive.
     """
     rv = np.asarray(r.r, dtype=float)
     lo, hi = _cosine_extrema(rv)

@@ -1,6 +1,7 @@
 """Command-line pipeline: artifacts, manifests, reproducibility, exit codes."""
 
 import argparse
+import ast
 import csv
 import json
 import shlex
@@ -569,6 +570,25 @@ def test_package_surface_is_pinned():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     )
     assert got == PACKAGE_SURFACE
+
+
+def test_scipy_only_for_linprog_and_erfc():
+    # NumPy does every FFT, Toeplitz and circulant matrix and quadrature rule;
+    # SciPy supplies only what NumPy lacks, and optimizer calls linprog once
+    imports, linprog_calls = set(), 0
+    for path in sorted((Path(__file__).parents[1] / "src" / "uwbpulse").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports |= {(path.stem, a.name, "") for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports |= {(path.stem, node.module, a.name) for a in node.names}
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "linprog":
+                linprog_calls += 1
+    assert {i for i in imports if i[1].split(".")[0] == "scipy"} == {
+        ("optimizer", "scipy.optimize", "linprog"),
+        ("modem", "scipy.special", "erfc"),
+    }
+    assert linprog_calls == 1
 
 
 def test_readme_commands_parse():

@@ -1,17 +1,18 @@
 """Gram matrices, symmetric orthogonalization, circulant approximants,
 the shift-orthonormal limit, and optimality diagnostics."""
 
-import inspect
 import math
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 import uwbpulse as up
 from uwbpulse import defaults
 from uwbpulse.errors import ConfigurationError, UnstableGeneratorError
 from uwbpulse.lowdin import (
+    _inverse_sqrt_taps,
     gram_schmidt_family,
     nyquist_spectrum_power,
     summed_distortion,
@@ -265,10 +266,13 @@ def test_strang_eigenvalues_match_folded_spectrum(pulse25):
 
 @pytest.mark.parametrize("k", [2, 5, 15, 20])
 def test_alo_weights_invert_the_strang_circulant(pulse25, k):
-    # the ALO weights W are C^(-1/2) for the wrapped-band Gram C: W C W = I
+    # the ALO weights W are C^(-1/2) for the wrapped-band Gram C: W C W = I,
+    # and W is exactly the circulant of the taps row, as scipy builds it
     shift = pulse25.duration() / k
     m_half = 2 * k
     w = up.approx_lowdin_family(pulse25, shift, m_half).weights
+    row = _inverse_sqrt_taps(autocorr_samples(pulse25, shift), m_half)
+    assert np.array_equal(w, scipy.linalg.circulant(row).T)
     c = strang_circulant(up.gram(pulse25, shift, m_half))
     assert np.abs(w @ c @ w - np.eye(2 * m_half + 1)).max() <= 1e-12
 
@@ -594,9 +598,8 @@ def test_limit_defect_matches_lag_dot_products(pulse25, k):
 @pytest.mark.parametrize("k", [2, 12, 15])
 def test_limit_build_makes_one_circulant_and_no_long_fft(pulse25, monkeypatch, k):
     # cost guard, no timing: one circulant at the cap, one tapped-delay line
-    # over the kept taps, and no FFT of the long limit pulse
-    import scipy.fft
-
+    # over the kept taps (that lowdin imports no scipy.fft for a long FFT
+    # is part of test_scipy_only_for_linprog_and_erfc)
     import uwbpulse.lowdin
 
     circulants, tap_counts = [], []
@@ -618,8 +621,6 @@ def test_limit_build_makes_one_circulant_and_no_long_fft(pulse25, monkeypatch, k
     assert len(circulants) == 1
     assert tap_counts == [2 * m + 1]
     assert centered.grid.size == pulse25.grid.size + 2 * m * s
-    assert scipy.fft not in vars(uwbpulse.lowdin).values()
-    assert "scipy.fft" not in inspect.getsource(uwbpulse.lowdin)
 
 
 def _riesz_shifts(p):
@@ -681,6 +682,8 @@ def test_public_builders_keep_their_stability_check(pulse25, monkeypatch):
     with pytest.raises(UnstableGeneratorError):
         up.approx_lowdin_family(pulse25, shift, 4)
     with pytest.raises(UnstableGeneratorError):
+        gram_schmidt_family(pulse25, shift, 4)
+    with pytest.raises(UnstableGeneratorError):
         up.orthonormal_generator(pulse25, shift)
 
 
@@ -693,6 +696,7 @@ def test_builders_refuse_a_spectral_zero_between_nodes():
     for build in (
         lambda: up.lowdin_family(p, 1.0, 2),
         lambda: up.approx_lowdin_family(p, 1.0, 2),
+        lambda: gram_schmidt_family(p, 1.0, 2),
         lambda: up.orthonormal_generator(p, 1.0),
     ):
         with pytest.raises(UnstableGeneratorError):

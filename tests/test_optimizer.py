@@ -320,6 +320,27 @@ def test_factorize_rejects_a_bad_round_trip(monkeypatch):
         up.spectral_factorize(r)
 
 
+@pytest.mark.parametrize("move", ["one out", "one in"])
+def test_factorize_refuses_a_wrong_inside_root_count(monkeypatch, move):
+    # the reciprocal 1/conj(z) of a root z is a root too, so Newton's polish
+    # keeps a moved root: L - 2 or L roots then count as inside the circle,
+    # and only the round trip can tell
+    taps = np.array([1.0, -0.6, 0.3, 0.1])
+    r = AutocorrVector(np.correlate(taps, taps, "full")[3:], T0)
+    roots_of = np.roots
+
+    def misplaced(coeffs):
+        z = roots_of(coeffs)
+        inside = np.abs(z) < 1.0
+        i = np.flatnonzero(inside if move == "one out" else ~inside)[0]
+        z[i] = 1.0 / np.conj(z[i])
+        return z
+
+    monkeypatch.setattr(np, "roots", misplaced)
+    with pytest.raises(FactorizationError, match="round-trip"):
+        up.spectral_factorize(r)
+
+
 # -------------------------------------------------- filter diagnostics
 
 
