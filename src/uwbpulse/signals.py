@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigurationError, GridAlignmentError, ResolutionError
 
@@ -256,24 +257,13 @@ def spectrum(p: SampledPulse, nfft: int) -> Spectrum:
     return Spectrum(np.fft.fftshift(freqs), np.fft.fftshift(vals))
 
 
-def _fast_len(n: int) -> int:
-    """Least 11-smooth integer >= n, the sizes pocketfft transforms fastest:
-    the least q 2^k >= n over the odd 11-smooth q below 2n."""
-    odd = [1]
-    for f in (3, 5, 7, 11):
-        for q in odd[:]:
-            while (q := q * f) < 2 * n:
-                odd.append(q)
-    return min(q << ((n - 1) // q).bit_length() for q in odd)
-
-
 def _dft_bins(x: np.ndarray, first: int, nfft: int, m: int) -> np.ndarray:
     """Bins 0..m-1 of the nfft-point DFT of samples x[i] at index first + i.
 
     That is sum_i x[i] exp(-2i pi k (first + i) / nfft), by Bluestein's
     chirp-z: k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum into one
     convolution with the chirp exp(-i pi j^2 / nfft), done with two FFTs
-    of length _fast_len(len(x) + m - 1).  The chirp's j^2 is reduced
+    of length next_fast_len(len(x) + m - 1).  The chirp's j^2 is reduced
     mod 2 nfft in integers, so every phase is exact however large j is.
     """
 
@@ -281,12 +271,12 @@ def _dft_bins(x: np.ndarray, first: int, nfft: int, m: int) -> np.ndarray:
         return np.exp(-1j * np.pi * ((j * j) % (2 * nfft)) / nfft)
 
     n = len(x)
-    size = _fast_len(n + m - 1)
+    size = scipy.fft.next_fast_len(n + m - 1)
     j = np.arange(n, dtype=np.int64) + first
-    a = np.fft.fft(x * chirp(j), size)
+    a = scipy.fft.fft(x * chirp(j), size)
     lags = np.arange(-(n - 1), m, dtype=np.int64) - first  # every k - j
-    b = np.fft.fft(np.conj(chirp(lags)), size)
-    conv = np.fft.ifft(a * b)[n - 1 : n - 1 + m]
+    b = scipy.fft.fft(np.conj(chirp(lags)), size)
+    conv = scipy.fft.ifft(a * b)[n - 1 : n - 1 + m]
     return chirp(np.arange(m, dtype=np.int64)) * conv
 
 

@@ -572,9 +572,12 @@ def test_package_surface_is_pinned():
     assert got == PACKAGE_SURFACE
 
 
-def test_scipy_only_for_linprog_and_erfc():
-    # NumPy does every FFT, Toeplitz and circulant matrix and quadrature rule;
-    # SciPy supplies only what NumPy lacks, and optimizer calls linprog once
+def test_scipy_only_where_numpy_has_no_equal():
+    # NumPy does every Toeplitz and circulant matrix and quadrature rule;
+    # SciPy supplies only what NumPy lacks (the LP, erfc, and the chirp-z's
+    # next_fast_len FFTs), and optimizer calls linprog once.  Import
+    # statements only: test_limit_build_makes_one_circulant_and_no_long_fft
+    # also reads lowdin's source text and namespace for scipy.fft
     imports, linprog_calls = set(), 0
     for path in sorted((Path(__file__).parents[1] / "src" / "uwbpulse").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -587,6 +590,7 @@ def test_scipy_only_for_linprog_and_erfc():
     assert {i for i in imports if i[1].split(".")[0] == "scipy"} == {
         ("optimizer", "scipy.optimize", "linprog"),
         ("modem", "scipy.special", "erfc"),
+        ("signals", "scipy.fft", ""),
     }
     assert linprog_calls == 1
 

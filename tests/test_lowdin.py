@@ -1,6 +1,7 @@
 """Gram matrices, symmetric orthogonalization, circulant approximants,
 the shift-orthonormal limit, and optimality diagnostics."""
 
+import inspect
 import math
 
 import mpmath
@@ -216,9 +217,15 @@ def test_family_gram_matches_weighted_toeplitz(pulse25, k):
     shift = pulse25.duration() / k
     m_half = 2 * k
     g = up.gram(pulse25, shift, m_half)
-    for fam in (up.lowdin_family(pulse25, shift, m_half), gram_schmidt_family(pulse25, shift, m_half)):
+    gs = gram_schmidt_family(pulse25, shift, m_half)
+    for fam in (up.lowdin_family(pulse25, shift, m_half), gs):
         expect = fam.weights @ g @ fam.weights.T
         assert np.abs(fam.gram() - expect).max() <= 1e-13
+    # the GS weights are L^(-1) for the Cholesky factor G = L L^T: lower
+    # triangular (member m uses translates up to m only) and W L = I
+    assert np.array_equal(gs.weights, np.tril(gs.weights))
+    eye = np.eye(2 * m_half + 1)
+    assert np.abs(gs.weights @ np.linalg.cholesky(g) - eye).max() <= 1e-14
 
 
 # (pulse, shift in grid steps, M / K) for ALO families whose cutoff
@@ -598,8 +605,9 @@ def test_limit_defect_matches_lag_dot_products(pulse25, k):
 @pytest.mark.parametrize("k", [2, 12, 15])
 def test_limit_build_makes_one_circulant_and_no_long_fft(pulse25, monkeypatch, k):
     # cost guard, no timing: one circulant at the cap, one tapped-delay line
-    # over the kept taps (that lowdin imports no scipy.fft for a long FFT
-    # is part of test_scipy_only_for_linprog_and_erfc)
+    # over the kept taps, and no FFT of the long limit pulse
+    import scipy.fft
+
     import uwbpulse.lowdin
 
     circulants, tap_counts = [], []
@@ -621,6 +629,8 @@ def test_limit_build_makes_one_circulant_and_no_long_fft(pulse25, monkeypatch, k
     assert len(circulants) == 1
     assert tap_counts == [2 * m + 1]
     assert centered.grid.size == pulse25.grid.size + 2 * m * s
+    assert scipy.fft not in vars(uwbpulse.lowdin).values()
+    assert "scipy.fft" not in inspect.getsource(uwbpulse.lowdin)
 
 
 def _riesz_shifts(p):

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import uwbpulse as up
 from uwbpulse import defaults, pipeline, signals, spectral
@@ -299,15 +298,6 @@ def test_compliant_spectrum_matches_full_grid_route(band_pulse, mask):
     alpha, scaled = compliant_spectrum(band_pulse, mask)
     assert alpha == pytest.approx(alpha_full, rel=1e-13, abs=0)
     assert up.nesp(scaled, mask) == pytest.approx(nesp_full, rel=1e-13, abs=0)
-
-
-def test_fast_len_matches_scipy():
-    # oracle: scipy's next_fast_len on both sides of every step of its
-    # staircase, out past the K = 15 limit pulse's chirp-z length (~280k)
-    smooth = [n for n in range(1, 300_001) if scipy.fft.next_fast_len(n) == n]
-    for n in smooth:
-        assert signals._fast_len(n) == n
-        assert signals._fast_len(n + 1) == scipy.fft.next_fast_len(n + 1)
 
 
 def test_compliance_chain_never_builds_the_full_grid(monkeypatch, mask):
