@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import defaults
 from .errors import ConfigurationError, SingularGramError
@@ -185,6 +184,8 @@ def _erfc_sqrt(num, den: float) -> np.ndarray:
     num > 0 and 1 where num = 0."""
     if den == 0.0:
         return np.where(num > 0.0, 0.0, 1.0)
+    from scipy.special import erfc  # on first use, like every SciPy name
+
     return erfc(np.sqrt(num / den))
 
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     ConfigurationError,
@@ -122,6 +121,14 @@ def passband_weights(
     c = q.dt**2 * ((hi * np.sinc(2.0 * a * hi) - lo * np.sinc(2.0 * a * lo)) @ r2)
     c[1:] *= 2.0
     return c
+
+
+def linprog(c, **kwargs):
+    """SciPy's ``linprog``, imported on the first call, so that only the
+    commands that solve an LP load ``scipy.optimize``."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(c, **kwargs)
 
 
 def _linprog(c, a_ub, b_ub, options):

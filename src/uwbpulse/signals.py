@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigurationError, GridAlignmentError, ResolutionError
 
@@ -266,6 +265,7 @@ def _dft_bins(x: np.ndarray, first: int, nfft: int, m: int) -> np.ndarray:
     of length next_fast_len(len(x) + m - 1).  The chirp's j^2 is reduced
     mod 2 nfft in integers, so every phase is exact however large j is.
     """
+    import scipy.fft  # on first use: commands without a band spectrum load no SciPy
 
     def chirp(j):
         return np.exp(-1j * np.pi * ((j * j) % (2 * nfft)) / nfft)

@@ -219,6 +219,11 @@ def fit_mask_polynomials(
     peak = max(float(np.max(qsq)) for qsq in fit_power)
     polys = []
     for i, ((nodes, weights), qsq) in enumerate(zip(grids, fit_power)):
+        if len(nodes) < L:
+            raise MaskFitError(
+                f"segment {i + 1}: fit order {L} needs at least {L} nodes, "
+                f"the fit grid has {len(nodes)} (raise the grid density)"
+            )
         level = mask.segments[i][2]
         if np.any(qsq <= 1e-300 * peak):
             raise DivisionHazardError("pulse spectrum vanishes on the fit grid")

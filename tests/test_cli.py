@@ -4,7 +4,10 @@ import argparse
 import ast
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -385,6 +388,12 @@ REFUSED_INPUTS = {
     "config-pulse-csv-int": (["analyze"], '{"pulse_csv": 7}', "pulse_csv"),
     "config-mask-csv-float": (["design"], '{"mask_csv": 3.5}', "mask_csv"),
     "config-order-float": (["design"], '{"order": 2.7}', "order"),
+    # 4 fit nodes per segment cannot carry 25 coefficients
+    "flag-grid-density-too-low": (
+        ["design", "--grid-density", "1"],
+        None,
+        "fit order 25 needs at least 25 nodes",
+    ),
     "config-ebn0-list-empty": (["simulate"], '{"ebn0_db_list": []}', "ebn0_db_list"),
     "config-k-list-empty": (["sweep"], '{"k_list": []}', "k_list"),
     "flag-shift-clocks-nan": (
@@ -575,24 +584,77 @@ def test_package_surface_is_pinned():
 def test_scipy_only_where_numpy_has_no_equal():
     # NumPy does every Toeplitz and circulant matrix and quadrature rule;
     # SciPy supplies only what NumPy lacks (the LP, erfc, and the chirp-z's
-    # next_fast_len FFTs), and optimizer calls linprog once.  Import
-    # statements only: test_limit_build_makes_one_circulant_and_no_long_fft
-    # also reads lowdin's source text and namespace for scipy.fft
-    imports, linprog_calls = set(), 0
+    # next_fast_len FFTs), each imported inside the one function that uses
+    # it, and optimizer calls linprog once.  Import statements only:
+    # test_limit_build_makes_one_circulant_and_no_long_fft also reads
+    # lowdin's source text and namespace for scipy.fft
+    top, local, linprog_calls = set(), set(), 0
     for path in sorted((Path(__file__).parents[1] / "src" / "uwbpulse").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        in_function = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                imports |= {(path.stem, a.name, "") for a in node.names}
+                names = {(path.stem, a.name, "") for a in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imports |= {(path.stem, node.module, a.name) for a in node.names}
-            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "linprog":
-                linprog_calls += 1
-    assert {i for i in imports if i[1].split(".")[0] == "scipy"} == {
+                names = {(path.stem, node.module, a.name) for a in node.names}
+            else:
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "linprog":
+                    linprog_calls += 1
+                continue
+            (local if id(node) in in_function else top).update(names)
+
+    def scipy(imports):
+        return {i for i in imports if i[1].split(".")[0] == "scipy"}
+
+    assert scipy(top) == set()
+    assert scipy(local) == {
         ("optimizer", "scipy.optimize", "linprog"),
         ("modem", "scipy.special", "erfc"),
         ("signals", "scipy.fft", ""),
     }
     assert linprog_calls == 1
+
+
+# run in a fresh interpreter: argv is the pulse CSV and an output root
+_SCIPY_PROBE = """
+import json, sys
+from uwbpulse.cli import main
+
+pulse, out = sys.argv[1:]
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for kind in ("lo", "alo", "limit"):
+    assert main(["orthogonalize", "--pulse-csv", pulse, "--kind", kind, "--outdir", out + kind]) == 0
+loaded["orthogonalize"] = scipy_modules()
+assert main(["analyze", "--pulse-csv", pulse, "--outdir", out + "analyze"]) == 0
+loaded["analyze"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_without_an_lp_load_no_scipy_optimize(tmp_path, design_dir):
+    # the import and every orthogonalize kind load no SciPy at all, and
+    # analyze loads no scipy.optimize
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(design_dir / "pulse.csv"), f"{tmp_path}/"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])  # after the commands' own lines
+    assert loaded["import"] == []
+    assert loaded["orthogonalize"] == []
+    assert "scipy.optimize" not in loaded["analyze"]
 
 
 def test_readme_commands_parse():

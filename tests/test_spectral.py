@@ -7,7 +7,12 @@ import pytest
 
 import uwbpulse as up
 from uwbpulse import defaults, pipeline, signals, spectral
-from uwbpulse.errors import ConfigurationError, DivisionHazardError, GridAlignmentError
+from uwbpulse.errors import (
+    ConfigurationError,
+    DivisionHazardError,
+    GridAlignmentError,
+    MaskFitError,
+)
 from uwbpulse.pipeline import band_bins, band_spectrum, compliant_spectrum
 from uwbpulse.signals import Spectrum
 from uwbpulse.spectral import (
@@ -95,6 +100,13 @@ def test_fit_division_hazard(mask, monocycle):
     silent = signals.SampledPulse(monocycle.grid, np.zeros(monocycle.grid.size))
     with pytest.raises(DivisionHazardError):
         up.fit_mask_polynomials(mask, silent, 5)
+
+
+def test_fit_refuses_fewer_nodes_than_the_order(mask, monocycle):
+    # density 1 gives 4 Gauss nodes per segment, too few for 25 coefficients
+    with pytest.raises(MaskFitError, match="segment 1: fit order 25 needs at least 25 nodes, "
+                       "the fit grid has 4"):
+        up.fit_mask_polynomials(mask, monocycle, 25, density=1)
 
 
 def test_fit_refinement_stability(mask, monocycle):
