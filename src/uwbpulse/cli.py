@@ -29,7 +29,7 @@ from .pipeline import analyze_pulse, build_family, compliant_spectrum, design_pu
 from .signals import Spectrum, _write_csv, load_pulse_csv, save_pulse_csv
 from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 
 class _Key(NamedTuple):
@@ -186,6 +186,7 @@ def cmd_design(args) -> int:
         {
             "objective": sol.objective,
             "nesp": result.nesp_value,
+            "alpha": result.alpha,
             "feasibility_margin": sol.feasibility_margin,
             "dual_bound": sol.dual_bound,
             "backoff_rounds": sol.backoff_rounds,

@@ -13,9 +13,10 @@ the lag polynomial.
 The LP has tens of thousands of rows but only L free variables, so at
 most about L rows are active at its optimum.  :func:`_linprog_rows`
 solves it by row generation (the exchange method for semi-infinite LPs,
-Hettich & Kortanek 1993): solve on a subset of the rows, add the most
-violated of the others, repeat.  The LP is unchanged, and so is its
-optimum; only the rows handed to the solver at once are fewer.
+Hettich & Kortanek 1993): solve on a subset of the rows, drop the rows
+whose dual is zero, add the most violated of the others, repeat.  The
+LP is unchanged, and so is its optimum; only the rows handed to the
+solver at once are fewer, about L to 2L after the first solve.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class LpSolution:
     lower_floor: float  # the fixed floor on the autocorrelation spectrum
     backoff_rounds: int  # always 1: one LP per solve; kept for the benchmark tracer
     lp_rows: int  # rows of the LP
-    lp_rows_solved: int  # of those, the rows in its final working set
+    lp_rows_solved: int  # of those, the final working set: about the active rows
     lp_solves: int  # linprog calls
 
 
@@ -141,22 +142,26 @@ def _linprog_rows(c, a_ub, b_ub, options):
     """Minimize c . x over free x with a_ub x <= b_ub, by row generation.
 
     The working set starts as every ``_ROW_STRIDE``-th row and the last
-    row.  After each solve on it, every run of rows outside it that are
-    violated by more than ``_ROW_TOL`` adds its most violated row; once
-    none is, the point is optimal for all the rows.  Any status other
+    row.  After each solve on it, the rows whose dual
+    (``ineqlin.marginals``) is zero leave it: the same multipliers still
+    certify the point on the rows kept.  Then every run of rows outside
+    it that are violated by more than ``_ROW_TOL`` adds its most violated
+    row; once none is, the point is optimal for all the rows.  A round
+    whose objective did not strictly rise drops nothing, so the set only
+    grows until it does and no working set repeats.  Any status other
     than optimal on a working set falls back to one solve on all the
     rows, so infeasible and unbounded LPs report as a direct solve would.
 
     Returns the solver's result with ``ineqlin.marginals`` scattered to
     all the rows (zero outside the working set, so y . b_ub stays a dual
-    bound), plus ``rows_solved`` (the final working-set size) and
-    ``solves`` (the linprog calls made).
+    bound), plus ``rows_solved`` (the final working-set size, about the
+    active set's) and ``solves`` (the linprog calls made).
     """
     n = len(b_ub)
     work = np.zeros(n, dtype=bool)
     work[::_ROW_STRIDE] = True
     work[-1] = True
-    solves = 0
+    solves, fun = 0, -np.inf
     while True:
         rows = np.flatnonzero(work)
         res = _linprog(c, a_ub[rows], b_ub[rows], options)
@@ -169,6 +174,9 @@ def _linprog_rows(c, a_ub, b_ub, options):
         violated = (excess > _ROW_TOL) & ~work
         if not violated.any():
             break
+        if res.fun > fun:  # same multipliers: x stays optimal without these rows
+            work[rows[res.ineqlin.marginals == 0]] = False
+            fun = res.fun
         # runs of consecutive violated rows: [start, stop) pairs
         edges = np.flatnonzero(np.diff(np.concatenate([[0], violated.view(np.int8), [0]])))
         for start, stop in edges.reshape(-1, 2):
@@ -237,8 +245,8 @@ def solve_autocorr_lp(
         res = probe
     if res.status == 2:
         raise InfeasibleError(
-            "empty constraint intersection; mask fits are inconsistent "
-            "with positivity (or floor and margins are too large)"
+            "empty constraint intersection; the mask fits are inconsistent with "
+            "positivity on this grid: use a denser grid_density (--grid-density)"
         )
     if res.status == 3:
         raise UnboundedError("objective unbounded; an upper-bound segment is missing")
@@ -295,7 +303,8 @@ def spectral_factorize(r: AutocorrVector) -> FilterTaps:
     lo, hi = _cosine_extrema(rv)
     if lo <= 1e-12 * hi:
         raise FactorizationError(
-            "autocorrelation spectrum touches zero; re-solve with a larger floor"
+            "autocorrelation spectrum touches zero between the LP's nodes; "
+            "use a denser grid_density (--grid-density)"
         )
     g = _factor_by_roots(rv)
     err = float(np.max(np.abs(lag_autocorrelation(g, 1, len(rv) - 1) - rv)))

@@ -58,6 +58,7 @@ def test_design_report_fields(design_dir):
     assert set(report) == {
         "objective",
         "nesp",
+        "alpha",
         "feasibility_margin",
         "dual_bound",
         "backoff_rounds",
@@ -69,6 +70,7 @@ def test_design_report_fields(design_dir):
         "factorization_error",
     }
     assert report["nesp"] > 0.8
+    assert report["alpha"] > 0.0
     assert report["feasibility_margin"] >= 0.0
     assert abs(report["objective"] - report["dual_bound"]) <= 1e-5 * report["objective"]
     assert report["backoff_rounds"] == 1
@@ -96,7 +98,7 @@ def test_design_rerun_byte_identical(tmp_path):
 def test_manifest_lists_outputs_with_hashes(design_dir):
     manifest = json.loads((design_dir / "manifest.json").read_text())
     assert manifest["command"] == "design"
-    assert manifest["schema_version"] == 12
+    assert manifest["schema_version"] == 13
     for name in ("taps.csv", "pulse.csv", "achieved_spectrum.csv", "design_report.json"):
         assert name in manifest["outputs"]
         assert len(manifest["outputs"][name]) == 64
@@ -394,6 +396,10 @@ REFUSED_INPUTS = {
         None,
         "fit order 25 needs at least 25 nodes",
     ),
+    # too coarse an LP grid: the fits turn infeasible (8), or the
+    # spectrum dips to zero between the LP's nodes (16)
+    "flag-grid-density-8": (["design", "--grid-density", "8"], None, "--grid-density"),
+    "flag-grid-density-16": (["design", "--grid-density", "16"], None, "--grid-density"),
     "config-ebn0-list-empty": (["simulate"], '{"ebn0_db_list": []}', "ebn0_db_list"),
     "config-k-list-empty": (["sweep"], '{"k_list": []}', "k_list"),
     "flag-shift-clocks-nan": (

@@ -124,15 +124,33 @@ def test_lp_monotone_in_order(monocycle, mask):
 
 
 def test_lp_is_one_grid_at_every_order(design1, design5, design15, design25, mask):
-    # the LP's rows are the grid alone, whatever the order: at L = 1 the
-    # constant ceilings once added ~2,000 near-active copies of one row
+    # the LP's rows are the grid alone, whatever the order
     sols = {d.taps.order: d.solution for d in (design1, design5, design15, design25)}
     n = 512 * optimizer.GRID_REFINE
     segments = len(segment_bounds(mask))
     for order, sol in sols.items():
         assert sol.lp_rows == n * segments + 1 + segments * (n + 1), order
         assert sol.backoff_rounds == 1, order
-    assert sols[1].lp_rows_solved <= sols[25].lp_rows_solved
+
+
+def test_row_generation_re_solves_on_about_the_active_rows(monkeypatch):
+    # the first solve sees every _ROW_STRIDE-th row and the last; each
+    # later one keeps only the rows with a nonzero dual (at most about L)
+    # plus the rows just added, so no order collects thousands of rows
+    sizes = []
+    solve = optimizer.linprog
+
+    def count(c, **kwargs):
+        sizes.append(len(kwargs["b_ub"]))
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(optimizer, "linprog", count)
+    for order in (1, 5, 15, 25):
+        sizes.clear()
+        n = up.design_pulse(order=order).solution.lp_rows
+        first = np.union1d(np.arange(0, n, optimizer._ROW_STRIDE), [n - 1])
+        assert sizes[0] == len(first), order
+        assert max(sizes[1:], default=0) <= 4 * order, (order, sizes)
 
 
 def _full_linprog(c, a_ub, b_ub, options):
@@ -203,6 +221,34 @@ def test_row_generation_falls_back_when_the_working_set_is_unbounded():
     assert np.abs(res.x - ref.x).max() <= 1e-9 * np.abs(ref.x).max()
     assert res.fun == pytest.approx(ref.fun, rel=1e-12)
     assert np.asarray(res.ineqlin.marginals) @ b_ub == pytest.approx(res.fun, rel=1e-9)
+
+
+def test_row_generation_terminates_on_a_degenerate_lp():
+    # maximize y: every row twice, and five rows tied at the optimum (0, 1).
+    # The first working set's optimum is a whole edge of y <= 1; the box
+    # rows x >= -5 and x <= 5 each share a run with tied rows and violate
+    # more, so they join first, and a round whose objective stays put
+    # (drops nothing) comes before the tied rows decide the vertex
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 320)
+    a_ub = np.column_stack([np.cos(theta), np.sin(theta)])
+    b_ub = np.full(320, 50.0)  # loose rows
+    a_ub[[0, 32, 64, 96]] = [[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]
+    b_ub[[0, 32, 64, 96]] = [1.0, 10.0, 10.0, 10.0]
+    for i, sign in ((150, 1.0), (250, -1.0)):
+        a_ub[i : i + 3] = [[sign, 0.0], [0.05 * sign, 1.0], [0.1 * sign, 1.0]]
+        b_ub[i : i + 3] = [5.0, 1.0, 1.0]
+    a_ub, b_ub = np.repeat(a_ub, 2, axis=0), np.repeat(b_ub, 2)
+    c = np.array([0.0, -1.0])
+    options = {"presolve": True}
+    res = optimizer._linprog_rows(c, a_ub, b_ub, options)
+    ref = _full_linprog(c, a_ub, b_ub, options)
+    assert res.status == 0 and ref.status == 0
+    assert np.abs(res.x - ref.x).max() <= 1e-9 * np.abs(ref.x).max()
+    assert abs(res.fun - ref.fun) <= 1e-12 * abs(ref.fun)
+    y = np.asarray(res.ineqlin.marginals)
+    assert abs(y @ b_ub - res.fun) <= 1e-9 * abs(res.fun)
+    assert np.max(a_ub @ res.x - b_ub) <= 1e-10
 
 
 def test_lp_infeasible_signals():
