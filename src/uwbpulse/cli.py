@@ -29,7 +29,7 @@ from .pipeline import analyze_pulse, build_family, compliant_spectrum, design_pu
 from .signals import Spectrum, _write_csv, load_pulse_csv, save_pulse_csv
 from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 
 class _Key(NamedTuple):
@@ -189,7 +189,6 @@ def cmd_design(args) -> int:
             "alpha": result.alpha,
             "feasibility_margin": sol.feasibility_margin,
             "dual_bound": sol.dual_bound,
-            "backoff_rounds": sol.backoff_rounds,
             "lower_floor": sol.lower_floor,
             "lp_rows": sol.lp_rows,
             "lp_rows_solved": sol.lp_rows_solved,

@@ -39,6 +39,7 @@ from .signals import (
 LIMIT_LEVEL = 1e-12  # limit taps at or below this share of the centre tap are dropped
 LIMIT_MAX_M_HALF = 2048  # the limit generator's one circulant: taps at most this far out
 _PROBE_NODES = 256  # Gauss-Legendre nodes per probe piece: sqrt(Phi) to 1e-13 even at K = 15
+_PROBE_PIECES = 8  # bins of [0, 1/2) on which the probe's phases are constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,32 +286,30 @@ def summed_distortion(family: OrthogonalFamily, p: SampledPulse) -> float:
     return float(np.vdot(diff, diff) * p.dt)
 
 
-def lowdin_optimality_probe(
-    p: SampledPulse, shift: float, trials: int, seed: int = 0, pieces: int = 8
-) -> dict:
+def lowdin_optimality_probe(p: SampledPulse, shift: float, trials: int, seed: int = 0) -> dict:
     """Check the symmetric construction against random-phase alternatives.
 
     Every orthonormal generator of the translate space has spectrum
     exp(i alpha(nu)) p^ / sqrt(Phi), Phi the folded power spectrum, and
     ||p - generator||^2 = r(0) + 1 - 2 int_0^1 sqrt(Phi) cos(alpha) dnu, so
     the phase-free choice is closest.  The probe draws phases constant on
-    ``pieces`` bins of [0, 1/2), mirrored for a real pulse, so a distance
-    is one dot product with the per-bin integrals of sqrt(Phi) (Gauss-
-    Legendre).  It adds the time-domain closed form 2 (1 - <p, p_on>) of
-    the unit-energy ``p``'s generator p_on as a check.
+    ``_PROBE_PIECES`` bins of [0, 1/2), mirrored for a real pulse, so a
+    distance is one dot product with the per-bin integrals of sqrt(Phi)
+    (Gauss-Legendre).  It adds the time-domain closed form
+    2 (1 - <p, p_on>) of the unit-energy ``p``'s generator p_on as a check.
     """
     base = orthonormal_generator(p, shift).pulse
     closed = 2.0 * (1.0 - inner(p, base))
 
     r = autocorr_samples(p, shift)
     x, w = np.polynomial.legendre.leggauss(_PROBE_NODES)
-    nu = (np.arange(pieces)[:, None] + (x + 1.0) / 2.0) / (2 * pieces)
+    nu = (np.arange(_PROBE_PIECES)[:, None] + (x + 1.0) / 2.0) / (2 * _PROBE_PIECES)
     # integral of sqrt(Phi) over each bin plus its mirror image in (1/2, 1]
-    bins = np.sqrt(cosine_series(r, nu)) @ w / (2 * pieces)
+    bins = np.sqrt(cosine_series(r, nu)) @ w / (2 * _PROBE_PIECES)
     d_base = float(r[0] + 1.0 - 2.0 * np.sum(bins))
 
     rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * np.pi, (trials, pieces))
+    angles = rng.uniform(0.0, 2.0 * np.pi, (trials, _PROBE_PIECES))
     results = r[0] + 1.0 - 2.0 * (np.cos(angles) @ bins)
     return {
         "lowdin_distance_sq": d_base,

@@ -42,7 +42,7 @@ from .signals import (
 from .spectral import CosinePoly, SpectralMask, cosine_basis, segment_bounds
 
 GRID_REFINE = 4  # the LP grid is this much denser than ``grid_density``
-_ROW_STRIDE = 64  # row generation starts from every 64th row
+_ROW_STRIDE = 64  # row generation starts from every 64th row at most
 _ROW_TOL = 1e-12  # a row violated by more than this joins the working set
 _FACTOR_TOL = 1e-7  # largest error of the taps' autocorrelation round trip
 
@@ -138,10 +138,10 @@ def _linprog(c, a_ub, b_ub, options):
     return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=options)
 
 
-def _linprog_rows(c, a_ub, b_ub, options):
+def _linprog_rows(c, a_ub, b_ub, options, stride=_ROW_STRIDE):
     """Minimize c . x over free x with a_ub x <= b_ub, by row generation.
 
-    The working set starts as every ``_ROW_STRIDE``-th row and the last
+    The working set starts as every ``stride``-th row and the last
     row.  After each solve on it, the rows whose dual
     (``ineqlin.marginals``) is zero leave it: the same multipliers still
     certify the point on the rows kept.  Then every run of rows outside
@@ -159,7 +159,7 @@ def _linprog_rows(c, a_ub, b_ub, options):
     """
     n = len(b_ub)
     work = np.zeros(n, dtype=bool)
-    work[::_ROW_STRIDE] = True
+    work[::stride] = True
     work[-1] = True
     solves, fun = 0, -np.inf
     while True:
@@ -202,9 +202,10 @@ def solve_autocorr_lp(
     ``grid_density * GRID_REFINE + 1`` nodes on the bound region of mask
     segment i (:func:`~uwbpulse.spectral.segment_bounds`).  Floor and
     margins are a fixed small fraction of the ceiling scale.  The LP is
-    solved once, by row generation (:func:`_linprog_rows`); its optimum
-    is the one with all the rows, and ``feasibility_margin`` is the
-    point's worst slack on the same grid.
+    solved once, by row generation (:func:`_linprog_rows`) from every
+    ``_ROW_STRIDE``-th row, or denser if a segment would get fewer than
+    L + 1; its optimum is the one with all the rows, and
+    ``feasibility_margin`` is the point's worst slack on the same grid.
     """
     weights = np.asarray(weights, dtype=float)
     L = len(weights)
@@ -233,7 +234,8 @@ def solve_autocorr_lp(
         "primal_feasibility_tolerance": 1e-10,
         "dual_feasibility_tolerance": 1e-10,
     }
-    res = _linprog_rows(-weights / np.max(np.abs(weights)), a_ub, b_ub, options)
+    stride = max(1, min(_ROW_STRIDE, (n + 1) // (L + 1)))
+    res = _linprog_rows(-weights / np.max(np.abs(weights)), a_ub, b_ub, options, stride)
     solves = res.solves
     if res.status == 4:
         # solver could not tell infeasible from unbounded; a zero

@@ -39,6 +39,7 @@ from .signals import (
     Spectrum,
     TimeGrid,
     _dft_bins,
+    _dtft,
     _grid_steps,
     autocorr_samples,
     gaussian_monocycle,
@@ -73,11 +74,13 @@ def band_spectrum(p: SampledPulse, mask: SpectralMask) -> Spectrum:
 
 
 def band_bins(p: SampledPulse, mask: SpectralMask) -> Spectrum:
-    """The bins of :func:`band_spectrum`'s grid in [0, f_top], by chirp-z.
+    """The bins of :func:`band_spectrum`'s grid in [0, f_top], by chirp-z,
+    and the exact p^ at each mask edge that is not a bin.
 
-    Same frequencies, and the same values to rounding, as the full grid
-    restricted to [0, f_top], at the cost of two FFTs of about
-    len(p) + 16k points instead of one of nfft.
+    Same bin frequencies, and the same values to rounding, as the full
+    grid restricted to [0, f_top], at the cost of two FFTs of about
+    len(p) + 16k points instead of one of nfft.  The edges take a direct
+    sum (:func:`signals._dtft`), O(n) each.
     """
     nfft = _band_nfft(p, mask)
     df = 1.0 / (nfft * p.dt)  # the step np.fft.fftfreq uses
@@ -85,16 +88,16 @@ def band_bins(p: SampledPulse, mask: SpectralMask) -> Spectrum:
     freqs = k * df
     freqs = freqs[freqs <= mask.f_top]
     vals = _dft_bins(p.samples, -p.grid.n0, nfft, len(freqs)) * p.dt
-    return Spectrum(freqs, vals)
+    edges = np.unique([f for segment in mask.segments for f in segment[:2]])
+    at = np.searchsorted(freqs, edges)
+    new = freqs[np.minimum(at, len(freqs) - 1)] != edges  # the edges that are not bins
+    at, edges = at[new], edges[new]
+    return Spectrum(np.insert(freqs, at, edges), np.insert(vals, at, _dtft(p, edges)))
 
 
 def compliant_spectrum(p: SampledPulse, mask: SpectralMask) -> tuple[float, Spectrum]:
-    """Largest compliant scale alpha and alpha * p^ on the bins in [0, f_top].
-
-    Only the band bins are computed (:func:`band_bins`).  The passband
-    lies inside [0, f_top], so :func:`nesp` of the returned spectrum
-    equals that of the scaled full-grid spectrum.
-    """
+    """Largest compliant scale alpha and alpha * p^ on :func:`band_bins`:
+    the bins in [0, f_top] and every mask edge."""
     spec = band_bins(p, mask)
     alpha = max_compliant_scale(spec, mask)
     return alpha, Spectrum(spec.freqs, spec.values * alpha)
@@ -182,7 +185,7 @@ def build_family(
     The report also carries the weak-norm gap between the Toeplitz Gram
     and its circulant wrap at the family dimension: the RMS eigenvalue of
     their difference, i.e. its Frobenius norm over sqrt(N), which is
-    exactly sqrt(2 sum_k k r_k^2 / N) once the band fits (M >= K).  For
+    exactly sqrt(2 sum_k k r_k^2 / N) as the band fits: M = m_multiple K >= K.  For
     kind "limit" it also carries the generator's tap radius
     ``limit_m_half`` (its last tap above LIMIT_LEVEL = 1e-12 of the centre
     tap), its ``tail_level`` (tap at the cap over centre tap, above
@@ -191,14 +194,13 @@ def build_family(
     (the limit pulse's half-span).  The pulse's lag row r(kT) is computed
     once and feeds the stability bounds, the Gram and the circulant.
     """
+    if m_multiple < 1:
+        raise ConfigurationError(f"m_multiple must be at least 1, not {m_multiple}")
     shift = shift_from_ratio(pulse, k_ratio)
     m_half = m_multiple * k_ratio
-    r = autocorr_samples(pulse, shift)
+    r = autocorr_samples(pulse, shift)  # the band r(0..K T)
     a, b = _riesz_bounds(r, shift)  # exact extrema of the folded spectrum
-    band = len(r) - 1
-    if band > m_half:
-        raise ConfigurationError(f"band (K={band}) does not fit M={m_half}")
-    weak = math.sqrt(2.0 * np.dot(np.arange(band + 1), r**2) / (2 * m_half + 1))
+    weak = math.sqrt(2.0 * np.dot(np.arange(len(r)), r**2) / (2 * m_half + 1))
     if kind == "lo":
         g = _gram(r, m_half)
         family = _family(pulse, shift, inverse_sqrt_spd(g), "lo")

@@ -100,7 +100,8 @@ class SampledPulse:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Continuous-time Fourier transform samples on a uniform frequency grid."""
+    """Continuous-time Fourier transform samples at increasing frequencies,
+    uniform (step ``df``) but for the edges :func:`pipeline.band_bins` adds."""
 
     freqs: np.ndarray
     values: np.ndarray
@@ -278,6 +279,19 @@ def _dft_bins(x: np.ndarray, first: int, nfft: int, m: int) -> np.ndarray:
     b = scipy.fft.fft(np.conj(chirp(lags)), size)
     conv = scipy.fft.ifft(a * b)[n - 1 : n - 1 + m]
     return chirp(np.arange(m, dtype=np.int64)) * conv
+
+
+def _dtft(p: SampledPulse, freqs) -> np.ndarray:
+    """Exact p^(f) = dt sum_k x_k exp(-2i pi f t_k) at each f, by direct
+    sum over blocks of b ~ sqrt(n) samples: the phasor of t_k is that of
+    its block's first time times that of its offset in the block, so each
+    f takes n / b + b exponentials instead of n."""
+    b = math.isqrt(p.grid.size) + 1
+    blocks = np.pad(p.samples, (0, -p.grid.size % b)).reshape(-1, b)
+    starts = np.arange(0, blocks.size, b) - p.grid.n0
+    f = np.asarray(freqs, dtype=float)
+    first, offset = (np.exp(-2j * np.pi * np.outer(k * p.dt, f)) for k in (starts, np.arange(b)))
+    return np.sum(first * (blocks @ offset), axis=0) * p.dt
 
 
 def shift_samples(p: SampledPulse, shift: float) -> int:

@@ -252,7 +252,8 @@ def nesp(p: Spectrum, mask: SpectralMask) -> float:
 
     The spectrum must already be at its compliant level (see
     :func:`max_compliant_scale`); the result is then in [0, 1] up to
-    quadrature error.
+    quadrature error.  The trapezoid rule spans the whole passband when
+    its edges are samples, as on :func:`pipeline.band_bins`.
     """
     lo, hi = mask.passband
     sel = (p.freqs >= lo) & (p.freqs <= hi)
@@ -263,10 +264,11 @@ def nesp(p: Spectrum, mask: SpectralMask) -> float:
 def max_compliant_scale(p: Spectrum, mask: SpectralMask) -> float:
     """Largest alpha with alpha^2 |p^|^2 <= mask, times a safety factor.
 
-    Evaluated on the spectrum's grid points inside [0, f_top] plus the
-    one-sided limits at every mask edge, where the sup of the ratio of a
-    continuous spectrum to a piecewise-constant ceiling typically sits.
-    The grid must be at least as dense as SUP_GRID_POINTS over the band.
+    The sup of |p^|^2 / mask over the samples in [0, f_top], which must
+    number at least SUP_GRID_POINTS.  p^ of a finite pulse is continuous,
+    so at a mask edge the sup is |p^(edge)|^2 over the lower of the two
+    levels that meet there: every edge must be a sample, as on
+    :func:`pipeline.band_bins`, else :class:`ConfigurationError`.
     """
     sel = (p.freqs >= 0.0) & (p.freqs <= mask.f_top)
     if np.count_nonzero(sel) < SUP_GRID_POINTS:
@@ -274,47 +276,20 @@ def max_compliant_scale(p: Spectrum, mask: SpectralMask) -> float:
             f"need at least {SUP_GRID_POINTS} grid points on [0, f_top] "
             "for a trustworthy sup-norm"
         )
-    power = p.power()[sel]
+    freqs, power = p.freqs[sel], p.power()[sel]
     if not np.any(power > 0.0):
         raise ConfigurationError("spectrum is identically zero on the band")
-    worst = float(np.max(power / mask.level_at(p.freqs[sel])))
-    for f_lo, f_hi, level in mask.segments:
-        inner = _one_sided_power(p, f_lo, "right")
-        outer = _one_sided_power(p, f_hi, "left")
-        worst = max(worst, inner / level, outer / level)
-    return SAFETY_FACTOR / math.sqrt(worst)
-
-
-def _one_sided_power(p: Spectrum, f_edge: float, side: str) -> float:
-    """|p^(f_edge)|^2 approached from one side by quadratic extrapolation.
-
-    Uses the three grid points strictly on the requested side, so a jump
-    exactly at the edge (spectrum matching a stepped ceiling) does not
-    leak across.
-    """
-    freqs = p.freqs
-    power = p.power()
-    if side == "left":
-        j = int(np.searchsorted(freqs, f_edge, side="left"))
-        idx = np.arange(max(j - 3, 0), j)
-    else:
-        j = int(np.searchsorted(freqs, f_edge, side="right"))
-        idx = np.arange(j, min(j + 3, len(freqs)))
-    if len(idx) == 0:
-        return 0.0
-    if len(idx) < 3:
-        return float(power[idx[0 if side == "right" else -1]])
-    x = freqs[idx] - f_edge
-    y = power[idx]
-    # Lagrange quadratic through three points, evaluated at x = 0
-    val = 0.0
-    for a in range(3):
-        term = y[a]
-        for b in range(3):
-            if a != b:
-                term *= (0.0 - x[b]) / (x[a] - x[b])
-        val += term
-    return max(float(val), 0.0)
+    edges = np.array([segment[:2] for segment in mask.segments])
+    at = np.minimum(np.searchsorted(freqs, edges), len(freqs) - 1)
+    if np.any(freqs[at] != edges):
+        missing = ", ".join(f"{f:.6g}" for f in np.unique(edges[freqs[at] != edges]))
+        raise ConfigurationError(f"spectrum has no sample at the mask edges {missing} Hz")
+    # a sample is held to the lowest level of the segments whose closed
+    # interval holds it: at an interior edge, the lower of the two
+    ceiling = np.full(len(freqs), np.inf)
+    for (i, j), (_, _, level) in zip(at, mask.segments):
+        np.minimum(ceiling[i : j + 1], level, out=ceiling[i : j + 1])
+    return SAFETY_FACTOR / math.sqrt(float(np.max(power / ceiling)))
 
 
 def _dirichlet_mean(nu, shift: float, n: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import scipy.linalg
 
 import uwbpulse as up
 from uwbpulse import defaults
-from uwbpulse.pipeline import band_spectrum
+from uwbpulse.pipeline import band_bins, band_spectrum
 
 
 def direct_transform(p, freqs):
@@ -84,3 +84,9 @@ def limit_k2(pulse25):
 def spec25(pulse25, mask):
     return band_spectrum(pulse25, mask)
 
+
+@pytest.fixture(scope="session")
+def bins25(pulse25, mask):
+    """The order-25 pulse's band bins and mask-edge samples, the input of
+    compliance."""
+    return band_bins(pulse25, mask)

@@ -61,7 +61,6 @@ def test_design_report_fields(design_dir):
         "alpha",
         "feasibility_margin",
         "dual_bound",
-        "backoff_rounds",
         "lower_floor",
         "lp_rows",
         "lp_rows_solved",
@@ -73,10 +72,9 @@ def test_design_report_fields(design_dir):
     assert report["alpha"] > 0.0
     assert report["feasibility_margin"] >= 0.0
     assert abs(report["objective"] - report["dual_bound"]) <= 1e-5 * report["objective"]
-    assert report["backoff_rounds"] == 1
     assert report["lower_floor"] > 0.0
     assert 0 < report["lp_rows_solved"] <= report["lp_rows"]
-    assert report["lp_solves"] >= report["backoff_rounds"]
+    assert report["lp_solves"] >= 1
     assert len(report["fit_orders_kept"]) == 5
     assert all(1 <= k <= 25 for k in report["fit_orders_kept"])
     assert 0.0 <= report["factorization_error"] <= 1e-7
@@ -98,7 +96,7 @@ def test_design_rerun_byte_identical(tmp_path):
 def test_manifest_lists_outputs_with_hashes(design_dir):
     manifest = json.loads((design_dir / "manifest.json").read_text())
     assert manifest["command"] == "design"
-    assert manifest["schema_version"] == 13
+    assert manifest["schema_version"] == 14
     for name in ("taps.csv", "pulse.csv", "achieved_spectrum.csv", "design_report.json"):
         assert name in manifest["outputs"]
         assert len(manifest["outputs"][name]) == 64
@@ -400,6 +398,11 @@ REFUSED_INPUTS = {
     # spectrum dips to zero between the LP's nodes (16)
     "flag-grid-density-8": (["design", "--grid-density", "8"], None, "--grid-density"),
     "flag-grid-density-16": (["design", "--grid-density", "16"], None, "--grid-density"),
+    "flag-m-multiple-0": (
+        ["orthogonalize", "--pulse-csv", "{tmp}/pulse.csv", "--m-multiple", "0"],
+        None,
+        "m_multiple must be at least 1",
+    ),
     "config-ebn0-list-empty": (["simulate"], '{"ebn0_db_list": []}', "ebn0_db_list"),
     "config-k-list-empty": (["sweep"], '{"k_list": []}', "k_list"),
     "flag-shift-clocks-nan": (

@@ -153,6 +153,24 @@ def test_row_generation_re_solves_on_about_the_active_rows(monkeypatch):
         assert max(sizes[1:], default=0) <= 4 * order, (order, sizes)
 
 
+@pytest.mark.parametrize("density", [32, 64])
+@pytest.mark.parametrize("order", [15, 25])
+def test_row_generation_starts_bounded_on_a_coarse_grid(monkeypatch, order, density):
+    # every 64th row leaves a segment of 4 * density + 1 rows fewer than
+    # L + 1 of them and the first solve unbounded; the stride shrinks
+    # instead, so no solve falls back to all the rows
+    sizes = []
+    solve = optimizer.linprog
+
+    def count(c, **kwargs):
+        sizes.append(len(kwargs["b_ub"]))
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(optimizer, "linprog", count)
+    n = up.design_pulse(order=order, grid_density=density).solution.lp_rows
+    assert max(sizes) < n, sizes
+
+
 def _full_linprog(c, a_ub, b_ub, options):
     return linprog(
         c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * len(c), method="highs", options=options
@@ -168,7 +186,7 @@ def design_lps():
     calls = []
     solve = optimizer._linprog_rows
 
-    def record(c, a_ub, b_ub, options):
+    def record(c, a_ub, b_ub, options, stride):
         calls.append((c, a_ub, b_ub, options))
         res = _full_linprog(c, a_ub, b_ub, options)
         res.rows_solved, res.solves = len(b_ub), 1
@@ -302,15 +320,15 @@ def test_factorize_design_roundtrip(design25):
 @pytest.mark.parametrize(
     "order, ref",
     [
-        (1, 0.0028062563455705917),
-        (5, 0.41021269545898464),
-        (15, 0.77613673700165065),
-        (25, 0.87226893141506745),
+        (1, 0.002806281604127689),
+        (5, 0.4102135121028515),
+        (15, 0.7761383633092666),
+        (25, 0.8722705556330902),
     ],
 )
 def test_design_nesp_matches_reference(order, ref, request):
-    # nesp while |q^|^2 came from a direct phasor sum; the cosine-series
-    # form may move it only by rounding
+    # nesp with the passband edges sampled, so that the trapezoid rule
+    # spans the whole passband; it may move only by rounding
     assert request.getfixturevalue(f"design{order}").nesp_value == pytest.approx(ref, rel=1e-9)
 
 

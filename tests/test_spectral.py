@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import uwbpulse as up
-from uwbpulse import defaults, pipeline, signals, spectral
+from uwbpulse import defaults, lowdin, pipeline, signals, spectral
 from uwbpulse.errors import (
     ConfigurationError,
     DivisionHazardError,
@@ -14,7 +14,7 @@ from uwbpulse.errors import (
     MaskFitError,
 )
 from uwbpulse.pipeline import band_bins, band_spectrum, compliant_spectrum
-from uwbpulse.signals import Spectrum
+from uwbpulse.signals import Spectrum, _power_at
 from uwbpulse.spectral import (
     SpectralMask,
     cosine_basis,
@@ -28,6 +28,29 @@ from conftest import direct_power, direct_transform
 
 T0 = defaults.CLOCK_T0
 GHZ = 1e9
+
+
+def _mask_edges(mask):
+    return np.unique([f for segment in mask.segments for f in segment[:2]])
+
+
+def _with_edge_samples(spec, p, mask):
+    """``spec`` plus the exact p^ (:func:`direct_transform`) at each mask
+    edge that it does not sample."""
+    edges = _mask_edges(mask)
+    edges = edges[~np.isin(edges, spec.freqs)]
+    at = np.searchsorted(spec.freqs, edges)
+    vals = np.insert(spec.values, at, direct_transform(p, edges))
+    return Spectrum(np.insert(spec.freqs, at, edges), vals)
+
+
+def _edge_ceiling(freqs, mask):
+    """The mask at each frequency; at an interior edge, the lower of the
+    two levels that meet there, the ceiling of a continuous spectrum."""
+    ceiling = mask.level_at(freqs)
+    for (_, f, left), (_, _, right) in zip(mask.segments, mask.segments[1:]):
+        ceiling[freqs == f] = min(left, right)
+    return ceiling
 
 
 # ----------------------------------------------------------------- mask
@@ -193,13 +216,23 @@ def test_nesp_saturating_spectrum_is_one(mask):
 
 
 def test_nesp_refinement(pulse25, mask):
-    s1 = up.spectrum(pulse25, 2**20)
-    s2 = up.spectrum(pulse25, 2**21)
-    a1 = up.max_compliant_scale(s1, mask)
-    n1 = up.nesp(Spectrum(s1.freqs, s1.values * a1), mask)
-    a2 = up.max_compliant_scale(s2, mask)
-    n2 = up.nesp(Spectrum(s2.freqs, s2.values * a2), mask)
-    assert abs(n1 - n2) <= 1e-4
+    # full grids of 2^20 and 2^21 points, each with the exact mask-edge samples
+    values = []
+    for nfft in (2**20, 2**21):
+        s = _with_edge_samples(up.spectrum(pulse25, nfft), pulse25, mask)
+        alpha = up.max_compliant_scale(s, mask)
+        values.append(up.nesp(Spectrum(s.freqs, s.values * alpha), mask))
+    assert abs(values[0] - values[1]) <= 1e-4
+
+
+@pytest.mark.parametrize("order", [1, 5, 25])
+def test_nesp_matches_the_exact_passband_integral(order, request, mask):
+    # passband_weights(p, passband, 1, clock)[0] is the closed-form
+    # integral of the sampled pulse's |p^|^2 over the passband
+    design = request.getfixturevalue(f"design{order}")
+    exact = up.passband_weights(design.pulse, mask.passband, 1, mask.clock)[0]
+    want = design.alpha**2 * exact / mask.allowed_passband_power()
+    assert design.nesp_value == pytest.approx(want, rel=5e-8, abs=0)
 
 
 def test_nesp_ordering_monocycle_far_below_shaped(design25, design1):
@@ -207,22 +240,22 @@ def test_nesp_ordering_monocycle_far_below_shaped(design25, design1):
     assert design25.nesp_value > 10 * design1.nesp_value
 
 
-def test_nesp_phase_invariance(spec25, mask):
+def test_nesp_phase_invariance(bins25, mask):
     rng = np.random.default_rng(3)
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, len(spec25.values)))
-    alpha = up.max_compliant_scale(spec25, mask)
-    base = up.nesp(Spectrum(spec25.freqs, spec25.values * alpha), mask)
-    twisted = up.nesp(Spectrum(spec25.freqs, spec25.values * phases * alpha), mask)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, len(bins25.values)))
+    alpha = up.max_compliant_scale(bins25, mask)
+    base = up.nesp(Spectrum(bins25.freqs, bins25.values * alpha), mask)
+    twisted = up.nesp(Spectrum(bins25.freqs, bins25.values * phases * alpha), mask)
     assert twisted == pytest.approx(base, rel=1e-12)
 
 
-def test_nesp_scale_invariance_after_rescaling(spec25, mask):
+def test_nesp_scale_invariance_after_rescaling(bins25, mask):
     for c in (0.1, 7.3):
-        scaled = Spectrum(spec25.freqs, spec25.values * c)
+        scaled = Spectrum(bins25.freqs, bins25.values * c)
         alpha = up.max_compliant_scale(scaled, mask)
         val = up.nesp(Spectrum(scaled.freqs, scaled.values * alpha), mask)
-        alpha0 = up.max_compliant_scale(spec25, mask)
-        ref = up.nesp(Spectrum(spec25.freqs, spec25.values * alpha0), mask)
+        alpha0 = up.max_compliant_scale(bins25, mask)
+        ref = up.nesp(Spectrum(bins25.freqs, bins25.values * alpha0), mask)
         assert val == pytest.approx(ref, rel=1e-9)
 
 
@@ -230,40 +263,39 @@ def test_nesp_scale_invariance_after_rescaling(spec25, mask):
 
 
 def test_scale_of_mask_matching_spectrum(mask):
-    freqs = np.linspace(-14e9, 14e9, 2**16 + 1)
-    vals = np.sqrt(mask.level_at(np.abs(freqs)))
+    # the mask's own ceiling, on a uniform grid plus its edges
+    freqs = np.union1d(np.linspace(-14e9, 14e9, 2**16 + 1), _mask_edges(mask))
+    vals = np.sqrt(_edge_ceiling(np.abs(freqs), mask))
     s = Spectrum(freqs, vals.astype(complex))
     assert up.max_compliant_scale(s, mask) == pytest.approx(1.0 - 1e-6, rel=1e-12)
 
 
-def test_scale_homogeneity(spec25, mask):
-    base = up.max_compliant_scale(spec25, mask)
+def test_scale_refuses_a_spectrum_without_edge_samples(spec25, mask):
+    # the full grid has no sample at 1.61, 1.99, 3.1 or 10.6 GHz
+    with pytest.raises(ConfigurationError, match="no sample at the mask edges"):
+        up.max_compliant_scale(spec25, mask)
+
+
+def test_scale_homogeneity(bins25, mask):
+    base = up.max_compliant_scale(bins25, mask)
     for c in (0.25, 4.0):
-        scaled = Spectrum(spec25.freqs, spec25.values * c)
+        scaled = Spectrum(bins25.freqs, bins25.values * c)
         assert up.max_compliant_scale(scaled, mask) == pytest.approx(base / c, rel=1e-12)
 
 
 def test_scaled_spectrum_touches_mask(limit_k2, mask):
-    from uwbpulse.spectral import _one_sided_power
-
-    s = band_spectrum(limit_k2.pulse, mask)
-    alpha = up.max_compliant_scale(s, mask)
-    sel = (s.freqs >= 0) & (s.freqs <= mask.f_top)
-    candidates = [np.max(s.power()[sel] / mask.level_at(s.freqs[sel]))]
-    for f_lo, f_hi, level in mask.segments:
-        candidates.append(_one_sided_power(s, f_lo, "right") / level)
-        candidates.append(_one_sided_power(s, f_hi, "left") / level)
-    touched = alpha**2 * max(candidates)
-    assert touched == pytest.approx(1.0, rel=1e-5)
-    assert touched <= 1.0
+    # the worst sample, a bin or an edge, sits the safety factor below the mask
+    _, scaled = compliant_spectrum(limit_k2.pulse, mask)
+    touched = np.max(scaled.power() / _edge_ceiling(scaled.freqs, mask))
+    assert touched == pytest.approx((1.0 - 1e-6) ** 2, rel=0, abs=1e-12)
 
 
-def test_scale_monotone_in_mask(spec25, mask):
-    base = up.max_compliant_scale(spec25, mask)
+def test_scale_monotone_in_mask(bins25, mask):
+    base = up.max_compliant_scale(bins25, mask)
     bigger = SpectralMask(
         tuple((lo, hi, lv * 2.0) for lo, hi, lv in mask.segments), mask.passband
     )
-    assert up.max_compliant_scale(spec25, bigger) >= base
+    assert up.max_compliant_scale(bins25, bigger) >= base
 
 
 # ------------------------------------------------- band bins by chirp-z
@@ -288,11 +320,24 @@ def _full_grid_band(p, mask):
 
 
 def test_band_bins_are_the_full_grid_bins(band_pulse, mask):
+    # the full grid's bins in [0, f_top], plus each mask edge that is not one
     full, sel = _full_grid_band(band_pulse, mask)
     got = band_bins(band_pulse, mask)
-    assert np.array_equal(got.freqs, full.freqs[sel])
+    edges = _mask_edges(mask)
+    added = ~np.isin(got.freqs, full.freqs[sel])
+    assert np.all(np.diff(got.freqs) > 0)
+    assert np.array_equal(got.freqs[added], edges[~np.isin(edges, full.freqs[sel])])
+    assert np.array_equal(got.freqs[~added], full.freqs[sel])
     peak = np.abs(full.values).max()
-    assert np.abs(got.values - full.values[sel]).max() <= 1e-14 * peak
+    assert np.abs(got.values[~added] - full.values[sel]).max() <= 1e-14 * peak
+
+
+def test_band_bins_edge_samples_are_exact(band_pulse, mask):
+    got = band_bins(band_pulse, mask)
+    at = np.isin(got.freqs, _mask_edges(mask))
+    assert np.count_nonzero(at) == len(mask.segments) + 1
+    exact = _power_at(band_pulse, got.freqs[at])
+    assert np.abs(got.power()[at] - exact).max() <= 1e-13 * got.power().max()
 
 
 def test_band_bins_match_exact_dtft(band_pulse, mask):
@@ -304,23 +349,43 @@ def test_band_bins_match_exact_dtft(band_pulse, mask):
 
 
 def test_compliant_spectrum_matches_full_grid_route(band_pulse, mask):
+    # the full grid's band, with the exact edge samples of direct_transform
     full, sel = _full_grid_band(band_pulse, mask)
+    full = _with_edge_samples(Spectrum(full.freqs[sel], full.values[sel]), band_pulse, mask)
     alpha_full = up.max_compliant_scale(full, mask)
-    nesp_full = up.nesp(Spectrum(full.freqs[sel], full.values[sel] * alpha_full), mask)
+    nesp_full = up.nesp(Spectrum(full.freqs, full.values * alpha_full), mask)
     alpha, scaled = compliant_spectrum(band_pulse, mask)
     assert alpha == pytest.approx(alpha_full, rel=1e-13, abs=0)
     assert up.nesp(scaled, mask) == pytest.approx(nesp_full, rel=1e-13, abs=0)
 
 
 def test_compliance_chain_never_builds_the_full_grid(monkeypatch, mask):
-    def full_grid(*args, **kwargs):
-        raise AssertionError("the full-grid spectrum was computed")
+    # compliance takes the bins by chirp-z and a direct sum at the mask
+    # edges that are not bins: neither the full grid nor the O(n^2) lag
+    # row of _power_at, which only the mask fits use
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{what} was computed")
 
-    monkeypatch.setattr(pipeline, "spectrum", full_grid)
-    monkeypatch.setattr(signals, "spectrum", full_grid)
+        return call
+
+    monkeypatch.setattr(pipeline, "spectrum", refuse("the full-grid spectrum"))
+    monkeypatch.setattr(signals, "spectrum", refuse("the full-grid spectrum"))
     design = up.design_pulse(order=5)
+    for module in (signals, spectral, lowdin):
+        monkeypatch.setattr(module, "_power_at", refuse("_power_at"))
+    seen = []
+    dtft = pipeline._dtft
+
+    def record(p, freqs):
+        seen.append(np.asarray(freqs))
+        return dtft(p, freqs)
+
+    monkeypatch.setattr(pipeline, "_dtft", record)
     report = up.analyze_pulse(design.pulse, mask)
     assert report["nesp"] == pytest.approx(design.nesp_value, rel=1e-12, abs=0)
+    assert len(seen) == 1
+    assert seen[0].tolist() == [1.61 * GHZ, 1.99 * GHZ, 3.1 * GHZ, 10.6 * GHZ]
 
 
 # ------------------------------------------------------------------- PSDs
@@ -530,10 +595,10 @@ def test_cosine_poly_even_and_periodic(coeffs):
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.1, 5.0))
-def test_scale_monotone_under_mask_growth(spec25, mask, factor):
-    base = up.max_compliant_scale(spec25, mask)
+def test_scale_monotone_under_mask_growth(bins25, mask, factor):
+    base = up.max_compliant_scale(bins25, mask)
     grown = SpectralMask(
         tuple((lo, hi, lv * (1.0 + factor)) for lo, hi, lv in mask.segments),
         mask.passband,
     )
-    assert up.max_compliant_scale(spec25, grown) >= base
+    assert up.max_compliant_scale(bins25, grown) >= base
