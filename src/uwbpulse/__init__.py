@@ -59,14 +59,14 @@ from .optimizer import (
 )
 from .lowdin import (
     OrthogonalFamily,
+    Translates,
     approx_lowdin_family,
-    gram,
     gram_schmidt_family,
     inverse_sqrt_spd,
     lowdin_family,
     lowdin_optimality_probe,
     orthonormal_generator,
-    riesz_bounds,
+    translates,
 )
 from .modem import (
     LinkConfig,

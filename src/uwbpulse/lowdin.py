@@ -1,9 +1,10 @@
 """Orthogonalization of pulse translates.
 
 Given a pulse p and shift T, the translates {p(. - nT)} for |n| <= M have
-a banded symmetric Toeplitz Gram matrix, held as its lag row r(nT) =
-autocorr_samples(p, T).  Applying its inverse square root to the family
-yields the orthonormal basis closest to it in summed L2 distortion
+a banded symmetric Toeplitz Gram matrix, held as its lag row r(nT) by one
+:class:`Translates` (made by :func:`translates`) with the Riesz bounds
+that decide stability.  Applying the Gram's inverse square root to the
+family yields the orthonormal basis closest to it in summed L2 distortion
 (symmetric orthogonalization).  Wrapping the band cyclically into a
 circulant, whose eigenvalues are the folded power spectrum at l/N, makes
 the transform a DFT and gives time-limited approximants; letting the
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, GridAlignmentError, UnstableGeneratorError
+from .errors import ConfigurationError, UnstableGeneratorError
 from .signals import (
     SampledPulse,
     TimeGrid,
@@ -43,6 +44,48 @@ _PROBE_PIECES = 8  # bins of [0, 1/2) on which the probe's phases are constant
 
 
 @dataclass(frozen=True, eq=False)
+class Translates:
+    """The translates p(. - nT) of a pulse at shift T, and what they share.
+
+    ``r`` is their lag row r(0..K T), zero past K, and [``a``, ``b``] are
+    their Riesz bounds, the extrema of the folded power spectrum.  Made
+    only by :func:`translates`, which applies the stability rule, so every
+    instance is stable.
+    """
+
+    pulse: SampledPulse
+    shift: float
+    steps: int  # the shift in grid steps
+    r: np.ndarray
+    a: float
+    b: float
+
+    def gram(self, m_half: int) -> np.ndarray:
+        """Gram matrix of the 2M+1 translates: the Toeplitz matrix of r(0..2M T)."""
+        if m_half < 1:
+            raise ConfigurationError("need at least one shift on each side")
+        row = np.zeros(2 * m_half + 1)
+        row[: len(self.r)] = self.r[: len(row)]
+        return _toeplitz(row)
+
+
+def translates(p: SampledPulse, shift: float) -> Translates:
+    """The translates of ``p`` at ``shift``, with their lag row and Riesz bounds.
+
+    The folded spectrum is a cosine series in the lags r(kT), so its
+    extrema are taken at the roots of its derivative in u = cos(2 pi nu)
+    or at nu = 0, 1/2 (:func:`signals._cosine_extrema`); no grid is
+    scanned.  The stability rule of every transform here: a lower bound
+    A <= 1e-8 r(0), the spectrum's mean, raises :class:`UnstableGeneratorError`.
+    """
+    r = autocorr_samples(p, shift)
+    a, b = _cosine_extrema(r)
+    if not a > 1e-8 * r[0]:
+        raise UnstableGeneratorError(f"stability bound A = {a:.3e} <= 1e-8 r(0) at shift {shift!r}")
+    return Translates(p, shift, shift_samples(p, shift), r, a, b)
+
+
+@dataclass(frozen=True, eq=False)
 class OrthogonalFamily:
     """2M+1 pulses spanning the translate space, as one sample matrix.
 
@@ -57,8 +100,12 @@ class OrthogonalFamily:
     grid: TimeGrid
     kind: str  # "lo", "alo" or "gs"
     m_half: int
-    shift: float
+    translates: Translates
     weights: np.ndarray
+
+    @property
+    def shift(self) -> float:
+        return self.translates.shift
 
     @property
     def size(self) -> int:
@@ -88,6 +135,7 @@ class LimitPulse(NamedTuple):
     tail_level: float  # tap at the cap over centre tap; <= LIMIT_LEVEL once converged
     m_half: int  # tap radius m, in shifts: the last tap above LIMIT_LEVEL
     taps: np.ndarray  # weights of p(. - nT), n = -m..m
+    translates: Translates  # of the input pulse
 
 
 def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
@@ -97,18 +145,12 @@ def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
     power spectrum at f * shift; both are finite cosine series over the
     pulse's autocorrelation, so this needs no truncation and works even
     when the generator decays slowly.  Raises unless the translates are
-    stable (:func:`riesz_bounds`, the minimum over every frequency, not
+    stable (:func:`translates`, the minimum over every frequency, not
     only ``freqs``).
     """
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    r = autocorr_samples(p, shift)
-    _riesz_bounds(r, shift)
-    return _power_at(p, f) / cosine_series(r, f * shift)
-
-
-def gram(p: SampledPulse, shift: float, m_half: int) -> np.ndarray:
-    """Gram matrix of the 2M+1 translates: the Toeplitz matrix of r(0..2M T)."""
-    return _gram(autocorr_samples(p, shift), m_half)
+    t = translates(p, shift)
+    return _power_at(p, f) / cosine_series(t.r, f * shift)
 
 
 def _toeplitz(row: np.ndarray) -> np.ndarray:
@@ -116,15 +158,6 @@ def _toeplitz(row: np.ndarray) -> np.ndarray:
     row[|i - j|]."""
     i = np.arange(len(row))
     return row[np.abs(i - i[:, None])]
-
-
-def _gram(r: np.ndarray, m_half: int) -> np.ndarray:
-    """:func:`gram` from the lag row r = r(0..K T), zero past K."""
-    if m_half < 1:
-        raise ConfigurationError("need at least one shift on each side")
-    row = np.zeros(2 * m_half + 1)
-    row[: len(r)] = r[: len(row)]
-    return _toeplitz(row)
 
 
 def inverse_sqrt_spd(gm: np.ndarray) -> np.ndarray:
@@ -139,13 +172,12 @@ def inverse_sqrt_spd(gm: np.ndarray) -> np.ndarray:
     return (vecs * vals**-0.5) @ vecs.T
 
 
-def _family(p: SampledPulse, shift: float, weights: np.ndarray, kind: str) -> OrthogonalFamily:
+def _family(t: Translates, weights: np.ndarray, kind: str) -> OrthogonalFamily:
     """Members sum_n weights[m, n] p(. - (n - M) T) on one extended grid."""
-    s = shift_samples(p, shift)
     m_half = (len(weights) - 1) // 2
-    samples = _translate_sum(p.samples, weights, s)
-    grid = TimeGrid(p.dt, p.grid.n0 + m_half * s, samples.shape[1])
-    return OrthogonalFamily(samples, grid, kind, m_half, shift, weights)
+    samples = _translate_sum(t.pulse.samples, weights, t.steps)
+    grid = TimeGrid(t.pulse.dt, t.pulse.grid.n0 + m_half * t.steps, samples.shape[1])
+    return OrthogonalFamily(samples, grid, kind, m_half, t, weights)
 
 
 def lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
@@ -153,10 +185,10 @@ def lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamil
 
     Rows of the Gram inverse square root are the combining filter bank;
     member m is the filtered pulse sum_n weights[m, n] p(. - nT).  Raises
-    unless the translates are stable (:func:`riesz_bounds`).
+    unless the translates are stable (:func:`translates`).
     """
-    riesz_bounds(p, shift)  # raises if unstable
-    return _family(p, shift, inverse_sqrt_spd(gram(p, shift, m_half)), "lo")
+    t = translates(p, shift)
+    return _family(t, inverse_sqrt_spd(t.gram(m_half)), "lo")
 
 
 def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
@@ -164,13 +196,13 @@ def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> Orthogona
 
     With Gram G = L L^T (Cholesky), the combining weights are L^{-1}, so
     member m depends only on translates up to m.  Raises unless the
-    translates are stable (:func:`riesz_bounds`).
+    translates are stable (:func:`translates`).
     """
-    riesz_bounds(p, shift)  # raises if unstable
-    chol = np.linalg.cholesky(gram(p, shift, m_half))
+    t = translates(p, shift)
+    chol = np.linalg.cholesky(t.gram(m_half))
     # L^{-1} is lower triangular; tril drops the rounding that the
     # inverse's row pivoting can leave above the diagonal
-    return _family(p, shift, np.tril(np.linalg.inv(chol)), "gs")
+    return _family(t, np.tril(np.linalg.inv(chol)), "gs")
 
 
 def _inverse_sqrt_taps(r: np.ndarray, m_half: int) -> np.ndarray:
@@ -197,47 +229,19 @@ def approx_lowdin_family(p: SampledPulse, shift: float, m_half: int) -> Orthogon
     cyclic wrap-around stops matching the straight transform, are zeroed:
     the members stay on the translates' grid, and are time-limited to
     the cutoff by those zeros.  Raises unless the translates are stable
-    (:func:`riesz_bounds`), which N circulant eigenvalues cannot show.
+    (:func:`translates`), which N circulant eigenvalues cannot show.
     """
-    riesz_bounds(p, shift)  # raises if unstable
-    return _approx_lowdin_family(p, shift, m_half, autocorr_samples(p, shift))
-
-
-def _approx_lowdin_family(
-    p: SampledPulse, shift: float, m_half: int, r: np.ndarray
-) -> OrthogonalFamily:
-    """:func:`approx_lowdin_family` from the lag row ``r`` at ``shift``, once
-    :func:`riesz_bounds` has passed."""
-    row = _inverse_sqrt_taps(r, m_half)
+    t = translates(p, shift)
+    row = _inverse_sqrt_taps(t.r, m_half)
     i = np.arange(len(row))
     # the circulant W[m, n] = row[(n - m) mod N]: a negative index wraps
-    fam = _family(p, shift, row[i - i[:, None]], "alo")
+    fam = _family(t, row[i - i[:, None]], "alo")
     # the cutoff (M - K/2) T in grid steps, rounded down at a half step
-    cutoff = (2 * m_half - (len(r) - 1)) * shift_samples(p, shift) // 2
+    cutoff = (2 * m_half - (len(t.r) - 1)) * t.steps // 2
     n0 = fam.grid.n0
     fam.samples[:, : max(n0 - cutoff, 0)] = 0.0
     fam.samples[:, max(n0 + cutoff + 1, 0) :] = 0.0
     return fam
-
-
-def riesz_bounds(p: SampledPulse, shift: float) -> tuple[float, float]:
-    """Exact extrema of the folded power spectrum over one period.
-
-    The folded spectrum is a cosine series in the lags r(kT), so its
-    extrema are taken at the roots of its derivative in u = cos(2 pi nu)
-    or at nu = 0, 1/2 (:func:`signals._cosine_extrema`); no grid is
-    scanned.  The stability rule of every transform here: a lower bound
-    A <= 1e-8 r(0), the spectrum's mean, raises :class:`UnstableGeneratorError`.
-    """
-    return _riesz_bounds(autocorr_samples(p, shift), shift)
-
-
-def _riesz_bounds(r: np.ndarray, shift: float) -> tuple[float, float]:
-    """:func:`riesz_bounds` from the lag row r = r(0..K T)."""
-    a, b = _cosine_extrema(r)
-    if not a > 1e-8 * r[0]:
-        raise UnstableGeneratorError(f"stability bound A = {a:.3e} <= 1e-8 r(0) at shift {shift!r}")
-    return a, b
 
 
 def orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
@@ -250,40 +254,29 @@ def orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
     centre tap.  The taps decay geometrically, so the cap holds all of
     them unless the stability bound is nearly degenerate; ``tail_level``,
     the tap at the cap over the centre tap, then tells how far from
-    converged they are.  No sample of the sum is dropped.
+    converged they are.  No sample of the sum is dropped.  Raises unless
+    the translates are stable (:func:`translates`).
     """
-    riesz_bounds(p, shift)  # raises if unstable
-    return _orthonormal_generator(p, shift, autocorr_samples(p, shift))
-
-
-def _orthonormal_generator(p: SampledPulse, shift: float, r: np.ndarray) -> LimitPulse:
-    """:func:`orthonormal_generator` from the lag row ``r`` at ``shift``,
-    once :func:`riesz_bounds` has passed."""
-    cap = max(LIMIT_MAX_M_HALF, len(r) - 1)  # the band must fit the circulant
-    row = _inverse_sqrt_taps(r, cap)
+    t = translates(p, shift)
+    cap = max(LIMIT_MAX_M_HALF, len(t.r) - 1)  # the band must fit the circulant
+    row = _inverse_sqrt_taps(t.r, cap)
     tail = float(np.max(np.abs(row[cap : cap + 2])) / row[0])  # taps at +-cap
     taps = np.roll(row, cap)
     kept = np.nonzero(np.abs(taps) > LIMIT_LEVEL * row[0])[0]
     m_half = int(np.max(np.abs(kept - cap)))
     taps = taps[cap - m_half : cap + m_half + 1]
-    s = shift_samples(p, shift)
-    out = _translate_sum(p.samples, taps, s)
-    grid = TimeGrid(p.dt, p.grid.n0 + m_half * s, len(out))
+    out = _translate_sum(p.samples, taps, t.steps)
+    grid = TimeGrid(p.dt, p.grid.n0 + m_half * t.steps, len(out))
     radius = max(grid.n0, grid.size - 1 - grid.n0) * p.dt
-    return LimitPulse(SampledPulse(grid, out).normalized(), radius, tail, m_half, taps)
+    return LimitPulse(SampledPulse(grid, out).normalized(), radius, tail, m_half, taps, t)
 
 
-def summed_distortion(family: OrthogonalFamily, p: SampledPulse) -> float:
-    """Sum over members of the squared L2 distance to the matching translate.
-
-    ``p`` must be the pulse the family was built from, on the same grid.
-    """
-    s = shift_samples(p, family.shift)
-    diff = _translate_sum(p.samples, np.eye(family.size), s)
-    if TimeGrid(p.dt, p.grid.n0 + family.m_half * s, diff.shape[1]) != family.grid:
-        raise GridAlignmentError("pulse grid does not match the family's translates")
-    diff -= family.samples
-    return float(np.vdot(diff, diff) * p.dt)
+def summed_distortion(family: OrthogonalFamily) -> float:
+    """Sum over members of the squared L2 distance to the matching translate
+    of the pulse the family was built from."""
+    t = family.translates
+    diff = _translate_sum(t.pulse.samples, np.eye(family.size), t.steps) - family.samples
+    return float(np.vdot(diff, diff) * t.pulse.dt)
 
 
 def lowdin_optimality_probe(p: SampledPulse, shift: float, trials: int, seed: int = 0) -> dict:
@@ -298,10 +291,10 @@ def lowdin_optimality_probe(p: SampledPulse, shift: float, trials: int, seed: in
     (Gauss-Legendre).  It adds the time-domain closed form
     2 (1 - <p, p_on>) of the unit-energy ``p``'s generator p_on as a check.
     """
-    base = orthonormal_generator(p, shift).pulse
-    closed = 2.0 * (1.0 - inner(p, base))
+    base = orthonormal_generator(p, shift)
+    closed = 2.0 * (1.0 - inner(p, base.pulse))
 
-    r = autocorr_samples(p, shift)
+    r = base.translates.r
     x, w = np.polynomial.legendre.leggauss(_PROBE_NODES)
     nu = (np.arange(_PROBE_PIECES)[:, None] + (x + 1.0) / 2.0) / (2 * _PROBE_PIECES)
     # integral of sqrt(Phi) over each bin plus its mirror image in (1/2, 1]

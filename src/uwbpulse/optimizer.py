@@ -315,11 +315,6 @@ def spectral_factorize(r: AutocorrVector) -> FilterTaps:
     return FilterTaps(g, r.clock, err)
 
 
-def min_phase_roots(g: FilterTaps) -> np.ndarray:
-    """Zeros of the tap polynomial (all inside/on the unit circle for min phase)."""
-    return np.roots(g.taps)
-
-
 def shift_orthogonality_defect(g: FilterTaps, delta: int) -> float:
     """max over k != 0 of |r_g(k * delta)|; zero iff the filter preserves
     delta-shift orthogonality of an already orthogonal input."""

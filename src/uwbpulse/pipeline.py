@@ -18,13 +18,11 @@ from .errors import ConfigurationError
 from .lowdin import (
     LIMIT_LEVEL,
     OrthogonalFamily,
-    _approx_lowdin_family,
-    _family,
-    _gram,
     _max_offdiagonal,
-    _orthonormal_generator,
-    _riesz_bounds,
-    inverse_sqrt_spd,
+    approx_lowdin_family,
+    lowdin_family,
+    orthonormal_generator,
+    translates,
 )
 from .optimizer import (
     AutocorrVector,
@@ -41,7 +39,6 @@ from .signals import (
     _dft_bins,
     _dtft,
     _grid_steps,
-    autocorr_samples,
     gaussian_monocycle,
     semi_discrete_convolve,
     spectrum,
@@ -191,40 +188,41 @@ def build_family(
     tap), its ``tail_level`` (tap at the cap over centre tap, above
     LIMIT_LEVEL when the taps have not decayed within the cap),
     ``converged`` (tail_level <= LIMIT_LEVEL) and ``truncation_radius``
-    (the limit pulse's half-span).  The pulse's lag row r(kT) is computed
-    once and feeds the stability bounds, the Gram and the circulant.
+    (the limit pulse's half-span).  The builder makes the one
+    :class:`lowdin.Translates` of the build, whose lag row r(kT) and Riesz
+    bounds the report reads.
     """
     if m_multiple < 1:
         raise ConfigurationError(f"m_multiple must be at least 1, not {m_multiple}")
     shift = shift_from_ratio(pulse, k_ratio)
     m_half = m_multiple * k_ratio
-    r = autocorr_samples(pulse, shift)  # the band r(0..K T)
-    a, b = _riesz_bounds(r, shift)  # exact extrema of the folded spectrum
-    weak = math.sqrt(2.0 * np.dot(np.arange(len(r)), r**2) / (2 * m_half + 1))
     if kind == "lo":
-        g = _gram(r, m_half)
-        family = _family(pulse, shift, inverse_sqrt_spd(g), "lo")
+        family = lowdin_family(pulse, shift, m_half)
+        t = family.translates
         centered = family.centered()
-        offdiag = _max_offdiagonal(family.weights @ g @ family.weights.T)
+        offdiag = _max_offdiagonal(family.weights @ t.gram(m_half) @ family.weights.T)
     elif kind == "alo":
-        family = _approx_lowdin_family(pulse, shift, m_half, r)
+        family = approx_lowdin_family(pulse, shift, m_half)
+        t = family.translates
         centered = family.centered()
         offdiag = family.max_offdiagonal()
     elif kind == "limit":
         family = None
-        limit = _orthonormal_generator(pulse, shift, r)
+        limit = orthonormal_generator(pulse, shift)
+        t = limit.translates
         centered = limit.pulse
         # lag row of sum_n c_n p(. - nT), c * c~ * r; lag 0 is the energy
         # that normalized the pulse
         c = limit.taps
-        lags = np.convolve(np.correlate(c, c, "full"), np.concatenate([r[:0:-1], r]))
+        lags = np.convolve(np.correlate(c, c, "full"), np.concatenate([t.r[:0:-1], t.r]))
         mid = len(lags) // 2
         offdiag = float(np.max(np.abs(lags[mid + 1 :]), initial=0.0) / lags[mid])
     else:
         raise ConfigurationError("kind must be lo, alo, or limit")
+    weak = math.sqrt(2.0 * np.dot(np.arange(len(t.r)), t.r**2) / (2 * m_half + 1))
     report = {
-        "A": a,
-        "B": b,
+        "A": t.a,
+        "B": t.b,
         "offdiag_max": offdiag,
         "weak_norm_gap": weak,
         "shift_seconds": shift,
@@ -251,15 +249,14 @@ def analyze_pulse(
     if shift is None:
         shift = shift_from_ratio(pulse, 2)
     alpha, scaled = compliant_spectrum(pulse, mask)
-    r = autocorr_samples(pulse, shift)
-    a, b = _riesz_bounds(r, shift)
+    t = translates(pulse, shift)
     return {
         "energy": pulse.energy(),
         "Tp": pulse.duration(),
         "nesp": nesp(scaled, mask),
         "alpha_star": alpha,
-        "A": a,
-        "B": b,
+        "A": t.a,
+        "B": t.b,
         "shift_seconds": shift,
-        "autocorr_samples": [float(x) for x in (r / r[0])],
+        "autocorr_samples": [float(x) for x in (t.r / t.r[0])],
     }

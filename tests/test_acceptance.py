@@ -62,7 +62,7 @@ def test_c04_circulant_eigenvalue_identity(pulse25):
     shift = pulse25.duration() / k
     worst = 0.0
     for m_half in (k, 2 * k, 4 * k):
-        lam = np.linalg.eigvalsh(strang_circulant(up.gram(pulse25, shift, m_half)))
+        lam = np.linalg.eigvalsh(strang_circulant(up.translates(pulse25, shift).gram(m_half)))
         n = 2 * m_half + 1
         other = np.sort(up.gram_symbol(pulse25, shift, np.arange(n) / n))
         worst = max(worst, float(np.abs(lam - other).max()))
@@ -128,8 +128,8 @@ def test_c09_lowdin_optimality(pulse25):
     m_half = 6
     lo = up.lowdin_family(pulse25, shift, m_half)
     gs = gram_schmidt_family(pulse25, shift, m_half)
-    d_lo = summed_distortion(lo, pulse25)
-    d_gs = summed_distortion(gs, pulse25)
+    d_lo = summed_distortion(lo)
+    d_gs = summed_distortion(gs)
     probe = up.lowdin_optimality_probe(pulse25, shift, trials=50, seed=0)
     closed_ok = (
         abs(probe["lowdin_distance_sq"] - probe["closed_form_distance_sq"]) <= 1e-9

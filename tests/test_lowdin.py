@@ -1,6 +1,7 @@
 """Gram matrices, symmetric orthogonalization, circulant approximants,
 the shift-orthonormal limit, and optimality diagnostics."""
 
+import ast
 import inspect
 import math
 
@@ -45,14 +46,14 @@ def translate(p: SampledPulse, n_shifts: int, shift: float) -> SampledPulse:
 
 def test_gram_identity_for_disjoint_translates(monocycle):
     shift = monocycle.duration() + 64 * monocycle.dt
-    assert np.allclose(up.gram(monocycle, shift, 3), np.eye(7), atol=1e-15)
+    assert np.allclose(up.translates(monocycle, shift).gram(3), np.eye(7), atol=1e-15)
 
 
 def test_gram_matches_direct_inner_products(pulse25):
     # oracle: build the translates explicitly and take raw inner products
     shift = pulse25.duration() / 2
     m_half = 3
-    gm = up.gram(pulse25, shift, m_half)
+    gm = up.translates(pulse25, shift).gram(m_half)
     pulses = [translate(pulse25, n, shift) for n in range(-m_half, m_half + 1)]
     for i in range(7):
         for j in range(7):
@@ -63,7 +64,7 @@ def test_gram_bandwidth(pulse25):
     for k in (2, 3, 5):
         shift = pulse25.duration() / k
         assert len(autocorr_samples(pulse25, shift)) - 1 == k
-        row = up.gram(pulse25, shift, 2 * k)[0]
+        row = up.translates(pulse25, shift).gram(2 * k)[0]
         assert not np.any(row[k + 1 :])  # no lag past the band
 
 
@@ -88,7 +89,7 @@ def test_inverse_sqrt_two_by_two_closed_form():
 def test_inverse_sqrt_against_denman_beavers(pulse25):
     # oracle: coupled Newton iteration for the matrix square root
     shift = pulse25.duration() / 5
-    gm = up.gram(pulse25, shift, 10)  # 21 x 21
+    gm = up.translates(pulse25, shift).gram(10)  # 21 x 21
     y = gm.copy()
     z = np.eye(len(gm))
     for _ in range(60):
@@ -110,7 +111,7 @@ def test_inverse_sqrt_rejects_near_singular():
 def test_inverse_sqrt_floor_is_relative(pulse25):
     # the singularity floor scales with the matrix: a tiny Gram is as
     # invertible as the one it is a multiple of
-    g = up.gram(pulse25, pulse25.duration() / 5, 10)
+    g = up.translates(pulse25, pulse25.duration() / 5).gram(10)
     s = up.inverse_sqrt_spd(g)
     scaled = up.inverse_sqrt_spd(1e-14 * g)
     assert np.abs(scaled - 1e7 * s).max() <= 1e-12 * np.abs(1e7 * s).max()
@@ -140,11 +141,11 @@ def test_lowdin_beats_gram_schmidt_distortion(pulse25):
     m_half = 4
     lo = up.lowdin_family(pulse25, shift, m_half)
     gs = gram_schmidt_family(pulse25, shift, m_half)
-    d_lo = summed_distortion(lo, pulse25)
-    d_gs = summed_distortion(gs, pulse25)
+    d_lo = summed_distortion(lo)
+    d_gs = summed_distortion(gs)
     assert d_lo < d_gs  # strictly, since the translates overlap
     # closed-form distortion from the weights: 2 sum (1 - [G^{1/2}]_mm)
-    gm = up.gram(pulse25, shift, m_half)
+    gm = up.translates(pulse25, shift).gram(m_half)
     vals, vecs = np.linalg.eigh(gm)
     sqrt_g = (vecs * np.sqrt(vals)) @ vecs.T
     expect = float(2 * np.sum(1.0 - np.diag(sqrt_g)))
@@ -216,7 +217,7 @@ def test_family_gram_matches_weighted_toeplitz(pulse25, k):
     # combining weights, against the Gram of the member matrix
     shift = pulse25.duration() / k
     m_half = 2 * k
-    g = up.gram(pulse25, shift, m_half)
+    g = up.translates(pulse25, shift).gram(m_half)
     gs = gram_schmidt_family(pulse25, shift, m_half)
     for fam in (up.lowdin_family(pulse25, shift, m_half), gs):
         expect = fam.weights @ g @ fam.weights.T
@@ -265,7 +266,7 @@ def test_strang_eigenvalues_match_folded_spectrum(pulse25):
     for k in (2, 5, 15, 20):
         shift = pulse25.duration() / k
         for m_half in (k, 2 * k, 4 * k):
-            lam = np.linalg.eigvalsh(strang_circulant(up.gram(pulse25, shift, m_half)))
+            lam = np.linalg.eigvalsh(strang_circulant(up.translates(pulse25, shift).gram(m_half)))
             n = 2 * m_half + 1
             expect = np.sort(up.gram_symbol(pulse25, shift, np.arange(n) / n))
             assert np.abs(lam - expect).max() <= 1e-12
@@ -280,13 +281,13 @@ def test_alo_weights_invert_the_strang_circulant(pulse25, k):
     w = up.approx_lowdin_family(pulse25, shift, m_half).weights
     row = _inverse_sqrt_taps(autocorr_samples(pulse25, shift), m_half)
     assert np.array_equal(w, scipy.linalg.circulant(row).T)
-    c = strang_circulant(up.gram(pulse25, shift, m_half))
+    c = strang_circulant(up.translates(pulse25, shift).gram(m_half))
     assert np.abs(w @ c @ w - np.eye(2 * m_half + 1)).max() <= 1e-12
 
 
 def test_strang_identity_for_disjoint_translates(monocycle):
     shift = monocycle.duration() + 32 * monocycle.dt
-    c = strang_circulant(up.gram(monocycle, shift, 3))
+    c = strang_circulant(up.translates(monocycle, shift).gram(3))
     assert np.allclose(c, np.eye(7), atol=1e-15)
     fam = up.approx_lowdin_family(monocycle, shift, 3)
     assert np.allclose(fam.weights, np.eye(7), atol=1e-15)
@@ -303,7 +304,7 @@ def test_strang_weak_norm_decreases(pulse25):
     k = 2
     gaps = []
     for m_half in (k, 2 * k, 4 * k, 8 * k):
-        gm = up.gram(pulse25, shift, m_half)
+        gm = up.translates(pulse25, shift).gram(m_half)
         diff = strang_circulant(gm) - gm
         gaps.append(float(np.sqrt(np.mean(np.linalg.eigvalsh(diff) ** 2))))
     assert gaps == sorted(gaps, reverse=True)
@@ -311,7 +312,7 @@ def test_strang_weak_norm_decreases(pulse25):
     # the report's closed form against the eigenvalue route
     for k, m_multiple in ((2, 2), (8, 8), (20, 2)):
         shift = pulse25.duration() / k
-        gm = up.gram(pulse25, shift, m_multiple * k)
+        gm = up.translates(pulse25, shift).gram(m_multiple * k)
         diff = strang_circulant(gm) - gm
         expect = float(np.sqrt(np.mean(np.linalg.eigvalsh(diff) ** 2)))
         report = build_family(pulse25, k, m_multiple, "alo")[2]
@@ -327,7 +328,7 @@ def test_alo_on_orthonormal_translates(limit_k2, pulse25):
     shift = pulse25.duration() / 2
     m_half = 16
     fam = up.approx_lowdin_family(limit_k2.pulse, shift, m_half)
-    lam = np.linalg.eigvalsh(strang_circulant(up.gram(limit_k2.pulse, shift, m_half)))
+    lam = np.linalg.eigvalsh(strang_circulant(up.translates(limit_k2.pulse, shift).gram(m_half)))
     assert np.abs(lam - 1.0).max() <= 1e-8
     # inside the clipped window the members equal the translates
     k = len(autocorr_samples(limit_k2.pulse, shift)) - 1
@@ -550,30 +551,115 @@ def test_centered_members_converge_geometrically_to_limit(pulse25, k, radii):
 # ------------------------------------------------------------ riesz bounds
 
 
-@pytest.mark.parametrize("kind", ["lo", "alo", "limit"])
-def test_build_family_scans_riesz_bounds_once(pulse25, monkeypatch, kind):
-    # one lag row of the input pulse feeds one stability scan and the build
+def _count_translate_work(monkeypatch) -> dict:
+    """Record each ``translates`` call (through lowdin's and pipeline's
+    bindings), each lag row (``signals.lag_autocorrelation``, by input)
+    and each Riesz scan (``_cosine_extrema``, by lag row)."""
     import uwbpulse.lowdin
     import uwbpulse.pipeline
     import uwbpulse.signals
 
-    rows, scans = [], []
-    lags, scan = uwbpulse.signals.lag_autocorrelation, uwbpulse.lowdin._riesz_bounds
+    seen = {"translates": [], "rows": [], "scans": []}
+    make, lags, scan = (
+        uwbpulse.lowdin.translates,
+        uwbpulse.signals.lag_autocorrelation,
+        uwbpulse.lowdin._cosine_extrema,
+    )
+
+    def counted_make(p, shift):
+        seen["translates"].append(p)
+        return make(p, shift)
 
     def counted_lags(x, *args):
-        rows.append(x)
+        seen["rows"].append(x)
         return lags(x, *args)
 
-    def counted_scan(*args):
-        scans.append(args)
-        return scan(*args)
+    def counted_scan(r):
+        seen["scans"].append(r)
+        return scan(r)
 
+    for module in (uwbpulse.lowdin, uwbpulse.pipeline):
+        monkeypatch.setattr(module, "translates", counted_make)
     monkeypatch.setattr(uwbpulse.signals, "lag_autocorrelation", counted_lags)
-    monkeypatch.setattr(uwbpulse.lowdin, "_riesz_bounds", counted_scan)
-    monkeypatch.setattr(uwbpulse.pipeline, "_riesz_bounds", counted_scan)
+    monkeypatch.setattr(uwbpulse.lowdin, "_cosine_extrema", counted_scan)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["lo", "alo", "limit"])
+def test_build_family_scans_riesz_bounds_once(pulse25, monkeypatch, kind):
+    # one translates per build: one lag row of the input pulse, one scan
+    seen = _count_translate_work(monkeypatch)
     build_family(pulse25, 2, 2, kind)
-    assert len(rows) == 1 and rows[0] is pulse25.samples
-    assert len(scans) == 1
+    assert seen["translates"] == [pulse25]
+    assert len(seen["rows"]) == 1 and seen["rows"][0] is pulse25.samples
+    assert len(seen["scans"]) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, builder",
+    [("lo", "lowdin_family"), ("alo", "approx_lowdin_family"), ("limit", "orthonormal_generator")],
+)
+def test_build_family_runs_its_public_builder(pulse25, monkeypatch, kind, builder):
+    # through pipeline's bindings, the names a wrapper of the public
+    # builders replaces; the report reads the result's translates
+    import uwbpulse.pipeline
+
+    calls = []
+
+    def counted(name):
+        fn = getattr(uwbpulse.pipeline, name)
+
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    for name in ("lowdin_family", "approx_lowdin_family", "orthonormal_generator"):
+        monkeypatch.setattr(uwbpulse.pipeline, name, counted(name))
+    _, _, report = build_family(pulse25, 2, 2, kind)
+    assert calls == [builder]
+    t = up.translates(pulse25, report["shift_seconds"])
+    assert (report["A"], report["B"]) == (t.a, t.b)
+
+    seen = _count_translate_work(monkeypatch)
+    report = up.analyze_pulse(pulse25)
+    assert seen["translates"] == [pulse25] and len(seen["scans"]) == 1
+    assert report["autocorr_samples"] == list(seen["scans"][0] / seen["scans"][0][0])
+
+
+def test_optimality_probe_forms_one_lag_row(pulse25, monkeypatch):
+    seen = _count_translate_work(monkeypatch)
+    up.lowdin_optimality_probe(pulse25, pulse25.duration() / 2, trials=3)
+    assert seen["translates"] == [pulse25]
+    assert len(seen["rows"]) == 1 and len(seen["scans"]) == 1
+
+
+def test_only_translates_forms_the_lag_row():
+    # in lowdin and pipeline, only lowdin.translates forms a lag row or
+    # scans it for the Riesz bounds, and no lowdin function but the ALO
+    # weight row takes one, so no builder twin that takes r can grow back
+    import uwbpulse.lowdin
+    import uwbpulse.pipeline
+
+    callers, takers = set(), set()
+    for module in (uwbpulse.lowdin, uwbpulse.pipeline):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in ("autocorr_samples", "_cosine_extrema"):
+                        callers.add((module.__name__, fn.name, name))
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if module is uwbpulse.lowdin and "r" in {a.arg for a in args}:
+                takers.add(fn.name)
+    assert callers == {
+        ("uwbpulse.lowdin", "translates", "autocorr_samples"),
+        ("uwbpulse.lowdin", "translates", "_cosine_extrema"),
+    }
+    assert takers == {"_inverse_sqrt_taps"}
 
 
 def test_build_family_lo_never_samples_the_member_gram(pulse25, monkeypatch):
@@ -645,7 +731,8 @@ def test_riesz_bounds_bracket_the_folded_spectrum(pulse25):
     nu = np.linspace(0.0, 0.5, 2**16 + 1)
     for k, shift in _riesz_shifts(pulse25).items():
         r = autocorr_samples(pulse25, shift)
-        a, b = up.riesz_bounds(pulse25, shift)
+        t = up.translates(pulse25, shift)
+        a, b = t.a, t.b
         vals = cosine_series(r, nu)
         assert vals.min() >= a - 1e-15 * r[0], k
         assert vals.max() <= b + 1e-15 * r[0], k
@@ -658,7 +745,8 @@ def test_riesz_bounds_match_mpmath_extrema(pulse25, k):
     # the neighbouring nodes, with Phi summed in mpmath
     shift = _riesz_shifts(pulse25)[k]
     r = autocorr_samples(pulse25, shift)
-    a, b = up.riesz_bounds(pulse25, shift)
+    t = up.translates(pulse25, shift)
+    a, b = t.a, t.b
     nu = np.linspace(0.0, 0.5, 4097)
     step = np.sign(np.diff(cosine_series(r, nu)))
     turns = np.flatnonzero(step[1:] != step[:-1]) + 1
@@ -680,21 +768,22 @@ def test_riesz_bounds_match_mpmath_extrema(pulse25, k):
 
 
 def test_public_builders_keep_their_stability_check(pulse25, monkeypatch):
+    # a scan that reports A = 0 must stop every builder in translates
     import uwbpulse.lowdin
 
-    def unstable(p, shift):
-        raise UnstableGeneratorError("stub: unstable")
-
-    monkeypatch.setattr(uwbpulse.lowdin, "riesz_bounds", unstable)
+    monkeypatch.setattr(uwbpulse.lowdin, "_cosine_extrema", lambda r: (0.0, r[0]))
     shift = pulse25.duration() / 2
-    with pytest.raises(UnstableGeneratorError):
-        up.lowdin_family(pulse25, shift, 4)
-    with pytest.raises(UnstableGeneratorError):
-        up.approx_lowdin_family(pulse25, shift, 4)
-    with pytest.raises(UnstableGeneratorError):
-        gram_schmidt_family(pulse25, shift, 4)
-    with pytest.raises(UnstableGeneratorError):
-        up.orthonormal_generator(pulse25, shift)
+    for build in (
+        lambda: up.translates(pulse25, shift),
+        lambda: up.lowdin_family(pulse25, shift, 4),
+        lambda: up.approx_lowdin_family(pulse25, shift, 4),
+        lambda: gram_schmidt_family(pulse25, shift, 4),
+        lambda: up.orthonormal_generator(pulse25, shift),
+        lambda: nyquist_spectrum_power(pulse25, shift, [0.0]),
+        lambda: up.lowdin_optimality_probe(pulse25, shift, trials=1),
+    ):
+        with pytest.raises(UnstableGeneratorError, match="stability bound A"):
+            build()
 
 
 def test_builders_refuse_a_spectral_zero_between_nodes():
@@ -726,21 +815,24 @@ def test_lowdin_family_ignores_the_pulse_scale(pulse25):
 
 def test_riesz_bounds_orthonormal_generator(limit_k2, pulse25):
     shift = pulse25.duration() / 2
-    a, b = up.riesz_bounds(limit_k2.pulse, shift)
+    t = up.translates(limit_k2.pulse, shift)
+    a, b = t.a, t.b
     assert a == pytest.approx(1.0, abs=1e-9)
     assert b == pytest.approx(1.0, abs=1e-9)
 
 
 def test_riesz_bounds_disjoint_translates(monocycle):
     shift = monocycle.duration() + 32 * monocycle.dt
-    a, b = up.riesz_bounds(monocycle, shift)
+    t = up.translates(monocycle, shift)
+    a, b = t.a, t.b
     assert a == pytest.approx(1.0, abs=1e-12)
     assert b == pytest.approx(1.0, abs=1e-12)
 
 
 def test_riesz_bounds_design_pulse(pulse25):
     for k in range(1, 6):
-        a, b = up.riesz_bounds(pulse25, pulse25.duration() / k)
+        t = up.translates(pulse25, pulse25.duration() / k)
+        a, b = t.a, t.b
         assert 0.0 < a <= b < float("inf")
         print(f"K={k}: stability bounds [{a:.4f}, {b:.4f}]")
 
@@ -753,7 +845,7 @@ def test_riesz_unstable_raises():
     samples[32:64] = -1.0
     p = SampledPulse(grid, samples).normalized()
     with pytest.raises(UnstableGeneratorError):
-        up.riesz_bounds(p, 32e-11)
+        up.translates(p, 32e-11)
 
 
 # ----------------------------------------------------- eigenvalue bounds
@@ -761,9 +853,10 @@ def test_riesz_unstable_raises():
 
 def test_gram_eigenvalues_within_stability_bounds(pulse25):
     shift = pulse25.duration() / 2
-    a, b = up.riesz_bounds(pulse25, shift)
+    t = up.translates(pulse25, shift)
+    a, b = t.a, t.b
     for m_half in (2, 4, 8, 16):
-        vals = np.linalg.eigvalsh(up.gram(pulse25, shift, m_half))
+        vals = np.linalg.eigvalsh(t.gram(m_half))
         assert vals.min() >= a - 1e-9
         assert vals.max() <= b + 1e-9
 

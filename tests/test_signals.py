@@ -197,7 +197,8 @@ def test_gram_symbol_nonoverlapping_is_one(monocycle):
 
 def test_gram_symbol_matches_riesz_extrema(pulse25):
     shift = pulse25.duration() / 2
-    a, b = up.riesz_bounds(pulse25, shift)
+    t = up.translates(pulse25, shift)
+    a, b = t.a, t.b
     nu = np.linspace(0, 1, 8192)
     vals = np.asarray(up.gram_symbol(pulse25, shift, nu))
     r0 = autocorr_samples(pulse25, shift)[0]
@@ -287,7 +288,7 @@ def test_degenerate_shifts_and_times_raise_typed_errors(monocycle):
         with pytest.raises(ConfigurationError, match="positive"):
             semi_discrete_convolve(monocycle, [1.0, 0.5], clock)
     with pytest.raises(GridAlignmentError, match="shift is nan"):
-        up.riesz_bounds(monocycle, float("nan"))
+        up.translates(monocycle, float("nan"))
     for t in (float("nan"), float("inf")):
         with pytest.raises(GridAlignmentError, match="time"):
             monocycle.value_at(t)
