@@ -29,7 +29,7 @@ from .pipeline import analyze_pulse, build_family, compliant_spectrum, design_pu
 from .signals import Spectrum, _write_csv, load_pulse_csv, save_pulse_csv
 from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 
-SCHEMA_VERSION = 14
+SCHEMA_VERSION = 15
 
 
 class _Key(NamedTuple):
@@ -191,8 +191,8 @@ def cmd_design(args) -> int:
             "dual_bound": sol.dual_bound,
             "lower_floor": sol.lower_floor,
             "lp_rows": sol.lp_rows,
-            "lp_rows_solved": sol.lp_rows_solved,
-            "lp_solves": sol.lp_solves,
+            "lp_rows_priced": sol.lp_rows_priced,
+            "lp_pivots": sol.lp_pivots,
             "fit_orders_kept": [gamma.order for gamma in result.gammas],
             "factorization_error": result.taps.factorization_error,
         },

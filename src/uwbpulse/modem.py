@@ -184,9 +184,8 @@ def _erfc_sqrt(num, den: float) -> np.ndarray:
     num > 0 and 1 where num = 0."""
     if den == 0.0:
         return np.where(num > 0.0, 0.0, 1.0)
-    from scipy.special import erfc  # on first use, like every SciPy name
-
-    return erfc(np.sqrt(num / den))
+    arg = np.sqrt(num / den)
+    return np.reshape([math.erfc(v) for v in np.ravel(arg)], np.shape(arg))
 
 
 def union_bound_orthogonal(n_symbols: int, energy: float, noise_density: float) -> float:

@@ -10,19 +10,18 @@ and solved as one LP, with floor and margins fixed; the taps are then
 recovered by minimum-phase spectral factorization, from the roots of
 the lag polynomial.
 
-The LP has tens of thousands of rows but only L free variables, so at
-most about L rows are active at its optimum.  :func:`_linprog_rows`
-solves it by row generation (the exchange method for semi-infinite LPs,
-Hettich & Kortanek 1993): solve on a subset of the rows, drop the rows
-whose dual is zero, add the most violated of the others, repeat.  The
-LP is unchanged, and so is its optimum; only the rows handed to the
-solver at once are fewer, about L to 2L after the first solve.
+The LP has tens of thousands of rows but only L free variables, so its
+dual has only L equality constraints and a basis of L rows.
+:func:`linprog` solves it by a dense simplex on that dual
+(:class:`_DualSimplex`), pricing rows on a working set that grows by
+row generation, so most pivots see a few hundred rows, not all of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,8 +41,11 @@ from .signals import (
 from .spectral import CosinePoly, SpectralMask, cosine_basis, segment_bounds
 
 GRID_REFINE = 4  # the LP grid is this much denser than ``grid_density``
-_ROW_STRIDE = 64  # row generation starts from every 64th row at most
-_ROW_TOL = 1e-12  # a row violated by more than this joins the working set
+_LP_TOL = 1e-12  # a row whose slack is below -_LP_TOL prices into the basis
+_PIVOT_TOL = 1e-9  # smallest pivot: the rows of a are scaled to entries of about 1
+_PHASE1_TOL = 1e-9  # artificial multipliers left after phase 1, relative to max |c|
+_REFACTOR = 32  # pivots between fresh inverses of the simplex basis
+_MAX_PIVOTS = 100_000  # a guard: Bland's rule ends every run long before
 _FACTOR_TOL = 1e-7  # largest error of the taps' autocorrelation round trip
 
 
@@ -96,8 +98,8 @@ class LpSolution:
     lower_floor: float  # the fixed floor on the autocorrelation spectrum
     backoff_rounds: int  # always 1: one LP per solve; kept for the benchmark tracer
     lp_rows: int  # rows of the LP
-    lp_rows_solved: int  # of those, the final working set: about the active rows
-    lp_solves: int  # linprog calls
+    lp_rows_priced: int  # of those, the simplex's pricing working set at the end
+    lp_pivots: int  # simplex pivots, both phases
 
 
 def passband_weights(
@@ -124,68 +126,216 @@ def passband_weights(
     return c
 
 
-def linprog(c, **kwargs):
-    """SciPy's ``linprog``, imported on the first call, so that only the
-    commands that solve an LP load ``scipy.optimize``."""
-    from scipy.optimize import linprog as scipy_linprog
+class _DualSimplex:
+    """Simplex on the dual of: minimize c . x over free x with a x <= b.
 
-    return scipy_linprog(c, **kwargs)
+    The dual is min b . y subject to a^T y = -c, y >= 0, so a basis is L
+    rows of ``a``: its point x solves them with equality, its multipliers
+    solve B^T y_B = -c, and a row's reduced cost is its slack b_j - a_j . x.
+    A pivot brings in the most violated row and drops the basic row that
+    the ratio test on y_B picks.  Phase 1 starts from the artificial rows
+    sign_k e_k, at y_k = |c_k|; an artificial row that leaves never comes
+    back.  B's inverse is kept by rank-one updates, and refactored every
+    ``_REFACTOR`` pivots, before an optimum is declared, and before a row
+    that has no pivot is taken for a dual ray.
 
-
-def _linprog(c, a_ub, b_ub, options):
-    """Minimize c . x over free x with a_ub x <= b_ub: the one HiGHS call."""
-    bounds = [(None, None)] * len(c)
-    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=options)
-
-
-def _linprog_rows(c, a_ub, b_ub, options, stride=_ROW_STRIDE):
-    """Minimize c . x over free x with a_ub x <= b_ub, by row generation.
-
-    The working set starts as every ``stride``-th row and the last
-    row.  After each solve on it, the rows whose dual
-    (``ineqlin.marginals``) is zero leave it: the same multipliers still
-    certify the point on the rows kept.  Then every run of rows outside
-    it that are violated by more than ``_ROW_TOL`` adds its most violated
-    row; once none is, the point is optimal for all the rows.  A round
-    whose objective did not strictly rise drops nothing, so the set only
-    grows until it does and no working set repeats.  Any status other
-    than optimal on a working set falls back to one solve on all the
-    rows, so infeasible and unbounded LPs report as a direct solve would.
-
-    Returns the solver's result with ``ineqlin.marginals`` scattered to
-    all the rows (zero outside the working set, so y . b_ub stays a dual
-    bound), plus ``rows_solved`` (the final working-set size, about the
-    active set's) and ``solves`` (the linprog calls made).
+    Rows are priced on a working set, starting empty.  When none of it
+    prices in, every row is priced once, and each run of consecutive
+    violated rows joins the set by its most violated row (row generation,
+    Hettich & Kortanek 1993).  So one product with all of ``a`` serves
+    many pivots, and the basis carries over from round to round: a new
+    row is a new dual column, and the last basis stays feasible.
     """
-    n = len(b_ub)
-    work = np.zeros(n, dtype=bool)
-    work[::stride] = True
-    work[-1] = True
-    solves, fun = 0, -np.inf
-    while True:
-        rows = np.flatnonzero(work)
-        res = _linprog(c, a_ub[rows], b_ub[rows], options)
-        solves += 1
-        if res.status != 0:
-            res = _linprog(c, a_ub, b_ub, options)
-            res.rows_solved, res.solves = n, solves + 1
-            return res
-        excess = a_ub @ res.x - b_ub
-        violated = (excess > _ROW_TOL) & ~work
+
+    def __init__(self, c: np.ndarray, a: np.ndarray):
+        n, L = a.shape
+        self.c, self.a = c, a
+        self.sign = np.where(c > 0.0, -1.0, 1.0)
+        self.basis = np.arange(n, n + L)  # row n + k is artificial row k
+        self.basic = np.zeros(n, dtype=bool)
+        self.work = np.zeros(n, dtype=bool)
+        self.binv = np.diag(self.sign)
+        self.fresh = True  # binv was inverted, not updated, since the last pivot
+        self.nit = 0
+
+    def basis_rows(self) -> np.ndarray:
+        n, L = self.a.shape
+        rows = np.zeros((L, L))
+        real = self.basis < n
+        rows[real] = self.a[self.basis[real]]
+        art = np.flatnonzero(~real)  # artificial row k is only ever basic at position k
+        rows[art, art] = self.sign[art]
+        return rows
+
+    def multipliers(self) -> np.ndarray:
+        """y_B, with rounding below zero cut off."""
+        return np.maximum(self.binv.T @ -self.c, 0.0)
+
+    def refactor(self) -> None:
+        self.binv = np.linalg.inv(self.basis_rows())
+        self.fresh = True
+
+    def swap(self, i: int, j: int, w: np.ndarray) -> None:
+        """Row j replaces basic row i, where w = B^-T a_j."""
+        if self.basis[i] < len(self.basic):
+            self.basic[self.basis[i]] = False
+        self.basis[i] = j
+        self.basic[j] = True
+        step = w.copy()
+        step[i] -= 1.0
+        self.binv -= np.outer(self.binv[:, i], step / w[i])  # Sherman-Morrison
+        self.nit += 1
+        self.fresh = False
+        if self.nit % _REFACTOR == 0:
+            self.refactor()
+
+    def price(self, cost: np.ndarray, x: np.ndarray, bland: bool) -> int:
+        """The row to bring in at point x, or -1 if none prices in."""
+        if not bland:
+            rows = np.flatnonzero(self.work & ~self.basic)
+            slack = cost[rows] - self.a[rows] @ x
+            if len(rows) and slack.min() < -_LP_TOL:
+                return int(rows[np.argmin(slack)])
+        slack = cost - self.a @ x
+        slack[self.basic] = 0.0
+        violated = slack < -_LP_TOL
         if not violated.any():
-            break
-        if res.fun > fun:  # same multipliers: x stays optimal without these rows
-            work[rows[res.ineqlin.marginals == 0]] = False
-            fun = res.fun
-        # runs of consecutive violated rows: [start, stop) pairs
-        edges = np.flatnonzero(np.diff(np.concatenate([[0], violated.view(np.int8), [0]])))
-        for start, stop in edges.reshape(-1, 2):
-            work[start + int(np.argmax(excess[start:stop]))] = True
-    marginals = np.zeros(n)
-    marginals[rows] = res.ineqlin.marginals
-    res.ineqlin.marginals = marginals
-    res.rows_solved, res.solves = len(rows), solves
-    return res
+            return -1
+        if bland:
+            return int(np.argmax(violated))  # the first violated row
+        runs = np.flatnonzero(np.diff(np.concatenate([[0], violated.view(np.int8), [0]])))
+        for start, stop in runs.reshape(-1, 2):
+            self.work[start + int(np.argmin(slack[start:stop]))] = True
+        return int(np.argmin(slack))
+
+    def run(self, cost: np.ndarray, art_cost: float) -> int:
+        """Pivot until no row prices in (0), the dual is unbounded (2), or
+        for ``_MAX_PIVOTS`` pivots in all (4).  ``cost`` holds each row's
+        b_j, and ``art_cost`` that of each artificial row."""
+        n = len(self.basic)
+        stall = 0
+        while self.nit < _MAX_PIVOTS:
+            art = self.basis >= n
+            y = self.multipliers()
+            if art_cost and y[art].sum() <= _PHASE1_TOL * np.abs(self.c).max():
+                return 0  # phase 1 ends once no artificial multiplier is left
+            # Dantzig's rule may cycle at a degenerate vertex; Bland's, kept
+            # until the objective moves again, cannot
+            bland = stall > len(self.basis)
+            x = self.binv @ np.where(art, art_cost, cost[np.where(art, 0, self.basis)])
+            j = self.price(cost, x, bland)
+            if j < 0:
+                if self.fresh:
+                    return 0
+                self.refactor()
+                continue
+            w = self.binv.T @ self.a[j]
+            pos = np.flatnonzero(w > _PIVOT_TOL)
+            if not len(pos):
+                if self.fresh:
+                    return 2
+                self.refactor()  # the updates' drift may have priced j in
+                continue
+            ratio = y[pos] / w[pos]
+            theta = ratio.min()
+            tied = pos[ratio <= theta]
+            # of the tied rows, the largest pivot; Bland's rule: the first row
+            i = int(tied[np.argmin(self.basis[tied])] if bland else tied[np.argmax(w[tied])])
+            self.swap(i, j, w)
+            stall = 0 if theta > 0.0 else stall + 1
+        return 4
+
+    def drive_out(self, positions) -> None:
+        """Swap the artificial rows at these basis positions, all at y = 0,
+        for real rows, by degenerate pivots.  One that no real row can
+        replace (``a`` has rank below L) stays, and pins x along a null
+        direction of ``a``."""
+        for i in positions:
+            alpha = self.a @ self.binv[:, i]  # entry i of B^-T a_j, for every j
+            alpha[self.basic] = 0.0
+            j = int(np.argmax(np.abs(alpha)))
+            scale = np.linalg.norm(self.a[j]) * np.linalg.norm(self.binv[:, i])
+            if abs(alpha[j]) > _PIVOT_TOL * scale:
+                self.swap(i, j, self.binv.T @ self.a[j])
+
+
+def _solve_lp(lp: _DualSimplex, b: np.ndarray, settle: bool = True):
+    """(status, x, y) for min c . x over free x with a x <= b, from the
+    simplex ``lp`` on c and a.
+
+    Status 0 is optimal, 2 infeasible, 3 unbounded and 4 a numerical
+    failure.  The artificial rows that start at y = 0 leave first, so
+    phase 1 pivots only on those that carry a multiplier, and minimizes
+    them.  If one is left, no y >= 0 has a^T y = -c: the LP is unbounded
+    if it is feasible at all, which min t over a x - t <= b, t >= 0
+    settles (``settle``; that LP's dual is feasible at y = 0).
+    """
+    c, a = lp.c, lp.a
+    n = len(a)
+    lp.drive_out(np.flatnonzero(c == 0.0))
+    status = lp.run(np.zeros(n), 1.0)
+    art = lp.basis >= n
+    if status == 4:
+        return 4, None, None
+    # phase 1 is bounded below by zero, so a column with no pivot (2)
+    # is one that rounding priced in: it counts as a multiplier left
+    if status == 2 or lp.multipliers()[art].sum() > _PHASE1_TOL * np.abs(c).max():
+        if not settle:
+            return 4, None, None
+        # on the numerical row space of a, where that LP has full rank
+        _, sv, vt = np.linalg.svd(a, full_matrices=False)
+        a_r = a @ vt[sv > _PIVOT_TOL * sv[0]].T
+        a_t = np.block([[a_r, -np.ones((n, 1))], [np.zeros((1, a_r.shape[1])), -np.ones((1, 1))]])
+        c_t = np.append(np.zeros(a_r.shape[1]), 1.0)
+        status, x_t, _ = _solve_lp(_DualSimplex(c_t, a_t), np.append(b, 0.0), False)
+        if status:
+            return 4, None, None
+        return (2 if x_t[-1] > _PHASE1_TOL * max(1.0, np.abs(b).max()) else 3), None, None
+    lp.drive_out(np.flatnonzero(art))
+    status = lp.run(b, 0.0)
+    if status:
+        return status, None, None
+    art = lp.basis >= n
+    rows = lp.basis_rows()
+    x = np.linalg.solve(rows, np.where(art, 0.0, b[np.where(art, 0, lp.basis)]))
+    y = np.zeros(n)
+    y[lp.basis[~art]] = np.maximum(np.linalg.solve(rows.T, -c), 0.0)[~art]
+    return 0, x, y
+
+
+_LP_MESSAGES = {
+    0: "optimal",
+    2: "infeasible",
+    3: "unbounded",
+    4: "numerical failure: a basis went singular in rounding, or the pivot limit was hit",
+}
+
+
+def linprog(c, *, A_ub, b_ub):
+    """Minimize c . x over free x subject to A_ub x <= b_ub.
+
+    The one LP solver (:func:`_solve_lp`).  Returns a namespace with the
+    fields of SciPy's result that this package reads: ``x``, ``fun``,
+    ``status`` (0 optimal, 2 infeasible, 3 unbounded, 4 failed),
+    ``message``, ``nit`` (simplex pivots) and ``ineqlin.marginals``, the
+    multipliers in SciPy's sign (d fun / d b_ub, so at most zero).  Also
+    ``rows_priced``: the rows of the pricing working set at the end.
+    """
+    c = np.asarray(c, dtype=float)
+    lp = _DualSimplex(c, np.asarray(A_ub, dtype=float))
+    try:
+        status, x, y = _solve_lp(lp, np.asarray(b_ub, dtype=float))
+    except np.linalg.LinAlgError:  # a basis singular in rounding
+        status, x, y = 4, None, None
+    return SimpleNamespace(
+        x=x,
+        fun=float(c @ x) if status == 0 else np.nan,
+        status=status,
+        message=_LP_MESSAGES[status],
+        nit=lp.nit,
+        rows_priced=int(np.count_nonzero(lp.work)),
+        ineqlin=SimpleNamespace(marginals=-y if status == 0 else None),
+    )
 
 
 def solve_autocorr_lp(
@@ -202,10 +352,8 @@ def solve_autocorr_lp(
     ``grid_density * GRID_REFINE + 1`` nodes on the bound region of mask
     segment i (:func:`~uwbpulse.spectral.segment_bounds`).  Floor and
     margins are a fixed small fraction of the ceiling scale.  The LP is
-    solved once, by row generation (:func:`_linprog_rows`) from every
-    ``_ROW_STRIDE``-th row, or denser if a segment would get fewer than
-    L + 1; its optimum is the one with all the rows, and
-    ``feasibility_margin`` is the point's worst slack on the same grid.
+    solved once, by :func:`linprog`, and ``feasibility_margin`` is the
+    point's worst slack on the same grid.
     """
     weights = np.asarray(weights, dtype=float)
     L = len(weights)
@@ -229,22 +377,7 @@ def solve_autocorr_lp(
     a_ub = np.vstack([-a_low, a_seg])
     b_ub = np.concatenate([np.full(len(a_low), -floor / scale), (gvals - margin) / scale])
 
-    options = {
-        "presolve": True,
-        "primal_feasibility_tolerance": 1e-10,
-        "dual_feasibility_tolerance": 1e-10,
-    }
-    stride = max(1, min(_ROW_STRIDE, (n + 1) // (L + 1)))
-    res = _linprog_rows(-weights / np.max(np.abs(weights)), a_ub, b_ub, options, stride)
-    solves = res.solves
-    if res.status == 4:
-        # solver could not tell infeasible from unbounded; a zero
-        # objective settles which one it is
-        probe = _linprog(np.zeros(L), a_ub, b_ub, options)
-        solves += 1
-        if probe.status == 0:
-            raise UnboundedError("objective unbounded; an upper-bound segment is missing")
-        res = probe
+    res = linprog(-weights / np.max(np.abs(weights)), A_ub=a_ub, b_ub=b_ub)
     if res.status == 2:
         raise InfeasibleError(
             "empty constraint intersection; the mask fits are inconsistent with "
@@ -267,8 +400,8 @@ def solve_autocorr_lp(
         lower_floor=floor,
         backoff_rounds=1,
         lp_rows=len(b_ub),
-        lp_rows_solved=res.rows_solved,
-        lp_solves=solves,
+        lp_rows_priced=res.rows_priced,
+        lp_pivots=res.nit,
     )
 
 

@@ -11,6 +11,7 @@ no interpolation anywhere.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -257,27 +258,51 @@ def spectrum(p: SampledPulse, nfft: int) -> Spectrum:
     return Spectrum(np.fft.fftshift(freqs), np.fft.fftshift(vals))
 
 
+@functools.lru_cache(maxsize=64)
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n: the complex FFT length that
+    ``scipy.fft.next_fast_len`` picks, for which pocketfft is fastest."""
+    best = 1 << (n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < n:  # p3 times the least power of two that reaches n
+                    fit = p3 << ((n - 1) // p3).bit_length()
+                    if fit < best:
+                        best = fit
+                    p3 *= 3
+                if p3 < best:
+                    best = p3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def _dft_bins(x: np.ndarray, first: int, nfft: int, m: int) -> np.ndarray:
     """Bins 0..m-1 of the nfft-point DFT of samples x[i] at index first + i.
 
     That is sum_i x[i] exp(-2i pi k (first + i) / nfft), by Bluestein's
     chirp-z: k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum into one
     convolution with the chirp exp(-i pi j^2 / nfft), done with two FFTs
-    of length next_fast_len(len(x) + m - 1).  The chirp's j^2 is reduced
+    of length _fast_len(len(x) + m - 1).  The chirp's j^2 is reduced
     mod 2 nfft in integers, so every phase is exact however large j is.
     """
-    import scipy.fft  # on first use: commands without a band spectrum load no SciPy
 
     def chirp(j):
         return np.exp(-1j * np.pi * ((j * j) % (2 * nfft)) / nfft)
 
     n = len(x)
-    size = scipy.fft.next_fast_len(n + m - 1)
+    size = _fast_len(n + m - 1)
     j = np.arange(n, dtype=np.int64) + first
-    a = scipy.fft.fft(x * chirp(j), size)
+    a = np.fft.fft(x * chirp(j), size)
     lags = np.arange(-(n - 1), m, dtype=np.int64) - first  # every k - j
-    b = scipy.fft.fft(np.conj(chirp(lags)), size)
-    conv = scipy.fft.ifft(a * b)[n - 1 : n - 1 + m]
+    b = np.fft.fft(np.conj(chirp(lags)), size)
+    conv = np.fft.ifft(a * b)[n - 1 : n - 1 + m]
     return chirp(np.arange(m, dtype=np.int64)) * conv
 
 

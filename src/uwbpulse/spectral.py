@@ -69,14 +69,6 @@ class SpectralMask:
         """Fastest filter clock that still controls the whole band."""
         return 1.0 / (2.0 * self.f_top)
 
-    def level_at(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        out = np.full(f.shape, self.segments[-1][2])
-        for f_lo, f_hi, level in reversed(self.segments):
-            out = np.where(f < f_hi, np.where(f >= f_lo, level, out), out)
-        out = np.where(f >= self.segments[-1][1], self.segments[-1][2], out)
-        return out
-
     def integrate(self, f_lo: float, f_hi: float) -> float:
         """Exact integral of the mask over [f_lo, f_hi]."""
         total = 0.0

@@ -63,8 +63,8 @@ def test_design_report_fields(design_dir):
         "dual_bound",
         "lower_floor",
         "lp_rows",
-        "lp_rows_solved",
-        "lp_solves",
+        "lp_rows_priced",
+        "lp_pivots",
         "fit_orders_kept",
         "factorization_error",
     }
@@ -73,8 +73,8 @@ def test_design_report_fields(design_dir):
     assert report["feasibility_margin"] >= 0.0
     assert abs(report["objective"] - report["dual_bound"]) <= 1e-5 * report["objective"]
     assert report["lower_floor"] > 0.0
-    assert 0 < report["lp_rows_solved"] <= report["lp_rows"]
-    assert report["lp_solves"] >= 1
+    assert 0 < report["lp_rows_priced"] <= report["lp_rows"]
+    assert report["lp_pivots"] >= 24  # at least one per basis row but the first
     assert len(report["fit_orders_kept"]) == 5
     assert all(1 <= k <= 25 for k in report["fit_orders_kept"])
     assert 0.0 <= report["factorization_error"] <= 1e-7
@@ -96,7 +96,7 @@ def test_design_rerun_byte_identical(tmp_path):
 def test_manifest_lists_outputs_with_hashes(design_dir):
     manifest = json.loads((design_dir / "manifest.json").read_text())
     assert manifest["command"] == "design"
-    assert manifest["schema_version"] == 14
+    assert manifest["schema_version"] == 15
     for name in ("taps.csv", "pulse.csv", "achieved_spectrum.csv", "design_report.json"):
         assert name in manifest["outputs"]
         assert len(manifest["outputs"][name]) == 64
@@ -591,41 +591,20 @@ def test_package_surface_is_pinned():
 
 
 def test_scipy_only_where_numpy_has_no_equal():
-    # NumPy does every Toeplitz and circulant matrix and quadrature rule;
-    # SciPy supplies only what NumPy lacks (the LP, erfc, and the chirp-z's
-    # next_fast_len FFTs), each imported inside the one function that uses
-    # it, and optimizer calls linprog once.  Import statements only:
-    # test_limit_build_makes_one_circulant_and_no_long_fft also reads
-    # lowdin's source text and namespace for scipy.fft
-    top, local, linprog_calls = set(), set(), 0
+    # NumPy does all the numerics, the shaping LP included, so src/ imports
+    # no SciPy at all, and optimizer calls its own linprog from one place.
+    # Import statements only: test_limit_build_makes_one_circulant_and_no_long_fft
+    # also reads lowdin's source text and namespace for scipy.fft
+    imports, linprog_calls = set(), 0
     for path in sorted((Path(__file__).parents[1] / "src" / "uwbpulse").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        in_function = {
-            id(inner)
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for inner in ast.walk(node)
-        }
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                names = {(path.stem, a.name, "") for a in node.names}
+                imports.update((path.stem, a.name) for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = {(path.stem, node.module, a.name) for a in node.names}
-            else:
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "linprog":
-                    linprog_calls += 1
-                continue
-            (local if id(node) in in_function else top).update(names)
-
-    def scipy(imports):
-        return {i for i in imports if i[1].split(".")[0] == "scipy"}
-
-    assert scipy(top) == set()
-    assert scipy(local) == {
-        ("optimizer", "scipy.optimize", "linprog"),
-        ("modem", "scipy.special", "erfc"),
-        ("signals", "scipy.fft", ""),
-    }
+                imports.add((path.stem, node.module))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "linprog":
+                linprog_calls += 1
+    assert {i for i in imports if i[1].split(".")[0] == "scipy"} == set()
     assert linprog_calls == 1
 
 
@@ -645,13 +624,19 @@ for kind in ("lo", "alo", "limit"):
 loaded["orthogonalize"] = scipy_modules()
 assert main(["analyze", "--pulse-csv", pulse, "--outdir", out + "analyze"]) == 0
 loaded["analyze"] = scipy_modules()
+assert main(["design", "--order", "5", "--outdir", out + "design"]) == 0
+loaded["design"] = scipy_modules()
+assert main(["sweep", "--order", "5", "--k-list", "1,2", "--outdir", out + "sweep"]) == 0
+loaded["sweep"] = scipy_modules()
+assert main(["simulate", "--order", "5", "--trials", "200", "--outdir", out + "simulate"]) == 0
+loaded["simulate"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
-def test_commands_without_an_lp_load_no_scipy_optimize(tmp_path, design_dir):
-    # the import and every orthogonalize kind load no SciPy at all, and
-    # analyze loads no scipy.optimize
+def test_no_command_loads_scipy(tmp_path, design_dir):
+    # the import and every command, the three that solve the shaping LP
+    # included, leave no scipy module in sys.modules
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, str(design_dir / "pulse.csv"), f"{tmp_path}/"],
         env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
@@ -661,9 +646,9 @@ def test_commands_without_an_lp_load_no_scipy_optimize(tmp_path, design_dir):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])  # after the commands' own lines
-    assert loaded["import"] == []
-    assert loaded["orthogonalize"] == []
-    assert "scipy.optimize" not in loaded["analyze"]
+    assert loaded == {
+        step: [] for step in ("import", "orthogonalize", "analyze", "design", "sweep", "simulate")
+    }
 
 
 def test_readme_commands_parse():

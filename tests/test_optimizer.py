@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import linprog
 
@@ -132,97 +135,139 @@ def test_lp_is_one_grid_at_every_order(design1, design5, design15, design25, mas
         assert sol.backoff_rounds == 1, order
 
 
-def test_row_generation_re_solves_on_about_the_active_rows(monkeypatch):
-    # the first solve sees every _ROW_STRIDE-th row and the last; each
-    # later one keeps only the rows with a nonzero dual (at most about L)
-    # plus the rows just added, so no order collects thousands of rows
-    sizes = []
-    solve = optimizer.linprog
+# HiGHS, the oracle for the package's own simplex, at the options the
+# shaping LP was solved with before that simplex replaced it
+_HIGHS_OPTIONS = {
+    "presolve": True,
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+# HiGHS's tolerances are absolute and go no lower than 1e-10, and at 1e-10
+# its vertex can leave a row of the shaping LP violated by ~1e-11, 1e-9 off
+# the optimum.  Every row times 1e4 is the same LP with the same x, on
+# which its tolerance is 1e-14 in the LP's own units.
+_ROW_SCALE = 1e4
 
-    def count(c, **kwargs):
-        sizes.append(len(kwargs["b_ub"]))
-        return solve(c, **kwargs)
 
-    monkeypatch.setattr(optimizer, "linprog", count)
+def _full_linprog(c, a_ub, b_ub, options=_HIGHS_OPTIONS):
+    return linprog(
+        c,
+        A_ub=_ROW_SCALE * a_ub,
+        b_ub=_ROW_SCALE * b_ub,
+        bounds=[(None, None)] * len(c),
+        method="highs",
+        options=options,
+    )
+
+
+def _vertex_optimum(c, a_ub, b_ub, marginals):
+    """c . x at the vertex where the rows with a nonzero multiplier hold
+    with equality, solved in 40 digits: the exact optimum of that basis,
+    free of any solver's rounding.  None at a degenerate vertex, where
+    fewer than len(c) rows carry a multiplier."""
+    rows = np.flatnonzero(np.asarray(marginals) != 0.0)
+    if len(rows) != len(c):
+        return None
+    with mpmath.workdps(40):
+        a = mpmath.matrix(a_ub[rows].tolist())
+        x = mpmath.lu_solve(a, mpmath.matrix(b_ub[rows].tolist()))
+        return float(mpmath.fdot(c.tolist(), x))
+
+
+def _assert_matches_highs(c, a_ub, b_ub, res, ref=None, label=None):
+    """The simplex's optimum is HiGHS's: its reported optimum within
+    1e-12 relative of the exact optimum of HiGHS's basis (of HiGHS's own
+    figure at a degenerate vertex), x within 1e-9 of its scale, and no
+    row violated by more than 1e-10; and its marginals certify it:
+    y <= 0 (SciPy's sign) with a_ub^T y = c to 1e-12 of max |c|, and
+    y . b_ub = c . x to 1e-9.
+
+    HiGHS's own figures carry rounding of about cond(basis) * eps,
+    5e-12 relative at some drawn vertices, so its basis, not its
+    figure, is the reference."""
+    ref = _full_linprog(c, a_ub, b_ub) if ref is None else ref
+    assert res.status == 0 and ref.status == 0, (label, res.status, ref.status)
+    assert np.abs(res.x - ref.x).max() <= 1e-9 * np.abs(ref.x).max(), label
+    optimum = _vertex_optimum(c, a_ub, b_ub, ref.ineqlin.marginals)
+    optimum = ref.fun if optimum is None else optimum
+    assert abs(res.fun - optimum) <= 1e-12 * abs(optimum), (label, res.fun, optimum)
+    assert np.max(a_ub @ res.x - b_ub) <= 1e-10, label
+    y = np.asarray(res.ineqlin.marginals)
+    assert y.shape == b_ub.shape and np.all(y <= 0.0), label
+    assert np.abs(a_ub.T @ y - c).max() <= 1e-12 * np.abs(c).max(), label
+    assert abs(y @ b_ub - res.fun) <= 1e-9 * abs(res.fun), label
+
+
+class _RecordLinprog:
+    """Within the block, each optimizer.linprog call is recorded as
+    (c, A_ub, b_ub, result) before it returns."""
+
+    def __enter__(self):
+        self.calls, self.solve = [], optimizer.linprog
+
+        def record(c, *, A_ub, b_ub):
+            res = self.solve(c, A_ub=A_ub, b_ub=b_ub)
+            self.calls.append((c, A_ub, b_ub, res))
+            return res
+
+        optimizer.linprog = record
+        return self.calls
+
+    def __exit__(self, *exc):
+        optimizer.linprog = self.solve
+
+
+def test_row_generation_re_solves_on_about_the_active_rows():
+    # one linprog call takes all the rows, and the simplex prices them all
+    # only once per round; between rounds it prices a working set that
+    # grows by one row per violated run, a few L rows of the thousands
     for order in (1, 5, 15, 25):
-        sizes.clear()
-        n = up.design_pulse(order=order).solution.lp_rows
-        first = np.union1d(np.arange(0, n, optimizer._ROW_STRIDE), [n - 1])
-        assert sizes[0] == len(first), order
-        assert max(sizes[1:], default=0) <= 4 * order, (order, sizes)
+        with _RecordLinprog() as calls:
+            sol = up.design_pulse(order=order).solution
+        assert [len(b_ub) for _, _, b_ub, _ in calls] == [sol.lp_rows], order
+        res = calls[0][3]
+        assert sol.lp_rows_priced == res.rows_priced <= 8 * order, (order, res.rows_priced)
+        assert sol.lp_pivots == res.nit >= order - 1, order
 
 
 @pytest.mark.parametrize("density", [32, 64])
 @pytest.mark.parametrize("order", [15, 25])
-def test_row_generation_starts_bounded_on_a_coarse_grid(monkeypatch, order, density):
-    # every 64th row leaves a segment of 4 * density + 1 rows fewer than
-    # L + 1 of them and the first solve unbounded; the stride shrinks
-    # instead, so no solve falls back to all the rows
-    sizes = []
-    solve = optimizer.linprog
-
-    def count(c, **kwargs):
-        sizes.append(len(kwargs["b_ub"]))
-        return solve(c, **kwargs)
-
-    monkeypatch.setattr(optimizer, "linprog", count)
-    n = up.design_pulse(order=order, grid_density=density).solution.lp_rows
-    assert max(sizes) < n, sizes
-
-
-def _full_linprog(c, a_ub, b_ub, options):
-    return linprog(
-        c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * len(c), method="highs", options=options
-    )
+def test_row_generation_starts_bounded_on_a_coarse_grid(order, density):
+    # phase 1 starts from a basis whose multipliers are feasible, so a
+    # coarse grid, whose segments hold few rows, needs no dense start and
+    # no fallback: its one solve is HiGHS's optimum and prices a fraction
+    # of the rows
+    with _RecordLinprog() as calls:
+        up.design_pulse(order=order, grid_density=density)
+    ((c, a_ub, b_ub, res),) = calls
+    _assert_matches_highs(c, a_ub, b_ub, res, label=(order, density))
+    assert res.rows_priced < len(b_ub) // 4, res.rows_priced
 
 
 @pytest.fixture(scope="module")
 def design_lps():
     """The shaping LP of the designs at L = 1, 5, 15, 25, as
-    (L, c, a_ub, b_ub, options), recorded from solve_autocorr_lp with
-    the LP solved on all its rows."""
+    (L, c, a_ub, b_ub), recorded from solve_autocorr_lp."""
     lps = []
-    calls = []
-    solve = optimizer._linprog_rows
-
-    def record(c, a_ub, b_ub, options, stride):
-        calls.append((c, a_ub, b_ub, options))
-        res = _full_linprog(c, a_ub, b_ub, options)
-        res.rows_solved, res.solves = len(b_ub), 1
-        return res
-
-    optimizer._linprog_rows = record
-    try:
-        for order in (1, 5, 15, 25):
+    for order in (1, 5, 15, 25):
+        with _RecordLinprog() as calls:
             up.design_pulse(order=order)
-            lps += [(order, *call) for call in calls]
-            calls.clear()
-    finally:
-        optimizer._linprog_rows = solve
+        lps += [(order, c, a_ub, b_ub) for c, a_ub, b_ub, _ in calls]
     return lps
 
 
 def test_row_generation_finds_the_full_lp_optimum(design_lps):
     assert sorted({lp[0] for lp in design_lps}) == [1, 5, 15, 25]
-    for order, c, a_ub, b_ub, options in design_lps:
-        res = optimizer._linprog_rows(c, a_ub, b_ub, options)
-        ref = _full_linprog(c, a_ub, b_ub, options)
-        assert res.status == 0 and ref.status == 0
-        scale = np.abs(ref.x).max()
-        assert np.abs(res.x - ref.x).max() <= 1e-9 * scale, order
-        assert abs(res.fun - ref.fun) <= 1e-12 * abs(ref.fun), order
-        # the scattered marginals certify the full LP: y . b_ub = c . x
-        y = np.asarray(res.ineqlin.marginals)
-        assert y.shape == b_ub.shape
-        assert abs(y @ b_ub - res.fun) <= 1e-9 * abs(res.fun), order
-        assert np.max(a_ub @ res.x - b_ub) <= 1e-10, order
-        # and it got there from a fraction of the rows
-        assert res.rows_solved <= len(b_ub) // 2, (order, res.rows_solved, len(b_ub))
+    for order, c, a_ub, b_ub in design_lps:
+        res = optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub)
+        _assert_matches_highs(c, a_ub, b_ub, res, label=order)
+        # and it got there pricing a fraction of the rows at each pivot
+        assert res.rows_priced <= len(b_ub) // 2, (order, res.rows_priced, len(b_ub))
 
 
-def test_row_generation_falls_back_when_the_working_set_is_unbounded():
-    # a random polygon bounds (x0, x1) from every 64th row on; x2 is
-    # bounded only by row 5, which is outside the first working set
+def test_row_generation_finds_the_one_row_that_bounds_a_variable():
+    # a random polygon bounds (x0, x1); x2 is bounded only by row 5, and
+    # the working set starts empty, so only pricing every row finds it
     rng = np.random.default_rng(8)
     n = 400
     theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
@@ -230,22 +275,15 @@ def test_row_generation_falls_back_when_the_working_set_is_unbounded():
     b_ub = rng.uniform(1.0, 2.0, n)
     a_ub[5] = [0.0, 0.0, 1.0]
     c = np.array([-1.0, -0.5, -1.0])
-    options = {"presolve": True}
-    res = optimizer._linprog_rows(c, a_ub, b_ub, options)
-    ref = _full_linprog(c, a_ub, b_ub, options)
-    assert res.status == 0 and ref.status == 0
-    assert res.solves == 2 and res.rows_solved == n  # one working set, then all rows
-    assert np.abs(res.x - ref.x).max() <= 1e-9 * np.abs(ref.x).max()
-    assert res.fun == pytest.approx(ref.fun, rel=1e-12)
-    assert np.asarray(res.ineqlin.marginals) @ b_ub == pytest.approx(res.fun, rel=1e-9)
+    res = optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub)
+    _assert_matches_highs(c, a_ub, b_ub, res, _full_linprog(c, a_ub, b_ub, {"presolve": True}))
+    assert res.ineqlin.marginals[5] == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_row_generation_terminates_on_a_degenerate_lp():
-    # maximize y: every row twice, and five rows tied at the optimum (0, 1).
-    # The first working set's optimum is a whole edge of y <= 1; the box
-    # rows x >= -5 and x <= 5 each share a run with tied rows and violate
-    # more, so they join first, and a round whose objective stays put
-    # (drops nothing) comes before the tied rows decide the vertex
+    # maximize y: every row twice, and five rows tied at the optimum (0, 1),
+    # so many bases share that vertex, and pivots between them leave the
+    # objective where it is
     rng = np.random.default_rng(5)
     theta = rng.uniform(0.0, 2.0 * np.pi, 320)
     a_ub = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -257,15 +295,111 @@ def test_row_generation_terminates_on_a_degenerate_lp():
         b_ub[i : i + 3] = [5.0, 1.0, 1.0]
     a_ub, b_ub = np.repeat(a_ub, 2, axis=0), np.repeat(b_ub, 2)
     c = np.array([0.0, -1.0])
-    options = {"presolve": True}
-    res = optimizer._linprog_rows(c, a_ub, b_ub, options)
-    ref = _full_linprog(c, a_ub, b_ub, options)
-    assert res.status == 0 and ref.status == 0
-    assert np.abs(res.x - ref.x).max() <= 1e-9 * np.abs(ref.x).max()
-    assert abs(res.fun - ref.fun) <= 1e-12 * abs(ref.fun)
-    y = np.asarray(res.ineqlin.marginals)
-    assert abs(y @ b_ub - res.fun) <= 1e-9 * abs(res.fun)
-    assert np.max(a_ub @ res.x - b_ub) <= 1e-10
+    res = optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub)
+    _assert_matches_highs(c, a_ub, b_ub, res, _full_linprog(c, a_ub, b_ub, {"presolve": True}))
+
+
+@pytest.mark.parametrize(
+    "a_ub, b_ub, c, status",
+    [
+        # x <= -1 and -x <= -1 (x >= 1)
+        ([[1.0], [-1.0]], [-1.0, -1.0], [1.0], 2),
+        # x0 + x1 <= 1 and x0 + x1 >= 2, with c in the rows' span
+        ([[1.0, 1.0], [-1.0, -1.0]], [1.0, -2.0], [-1.0, -1.0], 2),
+        # no row holds x1 back
+        ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0], [0.0, -1.0], 3),
+        # a cone: x0 >= |x1|, minimize -x0
+        ([[-1.0, 1.0], [-1.0, -1.0]], [0.0, 0.0], [-1.0, 0.0], 3),
+        # infeasible and no row holds x1 back either
+        ([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0], [0.0, -1.0], 2),
+        # x1 is in no row and not in c: optimal, with x1 pinned at 0
+        ([[-1.0, 0.0]], [0.0], [1.0, 0.0], 0),
+    ],
+)
+def test_simplex_tells_infeasible_from_unbounded(a_ub, b_ub, c, status):
+    a_ub, b_ub, c = np.asarray(a_ub), np.asarray(b_ub), np.asarray(c)
+    assert optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub).status == status
+    assert _full_linprog(c, a_ub, b_ub, {"presolve": False}).status == status
+
+
+def test_singular_basis_is_a_refused_lp(monkeypatch, monocycle, mask):
+    # a basis that rounding makes singular ends the solve as a failure
+    # (status 4, ConfigurationError: exit 2), not as an internal error
+    def singular(self):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(optimizer._DualSimplex, "refactor", singular)
+    res = optimizer.linprog(np.array([0.0, -1.0]), A_ub=np.eye(2), b_ub=np.ones(2))
+    assert res.status == 4 and "singular" in res.message
+    gammas = up.fit_mask_polynomials(mask, monocycle, 5)
+    weights = passband_weights(monocycle, mask.passband, 5, T0)
+    with pytest.raises(ConfigurationError, match="LP solver failed"):
+        solve_autocorr_lp(weights, gammas, mask)
+
+
+def _farkas_bound(a_ub, b_ub):
+    """min b_ub . y over y >= 0 with a_ub^T y = 0 and sum(y) = 1, by
+    HiGHS: below zero iff no x has a_ub x <= b_ub (Farkas).  This LP has
+    L + 1 rows, so HiGHS settles it fast even where it spends minutes
+    on the infeasible shaping LP itself."""
+    n, L = a_ub.shape
+    eq = np.vstack([a_ub.T, np.ones((1, n))])
+    res = linprog(b_ub, A_eq=eq, b_eq=np.append(np.zeros(L), 1.0), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+_FCC_EDGES = (1.61e9, 1.99e9, 3.1e9, 10.6e9)
+
+
+@settings(max_examples=20, deadline=None)
+# on unscaled rows, HiGHS's vertex left a row 7.6e-12 violated (_ROW_SCALE)
+@example(
+    edges=[-98761626.17079054, -142829409.81689614, 38657906.193859965, 41189233.24934718],
+    db=[-5.162972182473595, 1.3404718137604927, 9.660717138914112, 7.103595440564057,
+        -4.479069257223845],
+    order=29,
+    density=374,
+)
+# drift in the updated inverse prices in a row with no pivot
+@example(
+    edges=[-91141438.9547086, -115086906.77039203, 54214205.714298666, 136234625.36344743],
+    db=[5.347902840807599, -6.984000342901058, -6.468469999228523, 0.05239048485434239,
+        -9.643909508102029],
+    order=30,
+    density=185,
+)
+@given(
+    edges=st.lists(st.floats(-0.15e9, 0.15e9), min_size=4, max_size=4),
+    db=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+    order=st.integers(1, 30),
+    density=st.integers(32, 512),
+)
+def test_simplex_matches_highs_on_drawn_masks(monocycle, mask, edges, db, order, density):
+    # the FCC mask with its inner edges moved by up to 0.15 GHz and its
+    # levels by up to 10 dB.  The simplex's optimum is HiGHS's; an LP it
+    # calls infeasible has a Farkas certificate (HiGHS on the full LP can
+    # spend minutes there), and the design's error says so
+    bounds = (0.0, *(f + df for f, df in zip(_FCC_EDGES, edges)), mask.f_top)
+    levels = [lv * 10.0 ** (d / 10.0) for (_, _, lv), d in zip(mask.segments, db)]
+    top = int(np.argmax(levels))
+    drawn = SpectralMask(
+        tuple(zip(bounds[:-1], bounds[1:], levels)), (bounds[top], bounds[top + 1])
+    )
+    gammas = up.fit_mask_polynomials(drawn, monocycle, order, density)
+    weights = passband_weights(monocycle, drawn.passband, order, drawn.clock)
+    with _RecordLinprog() as calls:
+        try:
+            solve_autocorr_lp(weights, gammas, drawn, density)
+            refused = False
+        except InfeasibleError:
+            refused = True
+    ((c, a_ub, b_ub, res),) = calls
+    assert res.status in (0, 2) and refused == (res.status == 2), res.status
+    if res.status == 0:
+        _assert_matches_highs(c, a_ub, b_ub, res)
+    else:
+        assert _farkas_bound(a_ub, b_ub) < -1e-9
 
 
 def test_lp_infeasible_signals():

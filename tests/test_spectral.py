@@ -44,10 +44,18 @@ def _with_edge_samples(spec, p, mask):
     return Spectrum(np.insert(spec.freqs, at, edges), vals)
 
 
+def _mask_level(freqs, mask):
+    """The mask at each frequency in [0, inf), from its segments: segment
+    i holds [f_lo, f_hi), and the top one also its top edge and above."""
+    highs = np.array([f_hi for _, f_hi, _ in mask.segments])
+    levels = np.array([level for _, _, level in mask.segments])
+    return levels[np.minimum(np.searchsorted(highs, freqs, side="right"), len(levels) - 1)]
+
+
 def _edge_ceiling(freqs, mask):
     """The mask at each frequency; at an interior edge, the lower of the
     two levels that meet there, the ceiling of a continuous spectrum."""
-    ceiling = mask.level_at(freqs)
+    ceiling = _mask_level(freqs, mask)
     for (_, f, left), (_, _, right) in zip(mask.segments, mask.segments[1:]):
         ceiling[freqs == f] = min(left, right)
     return ceiling
@@ -84,7 +92,7 @@ def test_mask_override_flat(tmp_path):
     m = up.fcc_indoor_mask(path)
     assert len(m.segments) == 1
     f = np.linspace(0, 14e9, 100)
-    assert np.all(m.level_at(f) == 1e-13)
+    assert np.all(_mask_level(f, m) == 1e-13)
 
 
 def test_mask_csv_roundtrip(tmp_path, mask):
@@ -346,6 +354,41 @@ def test_band_bins_match_exact_dtft(band_pulse, mask):
     exact = direct_transform(band_pulse, got.freqs[idx])
     peak = np.abs(got.values).max()
     assert np.abs(got.values[idx] - exact).max() <= 1e-13 * peak
+
+
+def _scipy_dft_bins(x, first, nfft, m):
+    """signals._dft_bins's chirp-z on scipy.fft at next_fast_len."""
+    import scipy.fft
+
+    def chirp(j):
+        return np.exp(-1j * np.pi * ((j * j) % (2 * nfft)) / nfft)
+
+    n = len(x)
+    size = scipy.fft.next_fast_len(n + m - 1)
+    j = np.arange(n, dtype=np.int64) + first
+    a = scipy.fft.fft(x * chirp(j), size)
+    lags = np.arange(-(n - 1), m, dtype=np.int64) - first
+    b = scipy.fft.fft(np.conj(chirp(lags)), size)
+    conv = scipy.fft.ifft(a * b)[n - 1 : n - 1 + m]
+    return chirp(np.arange(m, dtype=np.int64)) * conv
+
+
+def test_fast_len_is_scipys_next_fast_len():
+    import scipy.fft
+
+    sizes = range(1, 40_001)
+    assert [signals._fast_len.__wrapped__(n) for n in sizes] == [
+        scipy.fft.next_fast_len(n) for n in sizes
+    ]
+
+
+def test_band_chirp_z_keeps_scipys_bits(monkeypatch, band_pulse, mask):
+    # np.fft at _fast_len's length gives every bin the bits scipy.fft gave it
+    got = band_bins(band_pulse, mask)
+    monkeypatch.setattr(pipeline, "_dft_bins", _scipy_dft_bins)
+    ref = band_bins(band_pulse, mask)
+    assert np.array_equal(got.freqs, ref.freqs)
+    assert np.array_equal(got.values, ref.values)
 
 
 def test_compliant_spectrum_matches_full_grid_route(band_pulse, mask):
