@@ -8,9 +8,10 @@ configs reproduce byte-identical artifacts.  Every key is declared once,
 in ``_COMMANDS``; flag and config values pass one type check.
 
 Exit codes: 0 success; 2 for refused input (a mistyped or non-finite
-value, an unreadable or malformed file, an unusable output directory) or
-an infeasible or unstable configuration; 1 internal error (a non-finite
-number reaching a JSON report is one, and that report is not written).
+value, an unreadable or malformed file, an unusable output directory or
+an output file that cannot be written) or an infeasible or unstable
+configuration; 1 internal error (a non-finite number reaching a JSON
+report is one, and that report is not written).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import __version__, defaults
 from .errors import ConfigurationError, UwbPulseError
 from .modem import LinkConfig, bit_rate, simulate_ser
 from .pipeline import analyze_pulse, build_family, compliant_spectrum, design_pulse
-from .signals import Spectrum, _write_csv, load_pulse_csv, save_pulse_csv
+from .signals import Spectrum, _output, _write_csv, load_pulse_csv, save_family_csv, save_pulse_csv
 from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 
 SCHEMA_VERSION = 15
@@ -112,7 +113,9 @@ def _describe(kind) -> str:
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _write_manifest(outdir: Path, command: str, config: dict, outputs: list[Path], errors=None):
@@ -211,17 +214,13 @@ def cmd_orthogonalize(args) -> int:
     family, centered, report = build_family(
         pulse, config["shift_ratio"], config["m_multiple"], config["kind"]
     )
-    outputs = []
     if family is None:
-        path = out / "pulse_limit.csv"
-        save_pulse_csv(path, centered)
-        outputs.append(path)
+        outputs = [out / "pulse_limit.csv"]
+        save_pulse_csv(outputs[0], centered)
     else:
-        for i, member in enumerate(family.pulses):
-            idx = i - family.m_half
-            path = out / f"pulse_{config['kind']}_{idx:+03d}.csv"
-            save_pulse_csv(path, member)
-            outputs.append(path)
+        idx = range(-family.m_half, family.m_half + 1)
+        outputs = [out / f"pulse_{config['kind']}_{i:+03d}.csv" for i in idx]
+        save_family_csv(outputs, family.grid, family.samples)
     report_path = out / "gram_report.json"
     _write_json(report_path, report)
     outputs.append(report_path)

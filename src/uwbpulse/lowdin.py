@@ -111,10 +111,6 @@ class OrthogonalFamily:
     def size(self) -> int:
         return len(self.samples)
 
-    @property
-    def pulses(self) -> tuple[SampledPulse, ...]:
-        return tuple(SampledPulse(self.grid, row) for row in self.samples)
-
     def centered(self) -> SampledPulse:
         return SampledPulse(self.grid, self.samples[self.m_half])
 

@@ -10,6 +10,7 @@ no interpolation anywhere.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GridAlignmentError, ResolutionError
+
+_CSV_BLOCK = 4096  # pulse-CSV rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -446,6 +449,25 @@ def zak_transform(p: SampledPulse, shift: float, t: float, nu: float) -> complex
     return complex(total)
 
 
+@contextlib.contextmanager
+def _output(path):
+    """``path`` opened to write text as is, with no newline translation.
+
+    An int, which open() would take as a file descriptor, is refused, and
+    an OSError (a directory in the way, no permission, a full disk) is a
+    :class:`ConfigurationError` naming the file.
+    """
+    try:
+        path = os.fspath(path)
+    except TypeError:
+        raise ConfigurationError(f"{path!r} is not a file path") from None
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path, header: list[str], rows) -> None:
     """Write a header and then ``rows`` (one column per header name) with
     17 significant digits, in one write.
@@ -453,21 +475,50 @@ def _write_csv(path, header: list[str], rows) -> None:
     The bytes are those of :class:`csv.writer` fed the ``f"{x:.17g}"``
     strings: CRLF line ends, and numbers never need quoting.
     """
-    try:
-        path = os.fspath(path)  # an int would open (and close) a file descriptor
-    except TypeError:
-        raise ConfigurationError(f"{path!r} is not a file path") from None
     cols = len(header)
     flat = np.asarray(rows, dtype=float).reshape(-1, cols).ravel().tolist()
     line = ",".join(["%.17g"] * cols) + "\r\n"
     body = (line * (len(flat) // cols)) % tuple(flat)
-    with open(path, "w", newline="") as fh:
+    with _output(path) as fh:
         fh.write(",".join(header) + "\r\n" + body)
+
+
+def _write_pulses(paths, grid: TimeGrid, samples) -> None:
+    """Write row m of ``samples``, a pulse on ``grid``, to ``paths[m]`` as
+    `t_seconds,amplitude` rows: the bytes of :func:`_write_csv`.
+
+    The time column is formatted once: each block of up to ``_CSV_BLOCK``
+    times becomes one template of ``t,%.17g`` rows that every member fills
+    with its amplitudes.  Two or more members keep the templates of the
+    whole grid; one member formats a block at a time.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.shape != (len(paths), grid.size):
+        raise ConfigurationError("one row of grid samples per path required")
+    starts = range(0, grid.size, _CSV_BLOCK)
+    times = grid.times()
+    templates = (
+        ("%.17g,%%.17g\r\n" * len(block)) % tuple(block)
+        for block in (times[i : i + _CSV_BLOCK].tolist() for i in starts)
+    )
+    if len(paths) > 1:
+        templates = list(templates)
+    for path, row in zip(paths, samples):
+        with _output(path) as fh:
+            fh.write("t_seconds,amplitude\r\n")
+            for i, template in zip(starts, templates):
+                fh.write(template % tuple(row[i : i + _CSV_BLOCK].tolist()))
 
 
 def save_pulse_csv(path, p: SampledPulse) -> None:
     """Write `t_seconds,amplitude` rows with 17 significant digits."""
-    _write_csv(path, ["t_seconds", "amplitude"], np.column_stack([p.times(), p.samples]))
+    _write_pulses([path], p.grid, p.samples[np.newaxis])
+
+
+def save_family_csv(paths, grid: TimeGrid, samples) -> None:
+    """Write the pulses sharing ``grid``, one row of ``samples`` per path,
+    as :func:`save_pulse_csv` does; their time column is formatted once."""
+    _write_pulses(paths, grid, samples)
 
 
 def _read_csv(path, header: list[str]) -> np.ndarray:

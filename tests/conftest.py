@@ -30,6 +30,24 @@ def strang_circulant(g):
     return scipy.linalg.circulant(np.concatenate([row[: m_half + 1], row[m_half:0:-1]]))
 
 
+FCC_EDGES = (1.61e9, 1.99e9, 3.1e9, 10.6e9)  # the indoor mask's inner edges
+# the FCC mask drifted so that segment 0's fitted ceiling at L = 10 sits
+# below floor + margin: infeasible on every grid
+DEEP_SEGMENT_DRIFT = ((92e6, 144e6, -154e6, 151e6), (-6.2, -8.4, 7.1, 7.2, 7.5))
+
+
+def drifted_fcc_mask(edges, db):
+    """The FCC indoor mask with its 4 inner edges moved by ``edges`` Hz and
+    its 5 levels by ``db`` dB; the passband is the highest segment."""
+    fcc = up.fcc_indoor_mask()
+    bounds = (0.0, *(f + df for f, df in zip(FCC_EDGES, edges)), fcc.f_top)
+    levels = [lv * 10.0 ** (d / 10.0) for (_, _, lv), d in zip(fcc.segments, db)]
+    top = int(np.argmax(levels))
+    return up.SpectralMask(
+        tuple(zip(bounds[:-1], bounds[1:], levels)), (bounds[top], bounds[top + 1])
+    )
+
+
 @pytest.fixture(scope="session")
 def mask():
     return up.fcc_indoor_mask()

@@ -39,7 +39,7 @@ def test_c01_rate_endpoints():
 
 def test_c02_setup_constants(design25, family_k2):
     tp = design25.pulse.duration()
-    span = family_k2.pulses[0].duration()
+    span = up.SampledPulse(family_k2.grid, family_k2.samples[0]).duration()
     ok = math.isclose(tp, 30 * T0, rel_tol=1e-12) and math.isclose(
         span, 150 * T0, rel_tol=1e-12
     )

@@ -19,6 +19,8 @@ from uwbpulse import defaults
 from uwbpulse.cli import build_parser, main
 from uwbpulse.spectral import save_mask_csv
 
+from conftest import DEEP_SEGMENT_DRIFT, drifted_fcc_mask
+
 T0 = defaults.CLOCK_T0
 
 
@@ -490,6 +492,49 @@ def test_refused_input_exits_2(case, tmp_path, monocycle, capsys):
     assert run(argv) == 2
     assert named.format(tmp=tmp_path) in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_design_refusal_names_a_segment_without_headroom(tmp_path, capsys):
+    # a mask whose segment 0 leaves no room above the floor at L = 10 is
+    # refused with that segment named, not with grid advice
+    save_mask_csv(tmp_path / "deep.csv", drifted_fcc_mask(*DEEP_SEGMENT_DRIFT))
+    out = tmp_path / "out"
+    argv = ["design", "--order", 10, "--mask-csv", tmp_path / "deep.csv", "--outdir", out]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "mask segment 0" in err and "headroom" in err and "grid" not in err
+    assert not (out / "manifest.json").exists()
+
+
+# a directory in the way of each kind of writer: a table CSV, one pulse, a
+# family's members, a JSON report and the manifest
+UNWRITABLE_OUTPUTS = {
+    "table-csv": (["design", "--order", "1"], "taps.csv"),
+    "pulse-csv": (
+        ["orthogonalize", "--pulse-csv", "{pulse}", "--kind", "limit"],
+        "pulse_limit.csv",
+    ),
+    "family-csv": (
+        ["orthogonalize", "--pulse-csv", "{pulse}", "--kind", "alo"],
+        "pulse_alo_+01.csv",
+    ),
+    "json-report": (["analyze", "--pulse-csv", "{pulse}"], "analysis.json"),
+    "manifest": (["orthogonalize", "--pulse-csv", "{pulse}"], "manifest.json"),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_OUTPUTS)
+def test_unwritable_output_exits_2(case, tmp_path, design_dir, capsys):
+    # an output the command cannot write is refused input: exit 2 with the
+    # file named, not an internal error
+    argv, name = UNWRITABLE_OUTPUTS[case]
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = [a.format(pulse=design_dir / "pulse.csv") for a in argv]
+    assert run(argv + ["--outdir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out / name}: " in err and "internal error" not in err
+    assert (out / "manifest.json").is_dir() == (name == "manifest.json")
 
 
 def test_nan_in_a_report_is_an_internal_error(monkeypatch, tmp_path, monocycle):

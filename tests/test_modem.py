@@ -151,7 +151,7 @@ def test_receive_psm_sign_flip_invariant(family_k2, psm_cfg):
     from uwbpulse.signals import SampledPulse
 
     for j in (0, 4, 8):
-        s = family_k2.pulses[j]
+        s = SampledPulse(family_k2.grid, family_k2.samples[j])
         neg = SampledPulse(s.grid, -s.samples)
         assert up.receive_psm(neg, family_k2) == j
 
@@ -161,7 +161,7 @@ def test_receive_psm_matches_per_member_correlators(family_k2):
     # than the family span, against one inner product per member
     grid = family_k2.grid
     s = shift_samples(family_k2.centered(), family_k2.shift)
-    members = family_k2.pulses
+    members = [SampledPulse(grid, row) for row in family_k2.samples]
     rng = np.random.default_rng(11)
     for offset in (-s, 0, 3):
         for size in (grid.size // 3, grid.size, grid.size + 2 * s):

@@ -27,7 +27,7 @@ from uwbpulse.optimizer import (
 from uwbpulse.signals import SampledPulse, TimeGrid
 from uwbpulse.spectral import CosinePoly, SpectralMask, segment_bounds
 
-from conftest import direct_power
+from conftest import DEEP_SEGMENT_DRIFT, direct_power, drifted_fcc_mask
 
 T0 = defaults.CLOCK_T0
 L = defaults.FIR_ORDER
@@ -349,9 +349,6 @@ def _farkas_bound(a_ub, b_ub):
     return res.fun
 
 
-_FCC_EDGES = (1.61e9, 1.99e9, 3.1e9, 10.6e9)
-
-
 @settings(max_examples=20, deadline=None)
 # on unscaled rows, HiGHS's vertex left a row 7.6e-12 violated (_ROW_SCALE)
 @example(
@@ -375,17 +372,12 @@ _FCC_EDGES = (1.61e9, 1.99e9, 3.1e9, 10.6e9)
     order=st.integers(1, 30),
     density=st.integers(32, 512),
 )
-def test_simplex_matches_highs_on_drawn_masks(monocycle, mask, edges, db, order, density):
+def test_simplex_matches_highs_on_drawn_masks(monocycle, edges, db, order, density):
     # the FCC mask with its inner edges moved by up to 0.15 GHz and its
     # levels by up to 10 dB.  The simplex's optimum is HiGHS's; an LP it
     # calls infeasible has a Farkas certificate (HiGHS on the full LP can
     # spend minutes there), and the design's error says so
-    bounds = (0.0, *(f + df for f, df in zip(_FCC_EDGES, edges)), mask.f_top)
-    levels = [lv * 10.0 ** (d / 10.0) for (_, _, lv), d in zip(mask.segments, db)]
-    top = int(np.argmax(levels))
-    drawn = SpectralMask(
-        tuple(zip(bounds[:-1], bounds[1:], levels)), (bounds[top], bounds[top + 1])
-    )
+    drawn = drifted_fcc_mask(edges, db)
     gammas = up.fit_mask_polynomials(drawn, monocycle, order, density)
     weights = passband_weights(monocycle, drawn.passband, order, drawn.clock)
     with _RecordLinprog() as calls:
@@ -408,6 +400,19 @@ def test_lp_infeasible_signals():
     weights[0] = 1.0
     with pytest.raises(InfeasibleError):
         solve_autocorr_lp(weights, [gam], one_segment_mask(14e9), 128)
+
+
+@pytest.mark.parametrize("density", [258, 512, 2048])
+def test_lp_refusal_names_a_segment_without_headroom(density):
+    # segment 0's fitted ceiling less the margin sits below the floor, so
+    # no grid helps: the error names the segment and its headroom and
+    # gives no grid advice
+    with pytest.raises(InfeasibleError) as info:
+        deep = drifted_fcc_mask(*DEEP_SEGMENT_DRIFT)
+        up.design_pulse(order=10, mask=deep, grid_density=density)
+    msg = str(info.value)
+    assert "mask segment 0 (0 to 1.702e+09 Hz) has headroom -" in msg
+    assert "segment 1" not in msg and "grid" not in msg
 
 
 def test_lp_needs_one_ceiling_per_segment(mask):

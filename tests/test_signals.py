@@ -13,6 +13,8 @@ from uwbpulse.errors import (
     GridAlignmentError,
     ResolutionError,
 )
+from uwbpulse.cli import main as cli_main
+from uwbpulse.pipeline import build_family
 from uwbpulse.signals import (
     SampledPulse,
     TimeGrid,
@@ -22,6 +24,7 @@ from uwbpulse.signals import (
     cosine_series,
     lag_autocorrelation,
     monocycle_sigma,
+    save_family_csv,
     semi_discrete_convolve,
     shift_samples,
 )
@@ -335,6 +338,7 @@ def test_csv_paths_refuse_file_descriptors(tmp_path, monocycle):
             lambda: up.load_pulse_csv(fd),
             lambda: up.load_mask_csv(fd),
             lambda: up.save_pulse_csv(fd, monocycle),
+            lambda: save_family_csv([fd, fd], monocycle.grid, [monocycle.samples] * 2),
         ):
             with pytest.raises(ConfigurationError):
                 call()
@@ -354,13 +358,39 @@ def _csv_writer_bytes(path, header, rows) -> bytes:
     return path.read_bytes()
 
 
-def test_bulk_csv_writer_matches_csv_writer(tmp_path):
+def test_bulk_csv_writer_matches_csv_writer(tmp_path, pulse25):
     samples = np.array([-0.0, 5e-324, 2.5e-310, -1e300, 1e300, 0.1, -1.0 / 3.0, 0.0])
-    p = SampledPulse(TimeGrid(T0 / 7, 3, len(samples)), samples)
-    up.save_pulse_csv(tmp_path / "p.csv", p)
-    assert (tmp_path / "p.csv").read_bytes() == _csv_writer_bytes(
-        tmp_path / "p_ref.csv", ["t_seconds", "amplitude"], zip(p.times(), p.samples)
-    )
+    # t = 0 inside, before (n0 < 0) and past (n0 >= size) the grid, a
+    # one-sample grid and one of several write blocks; one pulse and a
+    # family of three on each
+    for n0, size in ((3, 8), (-5, 8), (8, 8), (1_000_003, 8), (0, 1), (-2, 1), (4100, 8193)):
+        grid = TimeGrid(T0 / 7, n0, size)
+        row = np.resize(samples, size)
+        rows = [row, -row, row[::-1]]
+        paths = [tmp_path / f"m{i}.csv" for i in range(3)]
+        save_family_csv(paths, grid, rows)
+        up.save_pulse_csv(tmp_path / "p.csv", SampledPulse(grid, rows[0]))
+        for path, member in zip([tmp_path / "p.csv", *paths], [rows[0], *rows]):
+            assert path.read_bytes() == _csv_writer_bytes(
+                tmp_path / "p_ref.csv", ["t_seconds", "amplitude"], zip(grid.times(), member)
+            ), (n0, size, path.name)
+
+    # every member file the CLI writes is its member's (times, samples)
+    up.save_pulse_csv(tmp_path / "pulse.csv", pulse25)
+    pulse = up.load_pulse_csv(tmp_path / "pulse.csv").normalized()
+    for kind in ("lo", "alo"):
+        for k in (2, 5):
+            out = tmp_path / f"{kind}{k}"
+            argv = ["orthogonalize", "--pulse-csv", str(tmp_path / "pulse.csv"),
+                    "--kind", kind, "--shift-ratio", str(k), "--outdir", str(out)]
+            assert cli_main(argv) == 0
+            fam, _, _ = build_family(pulse, k, 2, kind)
+            files = sorted(out.glob(f"pulse_{kind}_*.csv"), key=lambda p: int(p.stem[-3:]))
+            assert len(files) == fam.size
+            for path, member in zip(files, fam.samples):
+                rows = zip(fam.grid.times(), member)
+                ref = _csv_writer_bytes(tmp_path / "p_ref.csv", ["t_seconds", "amplitude"], rows)
+                assert path.read_bytes() == ref, path
 
     psd = up.Spectrum(np.array([-1e9, 0.0, 2.5e9]), np.array([1e-300 + 2j, -0.0, 7.25]))
     save_psd_csv(tmp_path / "psd.csv", psd)
