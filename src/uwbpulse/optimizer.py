@@ -354,10 +354,9 @@ def solve_autocorr_lp(
     margins are a fixed small fraction of the ceiling scale.  The LP is
     solved once, by :func:`linprog`, and ``feasibility_margin`` is the
     point's worst slack on the same grid.  An infeasible LP raises
-    :class:`InfeasibleError`.  It names each segment whose ceiling is
-    positive on its nodes but whose headroom, the least Gamma_i - margin -
-    floor there, is not, since no grid helps that segment; else it advises
-    a denser grid.
+    :class:`InfeasibleError`.  It names each segment whose fitted ceiling
+    is positive on its nodes but whose headroom on this fit, the least
+    Gamma_i - margin - floor there, is not; else it advises a denser grid.
     """
     weights = np.asarray(weights, dtype=float)
     L = len(weights)
@@ -383,12 +382,13 @@ def solve_autocorr_lp(
 
     res = linprog(-weights / np.max(np.abs(weights)), A_ub=a_ub, b_ub=b_ub)
     if res.status == 2:
-        # a positive ceiling too low to clear floor + margin, both fixed
-        # shares of the highest ceiling, is infeasible on any grid; a fitted
-        # ceiling that dips to zero is a coarse grid's fit
+        # floor and margin are fixed shares of the highest ceiling, so a
+        # positive ceiling can sit too low to clear them; a fitted ceiling
+        # that dips to zero is most likely a coarse grid's fit
         low = gvals.reshape(len(gammas), n + 1).min(axis=1)
         deep = [
-            f"mask segment {i} ({a:.6g} to {b:.6g} Hz) has headroom {g - margin - floor:.3e}"
+            f"mask segment {i} ({a:.6g} to {b:.6g} Hz) has headroom "
+            f"{g - margin - floor:.3e} on this fit"
             for i, ((a, b), g) in enumerate(zip(segments, low))
             if g > 0 and g - margin - floor <= 0
         ]

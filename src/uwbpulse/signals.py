@@ -483,7 +483,12 @@ def _write_csv(path, header: list[str], rows) -> None:
         fh.write(",".join(header) + "\r\n" + body)
 
 
-def _write_pulses(paths, grid: TimeGrid, samples) -> None:
+def save_pulse_csv(path, p: SampledPulse) -> None:
+    """Write `t_seconds,amplitude` rows with 17 significant digits."""
+    save_family_csv([path], p.grid, p.samples[np.newaxis])
+
+
+def save_family_csv(paths, grid: TimeGrid, samples) -> None:
     """Write row m of ``samples``, a pulse on ``grid``, to ``paths[m]`` as
     `t_seconds,amplitude` rows: the bytes of :func:`_write_csv`.
 
@@ -508,17 +513,6 @@ def _write_pulses(paths, grid: TimeGrid, samples) -> None:
             fh.write("t_seconds,amplitude\r\n")
             for i, template in zip(starts, templates):
                 fh.write(template % tuple(row[i : i + _CSV_BLOCK].tolist()))
-
-
-def save_pulse_csv(path, p: SampledPulse) -> None:
-    """Write `t_seconds,amplitude` rows with 17 significant digits."""
-    _write_pulses([path], p.grid, p.samples[np.newaxis])
-
-
-def save_family_csv(paths, grid: TimeGrid, samples) -> None:
-    """Write the pulses sharing ``grid``, one row of ``samples`` per path,
-    as :func:`save_pulse_csv` does; their time column is formatted once."""
-    _write_pulses(paths, grid, samples)
 
 
 def _read_csv(path, header: list[str]) -> np.ndarray:

@@ -402,16 +402,17 @@ def test_lp_infeasible_signals():
         solve_autocorr_lp(weights, [gam], one_segment_mask(14e9), 128)
 
 
-@pytest.mark.parametrize("density", [258, 512, 2048])
+@pytest.mark.parametrize("density", [8, 258, 512, 2048])
 def test_lp_refusal_names_a_segment_without_headroom(density):
-    # segment 0's fitted ceiling less the margin sits below the floor, so
-    # no grid helps: the error names the segment and its headroom and
-    # gives no grid advice
+    # segment 0's fitted ceiling less the margin sits below the floor, on
+    # a coarse fit (density 8) as on fine ones: the error names the segment
+    # and its headroom on this fit and gives no grid advice
     with pytest.raises(InfeasibleError) as info:
         deep = drifted_fcc_mask(*DEEP_SEGMENT_DRIFT)
         up.design_pulse(order=10, mask=deep, grid_density=density)
     msg = str(info.value)
     assert "mask segment 0 (0 to 1.702e+09 Hz) has headroom -" in msg
+    assert "on this fit" in msg
     assert "segment 1" not in msg and "grid" not in msg
 
 
