@@ -3,7 +3,7 @@
 The package covers the full chain: mask-constrained FIR shaping of a
 Gaussian monocycle, symmetric (and circulant-approximate)
 orthogonalization of the shaped pulse's translates, the shift-orthonormal
-limit pulse, and waveform-level link simulation with analytic error
+limit pulse, and Monte Carlo link simulation with analytic error
 bounds.  See the ``cli`` module or the ``uwbpulse`` entry point for the
 batch interface.
 """
@@ -27,7 +27,6 @@ from .signals import (
     SampledPulse,
     Spectrum,
     TimeGrid,
-    autocorrelation,
     gaussian_monocycle,
     gram_symbol,
     inner,
@@ -35,7 +34,6 @@ from .signals import (
     save_pulse_csv,
     semi_discrete_convolve,
     spectrum,
-    zak_transform,
 )
 from .spectral import (
     CosinePoly,
@@ -52,8 +50,6 @@ from .optimizer import (
     AutocorrVector,
     FilterTaps,
     passband_weights,
-    reconciliation_filter_delta2,
-    shift_orthogonality_defect,
     solve_autocorr_lp,
     spectral_factorize,
 )
@@ -71,11 +67,7 @@ from .lowdin import (
 from .modem import (
     LinkConfig,
     SerResult,
-    add_awgn,
     bit_rate,
-    modulate,
-    receive_oppm,
-    receive_psm,
     simulate_ser,
     uncoded_bit_rate,
     union_bound_correlated,

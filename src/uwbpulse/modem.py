@@ -1,12 +1,11 @@
-"""Link waveforms, receivers, Monte Carlo error rates and analytic bounds.
+"""Link configuration, Monte Carlo error rates and analytic bounds.
 
 Two modulations are supported: shape keying (each message selects one
 member of an orthonormal family) and position keying (the message shifts
-a single near-orthogonal template).  Receivers decide on the magnitudes
-of the correlator / sampled matched-filter outputs, because transmitted
-amplitudes carry a random sign flip.  The waveform functions build and
-receive sampled signals; ``simulate_ser`` draws the receiver's correlator
-outputs from their exact Gaussian law instead.  All randomness is seeded.
+a single near-orthogonal template).  The receiver decides on the
+magnitudes of its correlator / sampled matched-filter outputs, because
+transmitted amplitudes carry a random sign flip.  ``simulate_ser`` draws
+those outputs from their exact Gaussian law.  All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 from . import defaults
 from .errors import ConfigurationError, SingularGramError
 from .lowdin import OrthogonalFamily, _toeplitz
-from .signals import SampledPulse, TimeGrid, _grid_steps, _overlap, autocorr_samples, shift_samples
+from .signals import SampledPulse, _grid_steps, autocorr_samples
 
 SCHEMES = ("PSM", "OPPM_LO", "OPPM_ALO")
 
@@ -95,90 +94,6 @@ def _check_source(cfg: LinkConfig, waveform_source) -> None:
         raise ConfigurationError("position keying needs a single template pulse")
 
 
-def modulate(
-    cfg: LinkConfig,
-    waveform_source: OrthogonalFamily | SampledPulse,
-    messages,
-    seed: int | None = None,
-) -> SampledPulse:
-    """Concatenated waveform for a message sequence.
-
-    Shape keying picks family member d_n per slot; position keying shifts
-    the single template by d_n * shift.  Amplitude signs are drawn from
-    the seeded generator when ``antipodal`` is set.
-    """
-    messages = list(messages)
-    if any(not (0 <= m < cfg.n_symbols) for m in messages):
-        raise ConfigurationError("message out of range")
-    _check_source(cfg, waveform_source)
-    if cfg.scheme == "PSM":
-        slot_waves = waveform_source.samples
-        offsets = [0] * cfg.n_symbols
-    else:
-        s = shift_samples(waveform_source, cfg.shift)
-        slot_waves = [waveform_source.samples] * cfg.n_symbols
-        offsets = [d * s for d in range(cfg.n_symbols)]
-
-    grid = waveform_source.grid
-    step = _slot_step(cfg, grid.dt)
-    n_slots = len(messages)
-    length = grid.size + (n_slots - 1) * step + max(offsets)
-    out = np.zeros(length)
-    rng = np.random.default_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size=n_slots) if cfg.antipodal else np.ones(n_slots)
-    amp = math.sqrt(cfg.energy)
-    for n, d in enumerate(messages):
-        start = n * step + offsets[d]
-        out[start : start + grid.size] += amp * signs[n] * slot_waves[d]
-    return SampledPulse(TimeGrid(grid.dt, grid.n0, length), out)
-
-
-def add_awgn(u: SampledPulse, noise_density: float, seed: int | None = None) -> SampledPulse:
-    """Add white Gaussian noise with per-sample variance N0 / (2 dt).
-
-    That discretization makes correlations against unit-energy templates
-    come out with variance N0/2, matching the continuous-time model.
-    """
-    if noise_density < 0:
-        raise ConfigurationError("noise density must be nonnegative")
-    if noise_density == 0.0:
-        return u
-    rng = np.random.default_rng(seed)
-    sigma = math.sqrt(noise_density / (2.0 * u.dt))
-    noisy = u.samples + rng.normal(0.0, sigma, u.grid.size)
-    return SampledPulse(u.grid, noisy)
-
-
-def receive_psm(r: SampledPulse, family: OrthogonalFamily) -> int:
-    """Largest-magnitude correlator index for a single-slot observation.
-
-    Magnitudes absorb the sign flip; exact ties resolve to the lowest
-    index (argmax keeps the first maximum), so an observation disjoint
-    from the family decides 0.
-    """
-    ir, ifam = _overlap(r.grid, family.grid)
-    return int(np.argmax(np.abs(family.samples[:, ifam] @ r.samples[ir])))
-
-
-def receive_oppm(r: SampledPulse, template: SampledPulse, cfg: LinkConfig) -> list[int]:
-    """Per-slot position decisions from sampled matched-filter magnitudes."""
-    s = shift_samples(template, cfg.shift)
-    step = _slot_step(cfg, template.dt)
-    size = template.grid.size
-    span = (cfg.n_symbols - 1) * s
-    n_slots = max(1, int(round((r.grid.size - size - span) / step)) + 1)
-    # zero-extend so that every position of the last slot has a full window
-    padded = np.zeros(max(r.grid.size, (n_slots - 1) * step + span + size))
-    padded[: r.grid.size] = r.samples
-    windows = np.lib.stride_tricks.sliding_window_view(padded, size)
-    # einsum: overlapping windows have no BLAS layout, and @ then loops slower
-    decisions = []
-    for n in range(n_slots):
-        positions = windows[n * step : n * step + span + 1 : s]  # (N, size)
-        decisions.append(int(np.argmax(np.abs(np.einsum("ij,j->i", positions, template.samples)))))
-    return decisions
-
-
 def _erfc_sqrt(num, den: float) -> np.ndarray:
     """erfc(sqrt(num / den)) elementwise; at den = 0 its limit, 0 where
     num > 0 and 1 where num = 0."""
@@ -226,19 +141,13 @@ def uncoded_bit_rate(n_symbols: int, symbol_period: float) -> float:
     return math.log2(n_symbols) / symbol_period
 
 
-def measured_correlations(template: SampledPulse, cfg: LinkConfig) -> np.ndarray:
-    """Normalized template correlations at shifts 1..N-1 times the slot shift."""
-    r = autocorr_samples(template, cfg.shift, cfg.n_symbols - 1)
-    return r[1:] / r[0]
-
-
 def _correlator_gram(cfg: LinkConfig, waveform_source) -> np.ndarray:
     """Gram G of the receiver's N correlator outputs.
 
     Message d sent with sign a gives the statistics sqrt(E) a G[d] without
-    noise; the white noise of ``add_awgn`` adds a zero-mean Gaussian vector
-    with covariance (N0/2) G.  Raises what ``modulate`` and the receivers
-    raise for the same inputs.
+    noise; white noise of per-sample variance N0 / (2 dt) adds a zero-mean
+    Gaussian vector with covariance (N0/2) G.  A source the scheme cannot
+    key, or a symbol period off the grid, raises.
     """
     _check_source(cfg, waveform_source)
     _slot_step(cfg, waveform_source.grid.dt)
@@ -259,11 +168,11 @@ def simulate_ser(
     """Monte Carlo symbol error rate over single-slot transmissions.
 
     The receiver sees a trial only through its N correlator outputs, and
-    for the white noise of ``add_awgn`` those are exactly Gaussian (see
+    for white noise those are exactly Gaussian (see
     ``_correlator_gram``).  So a trial draws message d, sign a and a
     standard normal N-vector w, and decides the index of the largest
     |sqrt(E) a G[d] + sqrt(N0/2) L w|, with G = L L^T; ties go to the
-    lowest index, as in the receivers.  Messages, signs and noise come
+    lowest index.  Messages, signs and noise come
     from three generators spawned from ``seed``, drawn in batches; trial
     i reads element (row) i of each, so results depend only on
     (seed, i), not on the trial count or the batch size.

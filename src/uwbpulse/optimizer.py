@@ -34,8 +34,6 @@ from .errors import (
 from .signals import (
     SampledPulse,
     _cosine_extrema,
-    autocorr_samples,
-    gram_symbol,
     lag_autocorrelation,
 )
 from .spectral import CosinePoly, SpectralMask, cosine_basis, segment_bounds
@@ -82,9 +80,6 @@ class AutocorrVector:
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
         if self.clock <= 0:
             raise ConfigurationError("clock period must be positive")
-
-    def spectrum_poly(self) -> CosinePoly:
-        return CosinePoly(self.r, self.clock)
 
 
 @dataclass(frozen=True)
@@ -466,45 +461,3 @@ def spectral_factorize(r: AutocorrVector) -> FilterTaps:
         raise FactorizationError(f"round-trip error {err:.3e} exceeds {_FACTOR_TOL:.1e}")
     return FilterTaps(g, r.clock, err)
 
-
-def shift_orthogonality_defect(g: FilterTaps, delta: int) -> float:
-    """max over k != 0 of |r_g(k * delta)|; zero iff the filter preserves
-    delta-shift orthogonality of an already orthogonal input."""
-    if delta < 1:
-        raise ConfigurationError("delta must be a positive integer")
-    r = g.autocorrelation()
-    lags = np.arange(delta, len(r), delta)
-    if len(lags) == 0:
-        return 0.0
-    return float(np.max(np.abs(r[lags])))
-
-
-def reconciliation_filter_delta2(g: FilterTaps, q: SampledPulse) -> CosinePoly:
-    """Power spectrum of the filter aligning 2-shift orthogonalization
-    with the shaping filter.
-
-    In clock-normalized frequency the value is
-    1 / (1 + (2 r_g(0)/r^_g(nu) - 1) * Phi'(nu)/Phi(nu)) where Phi is the
-    folded power spectrum of ``q`` at the clock shift and Phi' its
-    half-period translate.  Returned as a cosine polynomial obtained from
-    a dense sample of the (even, periodic) ratio.
-    """
-    clock = g.clock
-    rg = g.autocorrelation()
-    # exact minima (signals._cosine_extrema): a zero between grid nodes counts
-    if _cosine_extrema(rg)[0] <= 0:
-        raise ConfigurationError("filter power spectrum must be positive")
-    if _cosine_extrema(autocorr_samples(q, clock))[0] <= 0:
-        raise ConfigurationError("folded spectrum of q must be positive")
-    n_grid = 4096
-    nu = np.arange(n_grid) / (n_grid * clock)  # one full period
-    rhat = np.asarray(CosinePoly(rg, clock)(nu))
-    phi = gram_symbol(q, clock, nu * clock)
-    phi_shift = gram_symbol(q, clock, nu * clock + 0.5)
-    vals = 1.0 / (1.0 + (2.0 * rg[0] / rhat - 1.0) * phi_shift / phi)
-    # cosine coefficients of the sampled even periodic function
-    spec = np.fft.rfft(vals) / n_grid
-    coeffs = np.concatenate([[spec[0].real], spec[1:].real])
-    # keep terms above numerical noise
-    keep = max(1, int(np.max(np.nonzero(np.abs(coeffs) > 1e-12 * np.abs(coeffs).max())[0])) + 1)
-    return CosinePoly(coeffs[:keep], clock)

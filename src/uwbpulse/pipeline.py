@@ -25,7 +25,6 @@ from .lowdin import (
     translates,
 )
 from .optimizer import (
-    AutocorrVector,
     FilterTaps,
     LpSolution,
     passband_weights,

@@ -1,4 +1,4 @@
-"""Uniform-grid pulses: spectra, inner products, autocorrelation, Zak transform.
+"""Uniform-grid pulses: spectra, inner products, lag autocorrelation, CSV files.
 
 A pulse is its samples on a uniform grid with an integer index marking
 t = 0; it is zero off the grid, so its duration is the grid's span, and
@@ -230,18 +230,6 @@ def _translate_sum(x: np.ndarray, weights: np.ndarray, step: int) -> np.ndarray:
     return out
 
 
-def autocorrelation(p: SampledPulse) -> SampledPulse:
-    """Deterministic autocorrelation r(t) = integral p(s) p(s - t) ds.
-
-    The result is exactly even (computed once and mirrored) on a grid
-    twice the pulse's span, and r(0) equals the pulse energy.
-    """
-    r = np.correlate(p.samples, p.samples, mode="full") * p.dt
-    r = (r + r[::-1]) / 2.0  # bitwise-even by construction
-    n = p.grid.size
-    return SampledPulse(TimeGrid(p.dt, n - 1, 2 * n - 1), r)
-
-
 def spectrum(p: SampledPulse, nfft: int) -> Spectrum:
     """Zero-padded transform samples; freqs span [-1/2dt, 1/2dt).
 
@@ -431,22 +419,6 @@ def gram_symbol(p: SampledPulse, shift: float, nu) -> np.ndarray | float:
     """
     vals = cosine_series(autocorr_samples(p, shift), nu)
     return float(vals) if np.ndim(vals) == 0 else vals
-
-
-def zak_transform(p: SampledPulse, shift: float, t: float, nu: float) -> complex:
-    """Zak transform sum_n p(t - n*T) exp(2i pi n nu) at a grid time t."""
-    s = shift_samples(p, shift)
-    k0 = p.grid.index_of(t)  # raises off-grid
-    # translates whose grid holds t: p(t - nT) nonzero needs
-    # 0 <= k0 - n*s < size
-    n_lo = int(math.floor((k0 - (p.grid.size - 1)) / s))
-    n_hi = int(math.floor(k0 / s))
-    total = 0.0 + 0.0j
-    for n in range(n_lo, n_hi + 1):
-        idx = k0 - n * s
-        if 0 <= idx < p.grid.size:
-            total += p.samples[idx] * np.exp(2j * np.pi * n * nu)
-    return complex(total)
 
 
 @contextlib.contextmanager

@@ -108,10 +108,6 @@ def load_mask_csv(path) -> SpectralMask:
     return SpectralMask(tuple(zip(f_lo.tolist(), f_hi.tolist(), level.tolist())), passband)
 
 
-def save_mask_csv(path, mask: SpectralMask) -> None:
-    _write_csv(path, ["f_lo_hz", "f_hi_hz", "level_w_per_hz"], mask.segments)
-
-
 @dataclass(frozen=True, eq=False)
 class CosinePoly:
     """Even trigonometric polynomial sum_n c_n phi_n(nu) with clock period T0.
@@ -402,6 +398,3 @@ def psd_th_framed(
 def save_psd_csv(path, psd: Spectrum) -> None:
     _write_csv(path, ["f_hz", "psd_w_per_hz"], np.column_stack([psd.freqs, psd.values.real]))
 
-
-def save_lines_csv(path, lines) -> None:
-    _write_csv(path, ["f_hz", "power_w"], lines)

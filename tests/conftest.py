@@ -1,4 +1,13 @@
-"""Shared fixtures: the reference design is expensive, so build it once."""
+"""Shared fixtures and oracles.
+
+The reference design is expensive, so it is built once.  The oracles are
+independent computations the package's own results are checked against:
+the direct transform, Strang's circulant, the sampled-waveform link that
+``simulate_ser``'s correlator law must reproduce, the full and Zak forms
+of the autocorrelation, and the delta = 2 filter diagnostics.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +15,22 @@ import scipy.linalg
 
 import uwbpulse as up
 from uwbpulse import defaults
+from uwbpulse.errors import ConfigurationError
+from uwbpulse.lowdin import OrthogonalFamily
+from uwbpulse.modem import LinkConfig, _check_source, _slot_step
+from uwbpulse.optimizer import FilterTaps
 from uwbpulse.pipeline import band_bins, band_spectrum
+from uwbpulse.signals import (
+    SampledPulse,
+    TimeGrid,
+    _cosine_extrema,
+    _overlap,
+    _write_csv,
+    autocorr_samples,
+    gram_symbol,
+    shift_samples,
+)
+from uwbpulse.spectral import CosinePoly, SpectralMask
 
 
 def direct_transform(p, freqs):
@@ -28,6 +52,188 @@ def strang_circulant(g):
     row = g[0]
     m_half = (len(row) - 1) // 2
     return scipy.linalg.circulant(np.concatenate([row[: m_half + 1], row[m_half:0:-1]]))
+
+
+# ----------------------------------------------------------- waveform link
+# sampled signals and receivers: the independent side of the correlator law
+
+
+def modulate(
+    cfg: LinkConfig,
+    waveform_source: OrthogonalFamily | SampledPulse,
+    messages,
+    seed: int | None = None,
+) -> SampledPulse:
+    """Concatenated waveform for a message sequence.
+
+    Shape keying picks family member d_n per slot; position keying shifts
+    the single template by d_n * shift.  Amplitude signs are drawn from
+    the seeded generator when ``antipodal`` is set.
+    """
+    messages = list(messages)
+    if any(not (0 <= m < cfg.n_symbols) for m in messages):
+        raise ConfigurationError("message out of range")
+    _check_source(cfg, waveform_source)
+    if cfg.scheme == "PSM":
+        slot_waves = waveform_source.samples
+        offsets = [0] * cfg.n_symbols
+    else:
+        s = shift_samples(waveform_source, cfg.shift)
+        slot_waves = [waveform_source.samples] * cfg.n_symbols
+        offsets = [d * s for d in range(cfg.n_symbols)]
+
+    grid = waveform_source.grid
+    step = _slot_step(cfg, grid.dt)
+    n_slots = len(messages)
+    length = grid.size + (n_slots - 1) * step + max(offsets)
+    out = np.zeros(length)
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=n_slots) if cfg.antipodal else np.ones(n_slots)
+    amp = math.sqrt(cfg.energy)
+    for n, d in enumerate(messages):
+        start = n * step + offsets[d]
+        out[start : start + grid.size] += amp * signs[n] * slot_waves[d]
+    return SampledPulse(TimeGrid(grid.dt, grid.n0, length), out)
+
+
+def add_awgn(u: SampledPulse, noise_density: float, seed: int | None = None) -> SampledPulse:
+    """Add white Gaussian noise with per-sample variance N0 / (2 dt).
+
+    That discretization makes correlations against unit-energy templates
+    come out with variance N0/2, matching the continuous-time model.
+    """
+    if noise_density < 0:
+        raise ConfigurationError("noise density must be nonnegative")
+    if noise_density == 0.0:
+        return u
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(noise_density / (2.0 * u.dt))
+    noisy = u.samples + rng.normal(0.0, sigma, u.grid.size)
+    return SampledPulse(u.grid, noisy)
+
+
+def receive_psm(r: SampledPulse, family: OrthogonalFamily) -> int:
+    """Largest-magnitude correlator index for a single-slot observation.
+
+    Magnitudes absorb the sign flip; exact ties resolve to the lowest
+    index (argmax keeps the first maximum), so an observation disjoint
+    from the family decides 0.
+    """
+    ir, ifam = _overlap(r.grid, family.grid)
+    return int(np.argmax(np.abs(family.samples[:, ifam] @ r.samples[ir])))
+
+
+def receive_oppm(r: SampledPulse, template: SampledPulse, cfg: LinkConfig) -> list[int]:
+    """Per-slot position decisions from sampled matched-filter magnitudes."""
+    s = shift_samples(template, cfg.shift)
+    step = _slot_step(cfg, template.dt)
+    size = template.grid.size
+    span = (cfg.n_symbols - 1) * s
+    n_slots = max(1, int(round((r.grid.size - size - span) / step)) + 1)
+    # zero-extend so that every position of the last slot has a full window
+    padded = np.zeros(max(r.grid.size, (n_slots - 1) * step + span + size))
+    padded[: r.grid.size] = r.samples
+    windows = np.lib.stride_tricks.sliding_window_view(padded, size)
+    # einsum: overlapping windows have no BLAS layout, and @ then loops slower
+    decisions = []
+    for n in range(n_slots):
+        positions = windows[n * step : n * step + span + 1 : s]  # (N, size)
+        decisions.append(int(np.argmax(np.abs(np.einsum("ij,j->i", positions, template.samples)))))
+    return decisions
+
+
+def measured_correlations(template: SampledPulse, cfg: LinkConfig) -> np.ndarray:
+    """Normalized template correlations at shifts 1..N-1 times the slot shift."""
+    r = autocorr_samples(template, cfg.shift, cfg.n_symbols - 1)
+    return r[1:] / r[0]
+
+
+# ------------------------------------------------------------- pulse forms
+
+
+def autocorrelation(p: SampledPulse) -> SampledPulse:
+    """Deterministic autocorrelation r(t) = integral p(s) p(s - t) ds.
+
+    The result is exactly even (computed once and mirrored) on a grid
+    twice the pulse's span, and r(0) equals the pulse energy.
+    """
+    r = np.correlate(p.samples, p.samples, mode="full") * p.dt
+    r = (r + r[::-1]) / 2.0  # bitwise-even by construction
+    n = p.grid.size
+    return SampledPulse(TimeGrid(p.dt, n - 1, 2 * n - 1), r)
+
+
+def zak_transform(p: SampledPulse, shift: float, t: float, nu: float) -> complex:
+    """Zak transform sum_n p(t - n*T) exp(2i pi n nu) at a grid time t."""
+    s = shift_samples(p, shift)
+    k0 = p.grid.index_of(t)  # raises off-grid
+    # translates whose grid holds t: p(t - nT) nonzero needs
+    # 0 <= k0 - n*s < size
+    n_lo = int(math.floor((k0 - (p.grid.size - 1)) / s))
+    n_hi = int(math.floor(k0 / s))
+    total = 0.0 + 0.0j
+    for n in range(n_lo, n_hi + 1):
+        idx = k0 - n * s
+        if 0 <= idx < p.grid.size:
+            total += p.samples[idx] * np.exp(2j * np.pi * n * nu)
+    return complex(total)
+
+
+# ------------------------------------------------------------- CSV writers
+
+
+def save_mask_csv(path, mask: SpectralMask) -> None:
+    _write_csv(path, ["f_lo_hz", "f_hi_hz", "level_w_per_hz"], mask.segments)
+
+
+def save_lines_csv(path, lines) -> None:
+    _write_csv(path, ["f_hz", "power_w"], lines)
+
+
+# -------------------------------------------- delta = 2 filter diagnostics
+
+
+def shift_orthogonality_defect(g: FilterTaps, delta: int) -> float:
+    """max over k != 0 of |r_g(k * delta)|; zero iff the filter preserves
+    delta-shift orthogonality of an already orthogonal input."""
+    if delta < 1:
+        raise ConfigurationError("delta must be a positive integer")
+    r = g.autocorrelation()
+    lags = np.arange(delta, len(r), delta)
+    if len(lags) == 0:
+        return 0.0
+    return float(np.max(np.abs(r[lags])))
+
+
+def reconciliation_filter_delta2(g: FilterTaps, q: SampledPulse) -> CosinePoly:
+    """Power spectrum of the filter aligning 2-shift orthogonalization
+    with the shaping filter.
+
+    In clock-normalized frequency the value is
+    1 / (1 + (2 r_g(0)/r^_g(nu) - 1) * Phi'(nu)/Phi(nu)) where Phi is the
+    folded power spectrum of ``q`` at the clock shift and Phi' its
+    half-period translate.  Returned as a cosine polynomial obtained from
+    a dense sample of the (even, periodic) ratio.
+    """
+    clock = g.clock
+    rg = g.autocorrelation()
+    # exact minima (signals._cosine_extrema): a zero between grid nodes counts
+    if _cosine_extrema(rg)[0] <= 0:
+        raise ConfigurationError("filter power spectrum must be positive")
+    if _cosine_extrema(autocorr_samples(q, clock))[0] <= 0:
+        raise ConfigurationError("folded spectrum of q must be positive")
+    n_grid = 4096
+    nu = np.arange(n_grid) / (n_grid * clock)  # one full period
+    rhat = np.asarray(CosinePoly(rg, clock)(nu))
+    phi = gram_symbol(q, clock, nu * clock)
+    phi_shift = gram_symbol(q, clock, nu * clock + 0.5)
+    vals = 1.0 / (1.0 + (2.0 * rg[0] / rhat - 1.0) * phi_shift / phi)
+    # cosine coefficients of the sampled even periodic function
+    spec = np.fft.rfft(vals) / n_grid
+    coeffs = np.concatenate([[spec[0].real], spec[1:].real])
+    # keep terms above numerical noise
+    keep = max(1, int(np.max(np.nonzero(np.abs(coeffs) > 1e-12 * np.abs(coeffs).max())[0])) + 1)
+    return CosinePoly(coeffs[:keep], clock)
 
 
 FCC_EDGES = (1.61e9, 1.99e9, 3.1e9, 10.6e9)  # the indoor mask's inner edges

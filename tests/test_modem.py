@@ -12,8 +12,10 @@ from scipy.stats import binom, norm
 import uwbpulse as up
 from uwbpulse import defaults, modem
 from uwbpulse.errors import ConfigurationError, SingularGramError
-from uwbpulse.modem import LinkConfig, measured_correlations
+from uwbpulse.modem import LinkConfig
 from uwbpulse.signals import SampledPulse, TimeGrid, inner, shift_samples
+
+from conftest import add_awgn, measured_correlations, modulate, receive_oppm, receive_psm
 
 T0 = defaults.CLOCK_T0
 TS = defaults.SYMBOL_CLOCKS * T0
@@ -51,20 +53,20 @@ def psm_cfg(family_k2):
 def test_modulate_single_oppm_symbol_is_scaled_template(family_k2, oppm_cfg):
     cfg = LinkConfig(**{**oppm_cfg.__dict__, "antipodal": False, "energy": 4.0})
     ctr = family_k2.centered()
-    u = up.modulate(cfg, ctr, [0])
+    u = modulate(cfg, ctr, [0])
     assert np.allclose(u.samples[: ctr.grid.size], 2.0 * ctr.samples, rtol=0, atol=0)
     assert np.all(u.samples[ctr.grid.size :] == 0.0)
 
 
 def test_modulate_psm_energy_per_symbol(family_k2, psm_cfg):
     for msg in range(family_k2.size):
-        u = up.modulate(psm_cfg, family_k2, [msg], seed=5)
+        u = modulate(psm_cfg, family_k2, [msg], seed=5)
         assert u.energy() == pytest.approx(psm_cfg.energy, abs=1e-8)
 
 
 def test_modulate_rejects_bad_message(family_k2, psm_cfg):
     with pytest.raises(ConfigurationError):
-        up.modulate(psm_cfg, family_k2, [family_k2.size])
+        modulate(psm_cfg, family_k2, [family_k2.size])
 
 
 def test_modulate_oppm_overlapping_symbols_still_separate(family_k2, oppm_cfg):
@@ -73,10 +75,10 @@ def test_modulate_oppm_overlapping_symbols_still_separate(family_k2, oppm_cfg):
     cfg = LinkConfig(**{**oppm_cfg.__dict__, "antipodal": False, "noise_density": 0.0})
     ctr = family_k2.centered()
     for msg in (3, 4):
-        u = up.modulate(cfg, ctr, [msg])
-        assert up.receive_oppm(u, ctr, cfg)[0] == msg
-    u3 = up.modulate(cfg, ctr, [3])
-    u4 = up.modulate(cfg, ctr, [4])
+        u = modulate(cfg, ctr, [msg])
+        assert receive_oppm(u, ctr, cfg)[0] == msg
+    u3 = modulate(cfg, ctr, [3])
+    u4 = modulate(cfg, ctr, [4])
     overlap = np.minimum(np.abs(u3.samples), np.abs(u4.samples))
     assert np.max(overlap) > 0.0  # the waveforms really do overlap
 
@@ -98,7 +100,7 @@ def test_link_config_validates_position_span():
 
 def test_awgn_zero_noise_is_identity(family_k2):
     ctr = family_k2.centered()
-    r = up.add_awgn(ctr, 0.0, seed=1)
+    r = add_awgn(ctr, 0.0, seed=1)
     assert np.array_equal(r.samples, ctr.samples)
 
 
@@ -109,7 +111,7 @@ def test_awgn_per_sample_variance(family_k2):
     from uwbpulse.signals import SampledPulse, TimeGrid
 
     silent = SampledPulse(TimeGrid(ctr.dt, 0, rng_len), np.zeros(rng_len))
-    r = up.add_awgn(silent, n0, seed=99)
+    r = add_awgn(silent, n0, seed=99)
     var = float(np.var(r.samples))
     assert var == pytest.approx(n0 / (2 * ctr.dt), rel=0.01)
 
@@ -124,7 +126,7 @@ def test_awgn_correlator_variance(family_k2):
         from uwbpulse.signals import SampledPulse
 
         silent = SampledPulse(ctr.grid, np.zeros(ctr.grid.size))
-        r = up.add_awgn(silent, n0, seed=trial)
+        r = add_awgn(silent, n0, seed=trial)
         stats.append(inner(r, ctr))
     var = float(np.var(stats))
     assert var == pytest.approx(n0 / 2, rel=0.05)
@@ -132,8 +134,8 @@ def test_awgn_correlator_variance(family_k2):
 
 def test_awgn_deterministic_under_seed(family_k2):
     ctr = family_k2.centered()
-    r1 = up.add_awgn(ctr, 0.3, seed=7)
-    r2 = up.add_awgn(ctr, 0.3, seed=7)
+    r1 = add_awgn(ctr, 0.3, seed=7)
+    r2 = add_awgn(ctr, 0.3, seed=7)
     assert np.array_equal(r1.samples, r2.samples)
 
 
@@ -143,8 +145,8 @@ def test_awgn_deterministic_under_seed(family_k2):
 def test_receive_psm_noiseless_all_members(family_k2, psm_cfg):
     cfg = LinkConfig(**{**psm_cfg.__dict__, "antipodal": False, "noise_density": 0.0})
     for j in range(family_k2.size):
-        u = up.modulate(cfg, family_k2, [j])
-        assert up.receive_psm(u, family_k2) == j
+        u = modulate(cfg, family_k2, [j])
+        assert receive_psm(u, family_k2) == j
 
 
 def test_receive_psm_sign_flip_invariant(family_k2, psm_cfg):
@@ -153,7 +155,7 @@ def test_receive_psm_sign_flip_invariant(family_k2, psm_cfg):
     for j in (0, 4, 8):
         s = SampledPulse(family_k2.grid, family_k2.samples[j])
         neg = SampledPulse(s.grid, -s.samples)
-        assert up.receive_psm(neg, family_k2) == j
+        assert receive_psm(neg, family_k2) == j
 
 
 def test_receive_psm_matches_per_member_correlators(family_k2):
@@ -167,13 +169,13 @@ def test_receive_psm_matches_per_member_correlators(family_k2):
         for size in (grid.size // 3, grid.size, grid.size + 2 * s):
             r = SampledPulse(TimeGrid(grid.dt, grid.n0 - offset, size), rng.normal(size=size))
             expect = int(np.argmax([abs(inner(r, m)) for m in members]))
-            assert up.receive_psm(r, family_k2) == expect
+            assert receive_psm(r, family_k2) == expect
     # fully disjoint, just before or far after the family: every statistic
     # is 0 and the first index wins
     for n0 in (grid.n0 + 60, -grid.size):
         far = SampledPulse(TimeGrid(grid.dt, n0, 50), rng.normal(size=50))
         assert all(inner(far, m) == 0.0 for m in members)
-        assert up.receive_psm(far, family_k2) == 0
+        assert receive_psm(far, family_k2) == 0
 
 
 def test_receive_oppm_matches_per_position_dot(family_k2, oppm_cfg):
@@ -185,7 +187,7 @@ def test_receive_oppm_matches_per_position_dot(family_k2, oppm_cfg):
     step = int(round(oppm_cfg.symbol_period / tmpl.dt))
     rng = np.random.default_rng(5)
     msgs = [int(m) for m in rng.integers(0, oppm_cfg.n_symbols, 40)] + [oppm_cfg.n_symbols - 1]
-    u = up.add_awgn(up.modulate(oppm_cfg, tmpl, msgs, seed=2), 1.0, seed=3)
+    u = add_awgn(modulate(oppm_cfg, tmpl, msgs, seed=2), 1.0, seed=3)
     for cut in (0, s + 7, step // 2 - 100):
         r = SampledPulse(TimeGrid(u.dt, u.grid.n0, u.grid.size - cut), u.samples[: u.grid.size - cut])
         expect = []
@@ -195,14 +197,14 @@ def test_receive_oppm_matches_per_position_dot(family_k2, oppm_cfg):
                 seg = r.samples[n * step + d * s : n * step + d * s + size]
                 stats.append(abs(np.dot(np.pad(seg, (0, size - len(seg))), tmpl.samples)))
             expect.append(int(np.argmax(stats)))
-        assert up.receive_oppm(r, tmpl, oppm_cfg) == expect
+        assert receive_oppm(r, tmpl, oppm_cfg) == expect
 
 
 def test_receive_oppm_noiseless_sequence(family_k2, oppm_cfg):
     cfg = LinkConfig(**{**oppm_cfg.__dict__, "noise_density": 0.0})
     msgs = list(range(cfg.n_symbols))
-    u = up.modulate(cfg, family_k2.centered(), msgs, seed=3)
-    got = up.receive_oppm(u, family_k2.centered(), cfg)
+    u = modulate(cfg, family_k2.centered(), msgs, seed=3)
+    got = receive_oppm(u, family_k2.centered(), cfg)
     assert got == msgs
 
 
@@ -212,8 +214,8 @@ def test_oppm_loopback_error_free_when_correlations_small(family_k2, oppm_cfg):
     cfg = LinkConfig(**{**oppm_cfg.__dict__, "noise_density": 0.0})
     rng = np.random.default_rng(17)
     msgs = [int(m) for m in rng.integers(0, cfg.n_symbols, 40)]
-    u = up.modulate(cfg, family_k2.centered(), msgs, seed=1)
-    assert up.receive_oppm(u, family_k2.centered(), cfg) == msgs
+    u = modulate(cfg, family_k2.centered(), msgs, seed=1)
+    assert receive_oppm(u, family_k2.centered(), cfg) == msgs
 
 
 # ------------------------------------------------------------------- bounds
@@ -301,8 +303,8 @@ def test_simulation_deterministic(family_k2, psm_cfg):
 
 
 def test_modulate_deterministic(family_k2, psm_cfg):
-    u1 = up.modulate(psm_cfg, family_k2, [1, 3, 5], seed=2)
-    u2 = up.modulate(psm_cfg, family_k2, [1, 3, 5], seed=2)
+    u1 = modulate(psm_cfg, family_k2, [1, 3, 5], seed=2)
+    u2 = modulate(psm_cfg, family_k2, [1, 3, 5], seed=2)
     assert np.array_equal(u1.samples, u2.samples)
 
 
@@ -353,7 +355,7 @@ def test_correlator_gram_rows_are_noiseless_statistics(family_k2, pulse25, psm_c
         source = up.approx_lowdin_family(pulse25, family_k2.shift, 4).centered()
     gram = modem._correlator_gram(cfg, source)
     for d in range(cfg.n_symbols):
-        u = up.modulate(cfg, source, [d])
+        u = modulate(cfg, source, [d])
         if scheme == "PSM":
             stats = source.samples @ u.samples * u.dt
         else:

@@ -27,7 +27,13 @@ from uwbpulse.optimizer import (
 from uwbpulse.signals import SampledPulse, TimeGrid
 from uwbpulse.spectral import CosinePoly, SpectralMask, segment_bounds
 
-from conftest import DEEP_SEGMENT_DRIFT, direct_power, drifted_fcc_mask
+from conftest import (
+    DEEP_SEGMENT_DRIFT,
+    direct_power,
+    drifted_fcc_mask,
+    reconciliation_filter_delta2,
+    shift_orthogonality_defect,
+)
 
 T0 = defaults.CLOCK_T0
 L = defaults.FIR_ORDER
@@ -91,7 +97,8 @@ def test_lp_flat_ceiling_saturates_dc():
 
 def test_lp_solution_feasible_on_dense_grid(design25):
     assert design25.solution.feasibility_margin >= 0.0
-    rhat = design25.solution.autocorr.spectrum_poly()
+    autocorr = design25.solution.autocorr
+    rhat = CosinePoly(autocorr.r, autocorr.clock)
     for i, gam in enumerate(design25.gammas):
         a, b = segment_bounds(design25.mask)[i]
         nu = np.linspace(a, b, 4 * 512 + 1)
@@ -550,16 +557,16 @@ def test_factorize_refuses_a_wrong_inside_root_count(monkeypatch, move):
 def test_orthogonality_defect_impulse():
     g = FilterTaps(np.concatenate([[1.0], np.zeros(9)]), T0)
     for delta in range(1, 6):
-        assert up.shift_orthogonality_defect(g, delta) == 0.0
+        assert shift_orthogonality_defect(g, delta) == 0.0
 
 
 def test_orthogonality_defect_two_taps():
     g = FilterTaps(np.array([1.0, 1.0]) / math.sqrt(2.0), T0)
-    assert up.shift_orthogonality_defect(g, 1) == pytest.approx(0.5, rel=1e-12)
+    assert shift_orthogonality_defect(g, 1) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_orthogonality_defect_design_vs_family(design25):
-    value = up.shift_orthogonality_defect(design25.taps, 5)
+    value = shift_orthogonality_defect(design25.taps, 5)
     assert 0.0 < value < design25.taps.autocorrelation()[0]
     # the family at T = 5 T0 still reaches near-orthogonality
     fam, centered, report = up.build_family(design25.pulse, 6, 2, "lo")
@@ -574,7 +581,7 @@ def test_reconciliation_impulse_formula(monocycle):
     from uwbpulse.signals import autocorr_samples, gram_symbol
 
     g = FilterTaps(np.array([1.0]), T0)
-    poly = up.reconciliation_filter_delta2(g, monocycle)
+    poly = reconciliation_filter_delta2(g, monocycle)
     nu = np.linspace(0.0, 0.5 / T0, 257)
     phi = np.asarray(gram_symbol(monocycle, T0, nu * T0))
     phi_half = np.asarray(gram_symbol(monocycle, T0, nu * T0 + 0.5))
@@ -587,7 +594,7 @@ def test_reconciliation_orthogonal_input_is_constant(monocycle):
     # so there is nothing left to repair: the spectrum is flat at 1/2
     q0 = up.orthonormal_generator(monocycle, T0).pulse
     g = FilterTaps(np.array([1.0]), T0)
-    poly = up.reconciliation_filter_delta2(g, q0)
+    poly = reconciliation_filter_delta2(g, q0)
     nu = np.linspace(0.0, 0.5 / T0, 513)
     vals = np.asarray(poly(nu))
     assert np.abs(vals - 0.5).max() <= 1e-6
@@ -601,10 +608,10 @@ def test_reconciliation_refuses_double_zero_between_nodes(design1):
     th = math.pi / (math.sqrt(2.0) + 1.0)
     taps = np.array([1.0, -2.0 * math.cos(th), 1.0])
     with pytest.raises(ConfigurationError, match="filter power spectrum"):
-        up.reconciliation_filter_delta2(FilterTaps(taps, T0), design1.monocycle)
+        reconciliation_filter_delta2(FilterTaps(taps, T0), design1.monocycle)
     q = SampledPulse(TimeGrid(T0, 1, 3), taps)
     with pytest.raises(ConfigurationError, match="folded spectrum of q"):
-        up.reconciliation_filter_delta2(FilterTaps(np.array([1.0]), T0), q)
+        reconciliation_filter_delta2(FilterTaps(np.array([1.0]), T0), q)
 
 
 def test_orthogonalize_then_shape_equals_shape_then_orthogonalize(design25):

@@ -28,9 +28,9 @@ from uwbpulse.signals import (
     semi_discrete_convolve,
     shift_samples,
 )
-from uwbpulse.spectral import save_lines_csv, save_mask_csv, save_psd_csv
+from uwbpulse.spectral import save_psd_csv
 
-from conftest import direct_transform
+from conftest import autocorrelation, direct_transform, save_lines_csv, save_mask_csv, zak_transform
 
 T0 = defaults.CLOCK_T0
 TQ = defaults.MONOCYCLE_CLOCKS * T0
@@ -97,12 +97,12 @@ def test_monocycle_grid_must_end_at_window(n0, size):
 
 
 def test_autocorr_unit_energy_at_zero(monocycle):
-    r = up.autocorrelation(monocycle)
+    r = autocorrelation(monocycle)
     assert r.value_at(0.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_autocorr_support(pulse25):
-    r = up.autocorrelation(pulse25)
+    r = autocorrelation(pulse25)
     tp = pulse25.duration()
     t = r.times()
     assert np.all(r.samples[np.abs(t) > tp + 1e-15] == 0.0)
@@ -110,7 +110,7 @@ def test_autocorr_support(pulse25):
 
 
 def test_autocorr_exactly_even(pulse25):
-    r = up.autocorrelation(pulse25)
+    r = autocorrelation(pulse25)
     assert np.array_equal(r.samples, r.samples[::-1])
 
 
@@ -244,7 +244,7 @@ def test_zak_nu_zero_is_periodization(pulse25):
         for n in range(-pulse25.grid.size // s - 1, pulse25.grid.size // s + 2)
         if 0 <= k0 - n * s < pulse25.grid.size
     )
-    z = up.zak_transform(pulse25, shift, t, 0.0)
+    z = zak_transform(pulse25, shift, t, 0.0)
     assert z.imag == pytest.approx(0.0, abs=1e-15)
     assert z.real == pytest.approx(direct, rel=1e-12)
 
@@ -260,8 +260,8 @@ def test_zak_quasi_periodicity(pulse25):
         nu = float(rng.uniform(0, 1))
         grid = TimeGrid(pulse25.dt, pulse25.grid.n0 - k * s, pulse25.grid.size)
         shifted = SampledPulse(grid, pulse25.samples)
-        lhs = up.zak_transform(shifted, shift, t, nu)
-        rhs = np.exp(-2j * np.pi * nu * k) * up.zak_transform(pulse25, shift, t, nu)
+        lhs = zak_transform(shifted, shift, t, nu)
+        rhs = np.exp(-2j * np.pi * nu * k) * zak_transform(pulse25, shift, t, nu)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
@@ -270,9 +270,9 @@ def test_zak_of_autocorr_matches_circulant_eigenvalues(pulse25):
     shift = pulse25.duration() / 2
     n = 9
     lam = up.gram_symbol(pulse25, shift, np.arange(n) / n)
-    r = up.autocorrelation(pulse25)
+    r = autocorrelation(pulse25)
     for l in range(n):
-        z = up.zak_transform(r, shift, 0.0, l / n)
+        z = zak_transform(r, shift, 0.0, l / n)
         assert z.imag == pytest.approx(0.0, abs=1e-12)
         assert z.real == pytest.approx(lam[l], rel=1e-12, abs=1e-12)
 
@@ -280,7 +280,7 @@ def test_zak_of_autocorr_matches_circulant_eigenvalues(pulse25):
 def test_zak_rejects_off_grid_time(pulse25):
     shift = pulse25.duration() / 2
     with pytest.raises(GridAlignmentError):
-        up.zak_transform(pulse25, shift, 0.4999 * pulse25.dt, 0.0)
+        zak_transform(pulse25, shift, 0.4999 * pulse25.dt, 0.0)
 
 
 def test_degenerate_shifts_and_times_raise_typed_errors(monocycle):
@@ -489,7 +489,7 @@ def test_autocorr_even_and_bounded_random(nu, k):
     rng = np.random.default_rng(k)
     grid = TimeGrid(1e-11, 16, 33)
     p = SampledPulse(grid, rng.normal(size=33)).normalized()
-    r = up.autocorrelation(p)
+    r = autocorrelation(p)
     assert np.array_equal(r.samples, r.samples[::-1])
     assert np.abs(r.samples).max() <= r.value_at(0.0) * (1 + 1e-12)
 
@@ -582,11 +582,16 @@ def test_cosine_series_reduces_large_x_exactly():
 # a leading coefficient far below the others' rounding, which swamped the
 # colleague matrix's eigenvalues until it was trimmed
 @example(c=[0.0, 0.0, 0.0, 0.0, -1.0, 2.4960124432147682e-148])
+# subnormal coefficients, where rounding is absolute, not relative
+@example(c=[0.0, 0.0, 5e-324, 5e-324])
 def test_cosine_extrema_bracket_dense_values(c):
     # oracle: the series on 4,097 nodes of [0, 1/2]; the bound is the
-    # float error of cosine_series at |x| <= 1/2
+    # float error of cosine_series at |x| <= 1/2: relative rounding, plus
+    # under gradual underflow up to 2^-1075 absolute per operation on
+    # either side, which 4 len(c) 2^-1074 covers
     lo, hi = _cosine_extrema(c)
     vals = cosine_series(c, np.linspace(0.0, 0.5, 4097))
     tol = 4 * np.finfo(float).eps * (1 + np.pi) * sum((n + 1) * abs(cn) for n, cn in enumerate(c))
+    tol += 4 * len(c) * 2.0**-1074
     assert lo <= vals.min() + tol
     assert vals.max() <= hi + tol

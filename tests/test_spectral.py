@@ -21,10 +21,9 @@ from uwbpulse.spectral import (
     load_mask_csv,
     psd_pam_ppm,
     psd_th_framed,
-    save_mask_csv,
 )
 
-from conftest import direct_power, direct_transform
+from conftest import direct_power, direct_transform, save_mask_csv
 
 T0 = defaults.CLOCK_T0
 GHZ = 1e9
@@ -607,7 +606,9 @@ def test_psd_evaluates_one_dirichlet_period(monkeypatch, spec25):
 
 
 def test_psd_csv_writers(tmp_path, spec25):
-    from uwbpulse.spectral import save_lines_csv, save_psd_csv
+    from uwbpulse.spectral import save_psd_csv
+
+    from conftest import save_lines_csv
 
     cont, lines = psd_pam_ppm(spec25, 1.0, 150 * T0, 1.0, 0.0, T0, 2)
     save_psd_csv(tmp_path / "psd.csv", cont)
