@@ -181,7 +181,7 @@ def cmd_design(args) -> int:
     save_pulse_csv(pulse_path, result.pulse)
     spec_path = out / "achieved_spectrum.csv"
     achieved = result.spectrum
-    save_psd_csv(spec_path, Spectrum(achieved.freqs, achieved.power().astype(complex)))
+    save_psd_csv(spec_path, Spectrum(achieved.freqs, achieved.power()))
     report_path = out / "design_report.json"
     sol = result.solution
     _write_json(

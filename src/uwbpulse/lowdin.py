@@ -92,13 +92,12 @@ class OrthogonalFamily:
     Row m of ``samples`` is member m - M.  All members share one ``grid``,
     the span of the 2M+1 translates.  ``weights[m, n]`` is the coefficient
     of p(. - (n - M) T) in that member, so each member is the output of
-    the tapped-delay line whose taps are its row of ``weights`` (for
-    "alo", clipped: zero past the cutoff).
+    the tapped-delay line whose taps are its row of ``weights`` (for the
+    ALO family, clipped: zero past the cutoff).
     """
 
     samples: np.ndarray  # (2M+1, grid.size)
     grid: TimeGrid
-    kind: str  # "lo", "alo" or "gs"
     m_half: int
     translates: Translates
     weights: np.ndarray
@@ -168,12 +167,10 @@ def inverse_sqrt_spd(gm: np.ndarray) -> np.ndarray:
     return (vecs * vals**-0.5) @ vecs.T
 
 
-def _family(t: Translates, weights: np.ndarray, kind: str) -> OrthogonalFamily:
+def _family(t: Translates, weights: np.ndarray) -> OrthogonalFamily:
     """Members sum_n weights[m, n] p(. - (n - M) T) on one extended grid."""
-    m_half = (len(weights) - 1) // 2
-    samples = _translate_sum(t.pulse.samples, weights, t.steps)
-    grid = TimeGrid(t.pulse.dt, t.pulse.grid.n0 + m_half * t.steps, samples.shape[1])
-    return OrthogonalFamily(samples, grid, kind, m_half, t, weights)
+    samples, grid = _translate_sum(t.pulse, weights, t.steps)
+    return OrthogonalFamily(samples, grid, (len(weights) - 1) // 2, t, weights)
 
 
 def lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
@@ -184,7 +181,7 @@ def lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamil
     unless the translates are stable (:func:`translates`).
     """
     t = translates(p, shift)
-    return _family(t, inverse_sqrt_spd(t.gram(m_half)), "lo")
+    return _family(t, inverse_sqrt_spd(t.gram(m_half)))
 
 
 def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
@@ -198,7 +195,7 @@ def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> Orthogona
     chol = np.linalg.cholesky(t.gram(m_half))
     # L^{-1} is lower triangular; tril drops the rounding that the
     # inverse's row pivoting can leave above the diagonal
-    return _family(t, np.tril(np.linalg.inv(chol)), "gs")
+    return _family(t, np.tril(np.linalg.inv(chol)))
 
 
 def _inverse_sqrt_taps(r: np.ndarray, m_half: int) -> np.ndarray:
@@ -231,7 +228,7 @@ def approx_lowdin_family(p: SampledPulse, shift: float, m_half: int) -> Orthogon
     row = _inverse_sqrt_taps(t.r, m_half)
     i = np.arange(len(row))
     # the circulant W[m, n] = row[(n - m) mod N]: a negative index wraps
-    fam = _family(t, row[i - i[:, None]], "alo")
+    fam = _family(t, row[i - i[:, None]])
     # the cutoff (M - K/2) T in grid steps, rounded down at a half step
     cutoff = (2 * m_half - (len(t.r) - 1)) * t.steps // 2
     n0 = fam.grid.n0
@@ -261,8 +258,7 @@ def orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
     kept = np.nonzero(np.abs(taps) > LIMIT_LEVEL * row[0])[0]
     m_half = int(np.max(np.abs(kept - cap)))
     taps = taps[cap - m_half : cap + m_half + 1]
-    out = _translate_sum(p.samples, taps, t.steps)
-    grid = TimeGrid(p.dt, p.grid.n0 + m_half * t.steps, len(out))
+    out, grid = _translate_sum(p, taps, t.steps)
     radius = max(grid.n0, grid.size - 1 - grid.n0) * p.dt
     return LimitPulse(SampledPulse(grid, out).normalized(), radius, tail, m_half, taps, t)
 
@@ -271,7 +267,7 @@ def summed_distortion(family: OrthogonalFamily) -> float:
     """Sum over members of the squared L2 distance to the matching translate
     of the pulse the family was built from."""
     t = family.translates
-    diff = _translate_sum(t.pulse.samples, np.eye(family.size), t.steps) - family.samples
+    diff = _translate_sum(t.pulse, np.eye(family.size), t.steps)[0] - family.samples
     return float(np.vdot(diff, diff) * t.pulse.dt)
 
 

@@ -129,9 +129,7 @@ def bit_rate(k_overlap: int, clock: float = defaults.CLOCK_T0) -> float:
     K controls the overlap (shift T = Tp / K); the slot holds 4K + 1
     mutually orthogonal waveforms in 150 clock periods.
     """
-    if k_overlap < 0:
-        raise ConfigurationError("overlap factor must be nonnegative")
-    return math.log2(4 * k_overlap + 1) / (defaults.SYMBOL_CLOCKS * clock)
+    return uncoded_bit_rate(4 * k_overlap + 1, defaults.SYMBOL_CLOCKS * clock)
 
 
 def uncoded_bit_rate(n_symbols: int, symbol_period: float) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -40,10 +39,6 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return (np.arange(self.size) - self.n0) * self.dt
-
-    def index_of(self, t: float) -> int:
-        """Index of a grid time; raises if t is not on the grid."""
-        return _grid_steps(t, self.dt, "time") + self.n0
 
 
 def _grid_steps(span: float, dt: float, what: str) -> int:
@@ -89,13 +84,6 @@ class SampledPulse:
             raise ConfigurationError("cannot normalize the zero pulse")
         return SampledPulse(self.grid, self.samples / math.sqrt(e))
 
-    def value_at(self, t: float) -> float:
-        """Sample value at a grid time (zero outside the stored range)."""
-        k = self.grid.index_of(t)
-        if 0 <= k < self.grid.size:
-            return float(self.samples[k])
-        return 0.0
-
     def duration(self) -> float:
         """The grid's span, from its first to its last time."""
         g = self.grid
@@ -104,15 +92,18 @@ class SampledPulse:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Continuous-time Fourier transform samples at increasing frequencies,
-    uniform (step ``df``) but for the edges :func:`pipeline.band_bins` adds."""
+    """Values at increasing frequencies, uniform (step ``df``) but for the
+    edges :func:`pipeline.band_bins` adds.  They keep their producer's
+    dtype: complex transform samples from :func:`spectrum` and band_bins,
+    or a real density from the PSD models and ``design``'s achieved power.
+    """
 
     freqs: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
+        object.__setattr__(self, "values", np.asarray(self.values))
         if self.freqs.shape != self.values.shape:
             raise ConfigurationError("freqs and values must have the same shape")
 
@@ -186,33 +177,38 @@ def gaussian_monocycle(fc: float, Tq: float, grid: TimeGrid | None = None) -> Sa
 def semi_discrete_convolve(p: SampledPulse, taps: np.ndarray, clock: float) -> SampledPulse:
     """Filter a pulse with a tap sequence at the given clock period.
 
-    Returns sum_k taps[k] * p(t - k*clock), with the output time origin
-    moved to the middle of the tap span, which keeps odd-order filters
-    grid-aligned and the result centered.  The clock is a shift: a
-    positive whole number of grid steps (:func:`shift_samples`).
+    Returns sum_k taps[k] * p(t - k*clock) on :func:`_translate_sum`'s
+    grid, centred on the tap span.  The clock is a shift: a positive
+    whole number of grid steps (:func:`shift_samples`).
     """
-    taps = np.asarray(taps, dtype=float)
-    step = shift_samples(p, clock)
-    if (len(taps) - 1) * step % 2 != 0:
-        raise GridAlignmentError("cannot center an even tap span on the grid")
-    half = (len(taps) - 1) * step // 2
-    out = _translate_sum(p.samples, taps, step)
-    grid = TimeGrid(p.dt, p.grid.n0 + half, len(out))
+    out, grid = _translate_sum(p, np.asarray(taps, dtype=float), shift_samples(p, clock))
     return SampledPulse(grid, out)
 
 
-def _translate_sum(x: np.ndarray, weights: np.ndarray, step: int) -> np.ndarray:
-    """Tapped-delay line sum_k weights[..., k] * x(. - k*step) in samples.
+def _translate_sum(
+    p: SampledPulse, weights: np.ndarray, step: int
+) -> tuple[np.ndarray, TimeGrid]:
+    """Tapped-delay line sum_k weights[..., k] * p(. - k*step) in samples,
+    and the grid of those samples.
 
-    1-D taps give one output; each row of 2-D weights gives one output
-    row.  Polyphase form: x, zero-padded to nb = ceil(len(x)/step) blocks
-    of ``step`` samples, is an (nb, step) matrix, and output block b is
-    sum_j w[b - j] * block j.  So each row is one banded Toeplitz matrix
-    band[b, j] = w[b - j] of shape (n + nb - 1, nb) times that matrix.
-    Every row runs the same products on its own band, so row m of a 2-D
-    call is bit-identical to the 1-D call with weights[m].
+    The grid puts t = 0 at the middle of the tap span, which keeps
+    odd-order filters grid-aligned and the result centred; a span of an
+    odd number of steps has no middle sample, and an empty tap row has no
+    output, so both raise.  1-D taps give one output; each row of 2-D
+    weights gives one output row.  Polyphase form: the samples x,
+    zero-padded to nb = ceil(len(x)/step) blocks of ``step`` samples, are
+    an (nb, step) matrix, and output block b is sum_j w[b - j] * block j.
+    So each row is one banded Toeplitz matrix band[b, j] = w[b - j] of
+    shape (n + nb - 1, nb) times that matrix.  Every row runs the same
+    products on its own band, so row m of a 2-D call is bit-identical to
+    the 1-D call with weights[m].
     """
     rows, n = weights.shape[:-1], weights.shape[-1]
+    if n == 0:
+        raise ConfigurationError("a tapped-delay line needs at least one tap")
+    if (n - 1) * step % 2 != 0:
+        raise GridAlignmentError("cannot center an even tap span on the grid")
+    x = p.samples
     nb = -(-len(x) // step)
     xb = np.pad(x, (0, nb * step - len(x))).reshape(nb, step)
     padded = np.zeros(rows + (n + 2 * (nb - 1),))
@@ -227,7 +223,7 @@ def _translate_sum(x: np.ndarray, weights: np.ndarray, step: int) -> np.ndarray:
     np.matmul(band[..., :full, :], xb, out=out[..., : full * step].reshape(rows + (full, step)))
     if rest:
         out[..., full * step :] = (band[..., full:, :] @ xb[:, :rest])[..., 0, :]
-    return out
+    return out, TimeGrid(p.dt, p.grid.n0 + (n - 1) * step // 2, size)
 
 
 def spectrum(p: SampledPulse, nfft: int) -> Spectrum:
@@ -249,7 +245,6 @@ def spectrum(p: SampledPulse, nfft: int) -> Spectrum:
     return Spectrum(np.fft.fftshift(freqs), np.fft.fftshift(vals))
 
 
-@functools.lru_cache(maxsize=64)
 def _fast_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c 7^d 11^e >= n: the complex FFT length that
     ``scipy.fft.next_fast_len`` picks, for which pocketfft is fastest."""
@@ -319,17 +314,13 @@ def shift_samples(p: SampledPulse, shift: float) -> int:
     return s
 
 
-def autocorr_span(p: SampledPulse, shift: float) -> int:
-    """Number of one-sided shifts whose translates overlap: ceil(Tp/T), in
-    grid steps."""
-    return -(-(p.grid.size - 1) // shift_samples(p, shift))
-
-
 def autocorr_samples(p: SampledPulse, shift: float, kmax: int | None = None) -> np.ndarray:
-    """Autocorrelation sampled at multiples of the shift: r(0..kmax * T)."""
+    """Autocorrelation sampled at multiples of the shift: r(0..kmax * T),
+    with kmax by default ceil(Tp/T), the number of one-sided shifts whose
+    translates overlap."""
     s = shift_samples(p, shift)
     if kmax is None:
-        kmax = autocorr_span(p, shift)
+        kmax = -(-(p.grid.size - 1) // s)
     return lag_autocorrelation(p.samples, s, kmax) * p.dt
 
 

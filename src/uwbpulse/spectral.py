@@ -308,8 +308,12 @@ def _train_psd(
     :func:`psd_pam_ppm`), which divides m.  It is evaluated on that
     period's bins nearest nu = 0, listed by index mod the period, where
     nu * shift is smallest and the sines' arguments carry the least
-    rounding, and tiled.
+    rounding, and tiled.  Each factor's n must be at least 1, else
+    :class:`ConfigurationError`.
     """
+    for _, n, what in factors:
+        if n < 1:
+            raise ConfigurationError(f"offsets on {{0..n-1}} at the {what} need n >= 1, not {n}")
 
     def gain(f):
         g = np.full(np.shape(f), float(mean))
@@ -322,19 +326,18 @@ def _train_psd(
     bins = math.lcm(*(m // math.gcd(_grid_steps(s, dt, what), m) for s, _, what in factors))
     first = min(max(round(-freqs[0] / p.df) - bins // 2, 0), m - bins)
     g = np.resize(gain(freqs[first + (np.arange(bins) - first) % bins]), m)
-    # in g's buffer, then into one complex output: on a 2^20-point grid
-    # each fresh temporary is 8-16 MB of page faults
+    # all in g's buffer, which becomes the real continuum: on a 2^20-point
+    # grid each fresh temporary is 8 MB of page faults
     np.square(g, out=g)
     np.subtract(total, g, out=g)
     g *= energy / period
     psq = p.power()
-    cont = np.zeros(m, dtype=complex)
-    np.multiply(g, psq, out=cont.real)
+    g *= psq
     n_max = int(math.floor(max(abs(freqs[0]), abs(freqs[-1])) * period))
     f = np.arange(-n_max, n_max + 1) / period
     w = energy * np.interp(f, freqs, psq) / period**2 * gain(f) ** 2
     keep = w > 0.0
-    return Spectrum(freqs, cont), list(zip(f[keep].tolist(), w[keep].tolist()))
+    return Spectrum(freqs, g), list(zip(f[keep].tolist(), w[keep].tolist()))
 
 
 def psd_pam_ppm(

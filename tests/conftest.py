@@ -24,6 +24,7 @@ from uwbpulse.signals import (
     SampledPulse,
     TimeGrid,
     _cosine_extrema,
+    _grid_steps,
     _overlap,
     _write_csv,
     autocorr_samples,
@@ -166,7 +167,7 @@ def autocorrelation(p: SampledPulse) -> SampledPulse:
 def zak_transform(p: SampledPulse, shift: float, t: float, nu: float) -> complex:
     """Zak transform sum_n p(t - n*T) exp(2i pi n nu) at a grid time t."""
     s = shift_samples(p, shift)
-    k0 = p.grid.index_of(t)  # raises off-grid
+    k0 = _grid_steps(t, p.dt, "time") + p.grid.n0  # raises off-grid
     # translates whose grid holds t: p(t - nT) nonzero needs
     # 0 <= k0 - n*s < size
     n_lo = int(math.floor((k0 - (p.grid.size - 1)) / s))

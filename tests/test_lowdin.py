@@ -12,7 +12,7 @@ import scipy.linalg
 
 import uwbpulse as up
 from uwbpulse import defaults
-from uwbpulse.errors import ConfigurationError, UnstableGeneratorError
+from uwbpulse.errors import ConfigurationError, GridAlignmentError, UnstableGeneratorError
 from uwbpulse.lowdin import (
     _inverse_sqrt_taps,
     gram_schmidt_family,
@@ -189,14 +189,28 @@ def sum_bound(weights, x):
 @pytest.mark.parametrize("rows", [None, 3])
 def test_translate_sum_matches_direct_sum(n, rows):
     rng = np.random.default_rng(n)
-    x = rng.standard_normal(50)
+    p = SampledPulse(TimeGrid(1e-11, 20, 50), rng.standard_normal(50))
+    x = p.samples
     weights = rng.standard_normal(n if rows is None else (rows, n))
-    for step in (1, 7, len(x) - 1, len(x), len(x) + 5):  # 50 % 7 != 0
-        got = _translate_sum(x, weights, step)
+    for step in (1, 7, 14, len(x) - 1, len(x), len(x) + 5):  # 50 % 7, 50 % 14 != 0
+        if (n - 1) * step % 2:
+            # an odd span has no middle sample to put t = 0 on
+            with pytest.raises(GridAlignmentError):
+                _translate_sum(p, weights, step)
+            continue
+        got, grid = _translate_sum(p, weights, step)
         expect = direct_translate_sum(x, weights, step)
         assert got.shape == expect.shape
         assert got.flags.c_contiguous
         assert np.all(np.abs(got - expect) <= sum_bound(weights, x))
+        assert (grid.dt, grid.n0, grid.size) == (p.dt, 20 + (n - 1) * step // 2, got.shape[-1])
+
+
+def test_translate_sum_refuses_an_empty_tap_row(monocycle):
+    with pytest.raises(ConfigurationError, match="at least one tap"):
+        semi_discrete_convolve(monocycle, [], monocycle.dt)
+    with pytest.raises(ConfigurationError, match="at least one tap"):
+        _translate_sum(monocycle, np.empty((3, 0)), 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8, 15, 20])
@@ -207,9 +221,11 @@ def test_translate_sum_rows_are_independent(pulse25, k):
     s = shift_samples(pulse25, shift)
     for builder in (up.lowdin_family, gram_schmidt_family, up.approx_lowdin_family):
         weights = builder(pulse25, shift, m_half).weights
-        rows = _translate_sum(pulse25.samples, weights, s)
+        rows, grid = _translate_sum(pulse25, weights, s)
         for m in range(len(weights)):
-            assert np.array_equal(rows[m], _translate_sum(pulse25.samples, weights[m], s))
+            row, row_grid = _translate_sum(pulse25, weights[m], s)
+            assert np.array_equal(rows[m], row)
+            assert row_grid == grid
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8])
@@ -338,7 +354,8 @@ def test_alo_on_orthonormal_translates(limit_k2, pulse25):
     t = center.times()
     sel = np.abs(t) <= cutoff - shift
     ref = limit_k2.pulse
-    ref_on = np.array([ref.value_at(tt) for tt in t[sel]])
+    # the family's grid is ref's, extended by M shifts on each side
+    ref_on = np.pad(ref.samples, center.grid.n0 - ref.grid.n0)[sel]
     assert np.abs(center.samples[sel] - ref_on).max() <= 1e-6
 
 
@@ -438,7 +455,7 @@ def test_centered_lowdin_converges_to_limit(pulse25):
         window = (m_half - k) / 2.0 * shift
         t = center.times()
         sel = np.abs(t) <= window + 1e-12
-        ref = np.array([lim.value_at(tt) for tt in t[sel]])
+        ref = lim.samples[np.nonzero(sel)[0] - center.grid.n0 + lim.grid.n0]
         devs.append(np.abs(center.samples[sel] - ref).max())
     assert devs == sorted(devs, reverse=True)
     assert devs[-1] < 1e-3 * devs[0]
@@ -662,6 +679,20 @@ def test_only_translates_forms_the_lag_row():
         ("uwbpulse.lowdin", "translates", "_cosine_extrema"),
     }
     assert takers == {"_inverse_sqrt_taps"}
+
+
+def test_lowdin_builds_no_grid():
+    # every tapped-delay line's grid comes from signals._translate_sum, so
+    # no lowdin function re-derives where t = 0 falls
+    import uwbpulse.lowdin
+
+    calls = [
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(uwbpulse.lowdin)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "TimeGrid"
+    ]
+    assert calls == []
 
 
 def test_build_family_lo_never_samples_the_member_gram(pulse25, monkeypatch):

@@ -284,6 +284,9 @@ def test_bit_rate_endpoints():
     assert baseline == pytest.approx(0.1867e9, rel=5e-3)
     assert up.bit_rate(2) == pytest.approx(0.592e9, rel=5e-3)
     assert up.bit_rate(0) == 0.0
+    for k, clock in ((-1, T0), (2, 0.0)):
+        with pytest.raises(ConfigurationError):
+            up.bit_rate(k, clock)
 
 
 def test_bit_rate_matches_symbol_count():

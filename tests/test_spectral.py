@@ -376,7 +376,7 @@ def test_fast_len_is_scipys_next_fast_len():
     import scipy.fft
 
     sizes = range(1, 40_001)
-    assert [signals._fast_len.__wrapped__(n) for n in sizes] == [
+    assert [signals._fast_len(n) for n in sizes] == [
         scipy.fft.next_fast_len(n) for n in sizes
     ]
 
@@ -567,7 +567,7 @@ def test_psd_continuum_tiles_one_period(pulse25, psd_grids, s, n):
     # tiled period sits at the bins nearest nu = 0
     for spec in psd_grids:
         for got, want in _full_grid_psds(spec, pulse25.dt, s, n):
-            assert np.all(got.imag == 0.0)
+            assert np.isrealobj(got)
             assert np.max(np.abs(got.real - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -580,6 +580,21 @@ def test_psd_refuses_shifts_off_the_grid(pulse25):
         psd_th_framed(spec, 1.0, 40 * dt, Nc=2, Tc=8 * dt, n_positions=4, shift=1.5 * dt)
     with pytest.raises(GridAlignmentError, match="chip period is 7.5 grid steps"):
         psd_th_framed(spec, 1.0, 40 * dt, Nc=2, Tc=7.5 * dt, n_positions=4, shift=dt)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_pam_ppm_psd_refuses_no_positions(pulse25, n):
+    spec = up.spectrum(pulse25, 2**12)
+    with pytest.raises(ConfigurationError, match=f"at the shift need n >= 1, not {n}"):
+        psd_pam_ppm(spec, 1.0, 40 * pulse25.dt, 1.0, 0.0, pulse25.dt, n)
+
+
+@pytest.mark.parametrize("nc, n_positions, what", [(0, 4, "chip period"), (2, 0, "shift")])
+def test_th_framed_psd_refuses_no_codes_or_positions(pulse25, nc, n_positions, what):
+    spec = up.spectrum(pulse25, 2**12)
+    dt = pulse25.dt
+    with pytest.raises(ConfigurationError, match=f"at the {what} need n >= 1, not 0"):
+        psd_th_framed(spec, 1.0, 40 * dt, Nc=nc, Tc=8 * dt, n_positions=n_positions, shift=dt)
 
 
 def test_psd_evaluates_one_dirichlet_period(monkeypatch, spec25):
