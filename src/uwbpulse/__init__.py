@@ -57,10 +57,8 @@ from .lowdin import (
     OrthogonalFamily,
     Translates,
     approx_lowdin_family,
-    gram_schmidt_family,
     inverse_sqrt_spd,
     lowdin_family,
-    lowdin_optimality_probe,
     orthonormal_generator,
     translates,
 )

@@ -18,7 +18,6 @@ normalization of the underlying theory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,18 +28,13 @@ from .signals import (
     SampledPulse,
     TimeGrid,
     _cosine_extrema,
-    _power_at,
     _translate_sum,
     autocorr_samples,
-    cosine_series,
-    inner,
     shift_samples,
 )
 
 LIMIT_LEVEL = 1e-12  # limit taps at or below this share of the centre tap are dropped
 LIMIT_MAX_M_HALF = 2048  # the limit generator's one circulant: taps at most this far out
-_PROBE_NODES = 256  # Gauss-Legendre nodes per probe piece: sqrt(Phi) to 1e-13 even at K = 15
-_PROBE_PIECES = 8  # bins of [0, 1/2) on which the probe's phases are constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,21 +127,6 @@ class LimitPulse(NamedTuple):
     translates: Translates  # of the input pulse
 
 
-def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
-    """|transform|^2 of the shift-orthonormal generator, evaluated exactly.
-
-    The orthonormalized spectrum power is |p^(f)|^2 divided by the folded
-    power spectrum at f * shift; both are finite cosine series over the
-    pulse's autocorrelation, so this needs no truncation and works even
-    when the generator decays slowly.  Raises unless the translates are
-    stable (:func:`translates`, the minimum over every frequency, not
-    only ``freqs``).
-    """
-    f = np.atleast_1d(np.asarray(freqs, dtype=float))
-    t = translates(p, shift)
-    return _power_at(p, f) / cosine_series(t.r, f * shift)
-
-
 def _toeplitz(row: np.ndarray) -> np.ndarray:
     """Symmetric Toeplitz matrix with first row ``row``: entry (i, j) is
     row[|i - j|]."""
@@ -182,20 +161,6 @@ def lowdin_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamil
     """
     t = translates(p, shift)
     return _family(t, inverse_sqrt_spd(t.gram(m_half)))
-
-
-def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
-    """Order-dependent comparator: sequential orthonormalization left to right.
-
-    With Gram G = L L^T (Cholesky), the combining weights are L^{-1}, so
-    member m depends only on translates up to m.  Raises unless the
-    translates are stable (:func:`translates`).
-    """
-    t = translates(p, shift)
-    chol = np.linalg.cholesky(t.gram(m_half))
-    # L^{-1} is lower triangular; tril drops the rounding that the
-    # inverse's row pivoting can leave above the diagonal
-    return _family(t, np.tril(np.linalg.inv(chol)))
 
 
 def _inverse_sqrt_taps(r: np.ndarray, m_half: int) -> np.ndarray:
@@ -261,45 +226,3 @@ def orthonormal_generator(p: SampledPulse, shift: float) -> LimitPulse:
     out, grid = _translate_sum(p, taps, t.steps)
     radius = max(grid.n0, grid.size - 1 - grid.n0) * p.dt
     return LimitPulse(SampledPulse(grid, out).normalized(), radius, tail, m_half, taps, t)
-
-
-def summed_distortion(family: OrthogonalFamily) -> float:
-    """Sum over members of the squared L2 distance to the matching translate
-    of the pulse the family was built from."""
-    t = family.translates
-    diff = _translate_sum(t.pulse, np.eye(family.size), t.steps)[0] - family.samples
-    return float(np.vdot(diff, diff) * t.pulse.dt)
-
-
-def lowdin_optimality_probe(p: SampledPulse, shift: float, trials: int, seed: int = 0) -> dict:
-    """Check the symmetric construction against random-phase alternatives.
-
-    Every orthonormal generator of the translate space has spectrum
-    exp(i alpha(nu)) p^ / sqrt(Phi), Phi the folded power spectrum, and
-    ||p - generator||^2 = r(0) + 1 - 2 int_0^1 sqrt(Phi) cos(alpha) dnu, so
-    the phase-free choice is closest.  The probe draws phases constant on
-    ``_PROBE_PIECES`` bins of [0, 1/2), mirrored for a real pulse, so a
-    distance is one dot product with the per-bin integrals of sqrt(Phi)
-    (Gauss-Legendre).  It adds the time-domain closed form
-    2 (1 - <p, p_on>) of the unit-energy ``p``'s generator p_on as a check.
-    """
-    base = orthonormal_generator(p, shift)
-    closed = 2.0 * (1.0 - inner(p, base.pulse))
-
-    r = base.translates.r
-    x, w = np.polynomial.legendre.leggauss(_PROBE_NODES)
-    nu = (np.arange(_PROBE_PIECES)[:, None] + (x + 1.0) / 2.0) / (2 * _PROBE_PIECES)
-    # integral of sqrt(Phi) over each bin plus its mirror image in (1/2, 1]
-    bins = np.sqrt(cosine_series(r, nu)) @ w / (2 * _PROBE_PIECES)
-    d_base = float(r[0] + 1.0 - 2.0 * np.sum(bins))
-
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * np.pi, (trials, _PROBE_PIECES))
-    results = r[0] + 1.0 - 2.0 * (np.cos(angles) @ bins)
-    return {
-        "lowdin_distance_sq": d_base,
-        "closed_form_distance_sq": closed,
-        "alternative_distances_sq": [float(d) for d in results],
-        "min_gap": float(np.min(results - d_base, initial=math.inf)),
-        "trials": trials,
-    }

@@ -399,5 +399,8 @@ def psd_th_framed(
 
 
 def save_psd_csv(path, psd: Spectrum) -> None:
-    _write_csv(path, ["f_hz", "psd_w_per_hz"], np.column_stack([psd.freqs, psd.values.real]))
+    """Write a real power density; a complex transform is refused, not truncated."""
+    if np.iscomplexobj(psd.values):
+        raise ConfigurationError(f"{path}: a PSD must be real, not a complex spectrum")
+    _write_csv(path, ["f_hz", "psd_w_per_hz"], np.column_stack([psd.freqs, psd.values]))
 

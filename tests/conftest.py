@@ -2,7 +2,10 @@
 
 The reference design is expensive, so it is built once.  The oracles are
 independent computations the package's own results are checked against:
-the direct transform, Strang's circulant, the sampled-waveform link that
+the direct transform, Strang's circulant, the paper's Löwdin checks (the
+Gram-Schmidt comparator ``gram_schmidt_family``, ``summed_distortion``,
+``lowdin_optimality_probe`` and the Nyquist-power identity
+``nyquist_spectrum_power``), the sampled-waveform link that
 ``simulate_ser``'s correlator law must reproduce, the full and Zak forms
 of the autocorrelation, and the delta = 2 filter diagnostics.
 """
@@ -16,7 +19,7 @@ import scipy.linalg
 import uwbpulse as up
 from uwbpulse import defaults
 from uwbpulse.errors import ConfigurationError
-from uwbpulse.lowdin import OrthogonalFamily
+from uwbpulse.lowdin import OrthogonalFamily, _family, orthonormal_generator, translates
 from uwbpulse.modem import LinkConfig, _check_source, _slot_step
 from uwbpulse.optimizer import FilterTaps
 from uwbpulse.pipeline import band_bins, band_spectrum
@@ -26,9 +29,13 @@ from uwbpulse.signals import (
     _cosine_extrema,
     _grid_steps,
     _overlap,
+    _power_at,
+    _translate_sum,
     _write_csv,
     autocorr_samples,
+    cosine_series,
     gram_symbol,
+    inner,
     shift_samples,
 )
 from uwbpulse.spectral import CosinePoly, SpectralMask
@@ -53,6 +60,85 @@ def strang_circulant(g):
     row = g[0]
     m_half = (len(row) - 1) // 2
     return scipy.linalg.circulant(np.concatenate([row[: m_half + 1], row[m_half:0:-1]]))
+
+
+# ----------------------------------------------------------- Löwdin checks
+# the comparator and instruments of the optimality (c9) and interplay
+# (c13) claims; each forms its translates through lowdin.translates
+
+_PROBE_NODES = 256  # Gauss-Legendre nodes per probe piece: sqrt(Phi) to 1e-13 even at K = 15
+_PROBE_PIECES = 8  # bins of [0, 1/2) on which the probe's phases are constant
+
+
+def gram_schmidt_family(p: SampledPulse, shift: float, m_half: int) -> OrthogonalFamily:
+    """Order-dependent comparator: sequential orthonormalization left to right.
+
+    With Gram G = L L^T (Cholesky), the combining weights are L^{-1}, so
+    member m depends only on translates up to m.  Raises unless the
+    translates are stable (:func:`translates`).
+    """
+    t = translates(p, shift)
+    chol = np.linalg.cholesky(t.gram(m_half))
+    # L^{-1} is lower triangular; tril drops the rounding that the
+    # inverse's row pivoting can leave above the diagonal
+    return _family(t, np.tril(np.linalg.inv(chol)))
+
+
+def summed_distortion(family: OrthogonalFamily) -> float:
+    """Sum over members of the squared L2 distance to the matching translate
+    of the pulse the family was built from."""
+    t = family.translates
+    diff = _translate_sum(t.pulse, np.eye(family.size), t.steps)[0] - family.samples
+    return float(np.vdot(diff, diff) * t.pulse.dt)
+
+
+def lowdin_optimality_probe(p: SampledPulse, shift: float, trials: int, seed: int = 0) -> dict:
+    """Check the symmetric construction against random-phase alternatives.
+
+    Every orthonormal generator of the translate space has spectrum
+    exp(i alpha(nu)) p^ / sqrt(Phi), Phi the folded power spectrum, and
+    ||p - generator||^2 = r(0) + 1 - 2 int_0^1 sqrt(Phi) cos(alpha) dnu, so
+    the phase-free choice is closest.  The probe draws phases constant on
+    ``_PROBE_PIECES`` bins of [0, 1/2), mirrored for a real pulse, so a
+    distance is one dot product with the per-bin integrals of sqrt(Phi)
+    (Gauss-Legendre).  It adds the time-domain closed form
+    2 (1 - <p, p_on>) of the unit-energy ``p``'s generator p_on as a check.
+    """
+    base = orthonormal_generator(p, shift)
+    closed = 2.0 * (1.0 - inner(p, base.pulse))
+
+    r = base.translates.r
+    x, w = np.polynomial.legendre.leggauss(_PROBE_NODES)
+    nu = (np.arange(_PROBE_PIECES)[:, None] + (x + 1.0) / 2.0) / (2 * _PROBE_PIECES)
+    # integral of sqrt(Phi) over each bin plus its mirror image in (1/2, 1]
+    bins = np.sqrt(cosine_series(r, nu)) @ w / (2 * _PROBE_PIECES)
+    d_base = float(r[0] + 1.0 - 2.0 * np.sum(bins))
+
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * np.pi, (trials, _PROBE_PIECES))
+    results = r[0] + 1.0 - 2.0 * (np.cos(angles) @ bins)
+    return {
+        "lowdin_distance_sq": d_base,
+        "closed_form_distance_sq": closed,
+        "alternative_distances_sq": [float(d) for d in results],
+        "min_gap": float(np.min(results - d_base, initial=math.inf)),
+        "trials": trials,
+    }
+
+
+def nyquist_spectrum_power(p: SampledPulse, shift: float, freqs) -> np.ndarray:
+    """|transform|^2 of the shift-orthonormal generator, evaluated exactly.
+
+    The orthonormalized spectrum power is |p^(f)|^2 divided by the folded
+    power spectrum at f * shift; both are finite cosine series over the
+    pulse's autocorrelation, so this needs no truncation and works even
+    when the generator decays slowly.  Raises unless the translates are
+    stable (:func:`translates`, the minimum over every frequency, not
+    only ``freqs``).
+    """
+    f = np.atleast_1d(np.asarray(freqs, dtype=float))
+    t = translates(p, shift)
+    return _power_at(p, f) / cosine_series(t.r, f * shift)
 
 
 # ----------------------------------------------------------- waveform link

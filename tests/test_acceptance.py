@@ -12,12 +12,17 @@ import pytest
 import uwbpulse as up
 from uwbpulse import defaults
 from uwbpulse.cli import main as cli_main
-from uwbpulse.lowdin import gram_schmidt_family, nyquist_spectrum_power, summed_distortion
 from uwbpulse.modem import LinkConfig
 from uwbpulse.optimizer import AutocorrVector
 from uwbpulse.signals import autocorr_samples, monocycle_sigma
 
-from conftest import strang_circulant
+from conftest import (
+    gram_schmidt_family,
+    lowdin_optimality_probe,
+    nyquist_spectrum_power,
+    strang_circulant,
+    summed_distortion,
+)
 
 T0 = defaults.CLOCK_T0
 TS = defaults.SYMBOL_CLOCKS * T0
@@ -130,7 +135,7 @@ def test_c09_lowdin_optimality(pulse25):
     gs = gram_schmidt_family(pulse25, shift, m_half)
     d_lo = summed_distortion(lo)
     d_gs = summed_distortion(gs)
-    probe = up.lowdin_optimality_probe(pulse25, shift, trials=50, seed=0)
+    probe = lowdin_optimality_probe(pulse25, shift, trials=50, seed=0)
     closed_ok = (
         abs(probe["lowdin_distance_sq"] - probe["closed_form_distance_sq"]) <= 1e-9
     )

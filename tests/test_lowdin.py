@@ -13,12 +13,7 @@ import scipy.linalg
 import uwbpulse as up
 from uwbpulse import defaults
 from uwbpulse.errors import ConfigurationError, GridAlignmentError, UnstableGeneratorError
-from uwbpulse.lowdin import (
-    _inverse_sqrt_taps,
-    gram_schmidt_family,
-    nyquist_spectrum_power,
-    summed_distortion,
-)
+from uwbpulse.lowdin import _inverse_sqrt_taps
 from uwbpulse.pipeline import build_family, shift_from_ratio
 from uwbpulse.signals import (
     SampledPulse,
@@ -31,7 +26,14 @@ from uwbpulse.signals import (
     shift_samples,
 )
 
-from conftest import direct_power, strang_circulant
+from conftest import (
+    direct_power,
+    gram_schmidt_family,
+    lowdin_optimality_probe,
+    nyquist_spectrum_power,
+    strang_circulant,
+    summed_distortion,
+)
 
 T0 = defaults.CLOCK_T0
 
@@ -649,7 +651,7 @@ def test_build_family_runs_its_public_builder(pulse25, monkeypatch, kind, builde
 
 def test_optimality_probe_forms_one_lag_row(pulse25, monkeypatch):
     seen = _count_translate_work(monkeypatch)
-    up.lowdin_optimality_probe(pulse25, pulse25.duration() / 2, trials=3)
+    lowdin_optimality_probe(pulse25, pulse25.duration() / 2, trials=3)
     assert seen["translates"] == [pulse25]
     assert len(seen["rows"]) == 1 and len(seen["scans"]) == 1
 
@@ -813,7 +815,7 @@ def test_public_builders_keep_their_stability_check(pulse25, monkeypatch):
         lambda: gram_schmidt_family(pulse25, shift, 4),
         lambda: up.orthonormal_generator(pulse25, shift),
         lambda: nyquist_spectrum_power(pulse25, shift, [0.0]),
-        lambda: up.lowdin_optimality_probe(pulse25, shift, trials=1),
+        lambda: lowdin_optimality_probe(pulse25, shift, trials=1),
     ):
         with pytest.raises(UnstableGeneratorError, match="stability bound A"):
             build()
@@ -936,7 +938,7 @@ def test_centered_autocorr_decay(pulse25):
 
 def test_optimality_probe_closed_form(pulse25):
     shift = pulse25.duration() / 2
-    report = up.lowdin_optimality_probe(pulse25, shift, trials=5, seed=1)
+    report = lowdin_optimality_probe(pulse25, shift, trials=5, seed=1)
     assert report["lowdin_distance_sq"] == pytest.approx(
         report["closed_form_distance_sq"], abs=1e-9
     )
@@ -944,7 +946,7 @@ def test_optimality_probe_closed_form(pulse25):
 
 def test_optimality_probe_random_phases_lose(pulse25):
     shift = pulse25.duration() / 2
-    report = up.lowdin_optimality_probe(pulse25, shift, trials=20, seed=7)
+    report = lowdin_optimality_probe(pulse25, shift, trials=20, seed=7)
     assert report["min_gap"] > 0.0
     assert all(
         d >= report["lowdin_distance_sq"] for d in report["alternative_distances_sq"]

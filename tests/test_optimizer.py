@@ -617,7 +617,7 @@ def test_reconciliation_refuses_double_zero_between_nodes(design1):
 def test_orthogonalize_then_shape_equals_shape_then_orthogonalize(design25):
     # at the clock shift, the shaping filter drops out of the
     # orthogonalized power spectrum entirely
-    from uwbpulse.lowdin import nyquist_spectrum_power
+    from conftest import nyquist_spectrum_power
 
     q = design25.monocycle
     p = design25.pulse

@@ -389,11 +389,16 @@ def test_bulk_csv_writer_matches_csv_writer(tmp_path, pulse25):
                 ref = _csv_writer_bytes(tmp_path / "p_ref.csv", ["t_seconds", "amplitude"], rows)
                 assert path.read_bytes() == ref, path
 
-    psd = up.Spectrum(np.array([-1e9, 0.0, 2.5e9]), np.array([1e-300 + 2j, -0.0, 7.25]))
+    psd = up.Spectrum(np.array([-1e9, 0.0, 2.5e9]), np.array([1e-300, -0.0, 7.25]))
     save_psd_csv(tmp_path / "psd.csv", psd)
     assert (tmp_path / "psd.csv").read_bytes() == _csv_writer_bytes(
-        tmp_path / "psd_ref.csv", ["f_hz", "psd_w_per_hz"], zip(psd.freqs, psd.values.real)
+        tmp_path / "psd_ref.csv", ["f_hz", "psd_w_per_hz"], zip(psd.freqs, psd.values)
     )
+    # a complex transform is no PSD: refused by name, and no file written
+    complex_psd = up.Spectrum(psd.freqs, psd.values + 2j)
+    with pytest.raises(ConfigurationError, match="complex.csv"):
+        save_psd_csv(tmp_path / "complex.csv", complex_psd)
+    assert not (tmp_path / "complex.csv").exists()
 
     for lines in ([], [(1e8, 5e-324), (-2e8, 1e300)]):
         save_lines_csv(tmp_path / "lines.csv", lines)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import uwbpulse as up
-from uwbpulse import defaults, lowdin, pipeline, signals, spectral
+from uwbpulse import defaults, pipeline, signals, spectral
 from uwbpulse.errors import (
     ConfigurationError,
     DivisionHazardError,
@@ -414,7 +414,7 @@ def test_compliance_chain_never_builds_the_full_grid(monkeypatch, mask):
     monkeypatch.setattr(pipeline, "spectrum", refuse("the full-grid spectrum"))
     monkeypatch.setattr(signals, "spectrum", refuse("the full-grid spectrum"))
     design = up.design_pulse(order=5)
-    for module in (signals, spectral, lowdin):
+    for module in (signals, spectral):
         monkeypatch.setattr(module, "_power_at", refuse("_power_at"))
     seen = []
     dtft = pipeline._dtft
