@@ -19,7 +19,6 @@ from .errors import (
     MaskFitError,
     ResolutionError,
     SingularGramError,
-    UnboundedError,
     UnstableGeneratorError,
     UwbPulseError,
 )
@@ -28,8 +27,6 @@ from .signals import (
     Spectrum,
     TimeGrid,
     gaussian_monocycle,
-    gram_symbol,
-    inner,
     load_pulse_csv,
     save_pulse_csv,
     semi_discrete_convolve,

@@ -30,7 +30,7 @@ from .pipeline import analyze_pulse, build_family, compliant_spectrum, design_pu
 from .signals import Spectrum, _output, _write_csv, load_pulse_csv, save_family_csv, save_pulse_csv
 from .spectral import fcc_indoor_mask, nesp, save_psd_csv
 
-SCHEMA_VERSION = 15
+SCHEMA_VERSION = 16
 
 
 class _Key(NamedTuple):
@@ -316,9 +316,12 @@ def cmd_sweep(args) -> int:
                 )
             )
         except UwbPulseError as exc:  # record and continue
-            errors[str(k)] = str(exc)
+            errors[str(k)] = exc
+    if not rows:  # every K failed: no table, and the first failure is the error
+        raise next(iter(errors.values()))
     sweep_path = out / "sweep.csv"
     _write_csv(sweep_path, ["K", "T_over_T0", "Rb_gbps", "nesp", "offdiag_max", "A", "B"], rows)
+    errors = {k: str(exc) for k, exc in errors.items()}
     _write_manifest(out, "sweep", config, [sweep_path], errors=errors or None)
     print(f"sweep: rows={len(rows)} failures={len(errors)}")
     return 0

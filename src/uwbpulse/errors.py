@@ -33,10 +33,6 @@ class InfeasibleError(UwbPulseError):
     """The constraint set of the filter program is empty."""
 
 
-class UnboundedError(UwbPulseError):
-    """The filter program has no finite optimum."""
-
-
 class FactorizationError(UwbPulseError):
     """Spectral factorization failed (spectrum too close to zero, or taps
     whose autocorrelation misses the target)."""

@@ -48,8 +48,8 @@ class LinkConfig:
             raise ConfigurationError("need at least one symbol")
         if not (0 < self.shift < math.inf and 0 < self.symbol_period < math.inf):
             raise ConfigurationError("shift and symbol period must be positive and finite")
-        if not (self.energy > 0 and 0 <= self.noise_density < math.inf):
-            raise ConfigurationError("energy must be positive, noise finite and nonnegative")
+        if not (0 < self.energy < math.inf and 0 <= self.noise_density < math.inf):
+            raise ConfigurationError("energy must be positive, noise nonnegative, both finite")
         if self.scheme != "PSM" and self.n_symbols * self.shift > self.symbol_period * (1 + 1e-12):
             raise ConfigurationError(
                 "position keying requires n_symbols * shift <= symbol_period"
@@ -117,7 +117,7 @@ def union_bound_correlated(rho, energy: float, noise_density: float) -> float:
     symbol and each other symbol (N-1 values).
     """
     rho = np.asarray(rho, dtype=float)
-    if np.any(np.abs(rho) > 1.0 + 1e-12):
+    if not np.all(np.abs(rho) <= 1.0 + 1e-12):
         raise ConfigurationError("correlations must lie in [-1, 1]; normalize first")
     rho = np.clip(rho, -1.0, 1.0)
     return float(0.5 * np.sum(_erfc_sqrt(energy * (1.0 - rho), 2.0 * noise_density)))

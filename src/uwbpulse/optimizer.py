@@ -15,6 +15,10 @@ dual has only L equality constraints and a basis of L rows.
 :func:`linprog` solves it by a dense simplex on that dual
 (:class:`_DualSimplex`), pricing rows on a working set that grows by
 row generation, so most pivots see a few hundred rows, not all of them.
+Every row is +-phi(nu), and at the band's Chebyshev nodes the rows
+phi(nu_j) form a DCT-II matrix, so the floor or ceiling row at each
+node, by the sign of its multiplier, is a dual-feasible start in closed
+form: there is no phase 1, and the LP is bounded by construction.
 """
 
 from __future__ import annotations
@@ -25,12 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    FactorizationError,
-    InfeasibleError,
-    UnboundedError,
-)
+from .errors import ConfigurationError, FactorizationError, InfeasibleError
 from .signals import (
     SampledPulse,
     _cosine_extrema,
@@ -41,7 +40,6 @@ from .spectral import CosinePoly, SpectralMask, cosine_basis, segment_bounds
 GRID_REFINE = 4  # the LP grid is this much denser than ``grid_density``
 _LP_TOL = 1e-12  # a row whose slack is below -_LP_TOL prices into the basis
 _PIVOT_TOL = 1e-9  # smallest pivot: the rows of a are scaled to entries of about 1
-_PHASE1_TOL = 1e-9  # artificial multipliers left after phase 1, relative to max |c|
 _REFACTOR = 32  # pivots between fresh inverses of the simplex basis
 _MAX_PIVOTS = 100_000  # a guard: Bland's rule ends every run long before
 _FACTOR_TOL = 1e-7  # largest error of the taps' autocorrelation round trip
@@ -57,8 +55,8 @@ class FilterTaps:
 
     def __post_init__(self):
         object.__setattr__(self, "taps", np.asarray(self.taps, dtype=float))
-        if self.clock <= 0:
-            raise ConfigurationError("clock period must be positive")
+        if not 0 < self.clock < math.inf:
+            raise ConfigurationError("clock period must be positive and finite")
 
     @property
     def order(self) -> int:
@@ -78,8 +76,8 @@ class AutocorrVector:
 
     def __post_init__(self):
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        if self.clock <= 0:
-            raise ConfigurationError("clock period must be positive")
+        if not 0 < self.clock < math.inf:
+            raise ConfigurationError("clock period must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -127,10 +125,10 @@ class _DualSimplex:
     The dual is min b . y subject to a^T y = -c, y >= 0, so a basis is L
     rows of ``a``: its point x solves them with equality, its multipliers
     solve B^T y_B = -c, and a row's reduced cost is its slack b_j - a_j . x.
-    A pivot brings in the most violated row and drops the basic row that
-    the ratio test on y_B picks.  Phase 1 starts from the artificial rows
-    sign_k e_k, at y_k = |c_k|; an artificial row that leaves never comes
-    back.  B's inverse is kept by rank-one updates, and refactored every
+    It starts from a dual-feasible basis, which the caller gives (y_B >= 0
+    proves the LP bounded), so there is one phase.  A pivot brings in the
+    most violated row and drops the basic row that the ratio test on y_B
+    picks.  B's inverse is kept by rank-one updates, and refactored every
     ``_REFACTOR`` pivots, before an optimum is declared, and before a row
     that has no pivot is taken for a dual ray.
 
@@ -142,38 +140,25 @@ class _DualSimplex:
     row is a new dual column, and the last basis stays feasible.
     """
 
-    def __init__(self, c: np.ndarray, a: np.ndarray):
-        n, L = a.shape
+    def __init__(self, c: np.ndarray, a: np.ndarray, basis: np.ndarray):
         self.c, self.a = c, a
-        self.sign = np.where(c > 0.0, -1.0, 1.0)
-        self.basis = np.arange(n, n + L)  # row n + k is artificial row k
-        self.basic = np.zeros(n, dtype=bool)
-        self.work = np.zeros(n, dtype=bool)
-        self.binv = np.diag(self.sign)
-        self.fresh = True  # binv was inverted, not updated, since the last pivot
+        self.basis = basis
+        self.basic = np.zeros(len(a), dtype=bool)
+        self.basic[basis] = True
+        self.work = np.zeros(len(a), dtype=bool)
         self.nit = 0
-
-    def basis_rows(self) -> np.ndarray:
-        n, L = self.a.shape
-        rows = np.zeros((L, L))
-        real = self.basis < n
-        rows[real] = self.a[self.basis[real]]
-        art = np.flatnonzero(~real)  # artificial row k is only ever basic at position k
-        rows[art, art] = self.sign[art]
-        return rows
 
     def multipliers(self) -> np.ndarray:
         """y_B, with rounding below zero cut off."""
         return np.maximum(self.binv.T @ -self.c, 0.0)
 
     def refactor(self) -> None:
-        self.binv = np.linalg.inv(self.basis_rows())
-        self.fresh = True
+        self.binv = np.linalg.inv(self.a[self.basis])
+        self.fresh = True  # binv was inverted, not updated, since the last pivot
 
     def swap(self, i: int, j: int, w: np.ndarray) -> None:
         """Row j replaces basic row i, where w = B^-T a_j."""
-        if self.basis[i] < len(self.basic):
-            self.basic[self.basis[i]] = False
+        self.basic[self.basis[i]] = False
         self.basis[i] = j
         self.basic[j] = True
         step = w.copy()
@@ -184,14 +169,14 @@ class _DualSimplex:
         if self.nit % _REFACTOR == 0:
             self.refactor()
 
-    def price(self, cost: np.ndarray, x: np.ndarray, bland: bool) -> int:
+    def price(self, b: np.ndarray, x: np.ndarray, bland: bool) -> int:
         """The row to bring in at point x, or -1 if none prices in."""
         if not bland:
             rows = np.flatnonzero(self.work & ~self.basic)
-            slack = cost[rows] - self.a[rows] @ x
+            slack = b[rows] - self.a[rows] @ x
             if len(rows) and slack.min() < -_LP_TOL:
                 return int(rows[np.argmin(slack)])
-        slack = cost - self.a @ x
+        slack = b - self.a @ x
         slack[self.basic] = 0.0
         violated = slack < -_LP_TOL
         if not violated.any():
@@ -203,22 +188,16 @@ class _DualSimplex:
             self.work[start + int(np.argmin(slack[start:stop]))] = True
         return int(np.argmin(slack))
 
-    def run(self, cost: np.ndarray, art_cost: float) -> int:
+    def run(self, b: np.ndarray) -> int:
         """Pivot until no row prices in (0), the dual is unbounded (2), or
-        for ``_MAX_PIVOTS`` pivots in all (4).  ``cost`` holds each row's
-        b_j, and ``art_cost`` that of each artificial row."""
-        n = len(self.basic)
+        for ``_MAX_PIVOTS`` pivots in all (4)."""
         stall = 0
         while self.nit < _MAX_PIVOTS:
-            art = self.basis >= n
             y = self.multipliers()
-            if art_cost and y[art].sum() <= _PHASE1_TOL * np.abs(self.c).max():
-                return 0  # phase 1 ends once no artificial multiplier is left
             # Dantzig's rule may cycle at a degenerate vertex; Bland's, kept
             # until the objective moves again, cannot
             bland = stall > len(self.basis)
-            x = self.binv @ np.where(art, art_cost, cost[np.where(art, 0, self.basis)])
-            j = self.price(cost, x, bland)
+            j = self.price(b, self.binv @ b[self.basis], bland)
             if j < 0:
                 if self.fresh:
                     return 0
@@ -240,88 +219,43 @@ class _DualSimplex:
             stall = 0 if theta > 0.0 else stall + 1
         return 4
 
-    def drive_out(self, positions) -> None:
-        """Swap the artificial rows at these basis positions, all at y = 0,
-        for real rows, by degenerate pivots.  One that no real row can
-        replace (``a`` has rank below L) stays, and pins x along a null
-        direction of ``a``."""
-        for i in positions:
-            alpha = self.a @ self.binv[:, i]  # entry i of B^-T a_j, for every j
-            alpha[self.basic] = 0.0
-            j = int(np.argmax(np.abs(alpha)))
-            scale = np.linalg.norm(self.a[j]) * np.linalg.norm(self.binv[:, i])
-            if abs(alpha[j]) > _PIVOT_TOL * scale:
-                self.swap(i, j, self.binv.T @ self.a[j])
-
-
-def _solve_lp(lp: _DualSimplex, b: np.ndarray, settle: bool = True):
-    """(status, x, y) for min c . x over free x with a x <= b, from the
-    simplex ``lp`` on c and a.
-
-    Status 0 is optimal, 2 infeasible, 3 unbounded and 4 a numerical
-    failure.  The artificial rows that start at y = 0 leave first, so
-    phase 1 pivots only on those that carry a multiplier, and minimizes
-    them.  If one is left, no y >= 0 has a^T y = -c: the LP is unbounded
-    if it is feasible at all, which min t over a x - t <= b, t >= 0
-    settles (``settle``; that LP's dual is feasible at y = 0).
-    """
-    c, a = lp.c, lp.a
-    n = len(a)
-    lp.drive_out(np.flatnonzero(c == 0.0))
-    status = lp.run(np.zeros(n), 1.0)
-    art = lp.basis >= n
-    if status == 4:
-        return 4, None, None
-    # phase 1 is bounded below by zero, so a column with no pivot (2)
-    # is one that rounding priced in: it counts as a multiplier left
-    if status == 2 or lp.multipliers()[art].sum() > _PHASE1_TOL * np.abs(c).max():
-        if not settle:
-            return 4, None, None
-        # on the numerical row space of a, where that LP has full rank
-        _, sv, vt = np.linalg.svd(a, full_matrices=False)
-        a_r = a @ vt[sv > _PIVOT_TOL * sv[0]].T
-        a_t = np.block([[a_r, -np.ones((n, 1))], [np.zeros((1, a_r.shape[1])), -np.ones((1, 1))]])
-        c_t = np.append(np.zeros(a_r.shape[1]), 1.0)
-        status, x_t, _ = _solve_lp(_DualSimplex(c_t, a_t), np.append(b, 0.0), False)
-        if status:
-            return 4, None, None
-        return (2 if x_t[-1] > _PHASE1_TOL * max(1.0, np.abs(b).max()) else 3), None, None
-    lp.drive_out(np.flatnonzero(art))
-    status = lp.run(b, 0.0)
-    if status:
-        return status, None, None
-    art = lp.basis >= n
-    rows = lp.basis_rows()
-    x = np.linalg.solve(rows, np.where(art, 0.0, b[np.where(art, 0, lp.basis)]))
-    y = np.zeros(n)
-    y[lp.basis[~art]] = np.maximum(np.linalg.solve(rows.T, -c), 0.0)[~art]
-    return 0, x, y
-
 
 _LP_MESSAGES = {
     0: "optimal",
     2: "infeasible",
-    3: "unbounded",
     4: "numerical failure: a basis went singular in rounding, or the pivot limit was hit",
 }
 
 
-def linprog(c, *, A_ub, b_ub):
-    """Minimize c . x over free x subject to A_ub x <= b_ub.
+def linprog(c, *, A_ub, b_ub, basis):
+    """Minimize c . x over free x subject to A_ub x <= b_ub, by the dual
+    simplex (:class:`_DualSimplex`) from the rows ``basis`` of A_ub.
 
-    The one LP solver (:func:`_solve_lp`).  Returns a namespace with the
-    fields of SciPy's result that this package reads: ``x``, ``fun``,
-    ``status`` (0 optimal, 2 infeasible, 3 unbounded, 4 failed),
-    ``message``, ``nit`` (simplex pivots) and ``ineqlin.marginals``, the
-    multipliers in SciPy's sign (d fun / d b_ub, so at most zero).  Also
+    The start must be dual feasible: len(c) rows whose multipliers, the
+    solution y_B of B^T y_B = -c, are all nonnegative; one below -1e-12
+    of max |c| raises :class:`ConfigurationError`.  Returns a namespace
+    with the fields of SciPy's result that this package reads: ``x``,
+    ``fun``, ``status`` (0 optimal, 2 infeasible, 4 failed), ``message``,
+    ``nit`` (simplex pivots) and ``ineqlin.marginals``, the multipliers
+    in SciPy's sign (d fun / d b_ub, so at most zero).  Also
     ``rows_priced``: the rows of the pricing working set at the end.
     """
     c = np.asarray(c, dtype=float)
-    lp = _DualSimplex(c, np.asarray(A_ub, dtype=float))
+    a, b = np.asarray(A_ub, dtype=float), np.asarray(b_ub, dtype=float)
+    lp = _DualSimplex(c, a, np.array(basis))
+    x = y = None
     try:
-        status, x, y = _solve_lp(lp, np.asarray(b_ub, dtype=float))
+        lp.refactor()
+        if np.min(lp.binv.T @ -c) < -_LP_TOL * np.abs(c).max():
+            raise ConfigurationError("the start basis has a negative multiplier")
+        status = lp.run(b)
+        if status == 0:
+            rows = a[lp.basis]
+            x = np.linalg.solve(rows, b[lp.basis])
+            y = np.zeros(len(b))
+            y[lp.basis] = np.maximum(np.linalg.solve(rows.T, -c), 0.0)
     except np.linalg.LinAlgError:  # a basis singular in rounding
-        status, x, y = 4, None, None
+        status = 4
     return SimpleNamespace(
         x=x,
         fun=float(c @ x) if status == 0 else np.nan,
@@ -346,9 +280,12 @@ def solve_autocorr_lp(
     nodes on [0, mask.f_top], and r^(nu) <= Gamma_i(nu) - margin at
     ``grid_density * GRID_REFINE + 1`` nodes on the bound region of mask
     segment i (:func:`~uwbpulse.spectral.segment_bounds`).  Floor and
-    margins are a fixed small fraction of the ceiling scale.  The LP is
-    solved once, by :func:`linprog`, and ``feasibility_margin`` is the
-    point's worst slack on the same grid.  An infeasible LP raises
+    margins are a fixed small fraction of the ceiling scale.  The floor
+    and the lowest ceiling at L more nodes, the band's Chebyshev nodes,
+    give :func:`linprog` its dual-feasible start.  The LP is solved once,
+    and ``feasibility_margin`` is the point's worst slack on the grid.
+    Ceilings at another clock than the mask's raise
+    :class:`ConfigurationError`.  An infeasible LP raises
     :class:`InfeasibleError`.  It names each segment whose fitted ceiling
     is positive on its nodes but whose headroom on this fit, the least
     Gamma_i - margin - floor there, is not; else it advises a denser grid.
@@ -358,7 +295,9 @@ def solve_autocorr_lp(
     segments = segment_bounds(mask)
     if len(gammas) != len(segments):
         raise ConfigurationError("one upper-bound polynomial per mask segment required")
-    clock = gammas[0].clock
+    clock = mask.clock
+    if any(gam.clock != clock for gam in gammas):
+        raise ConfigurationError("the ceilings must be fitted at the mask's clock")
 
     n = grid_density * GRID_REFINE
     a_low = cosine_basis(np.linspace(0.0, mask.f_top, n * len(gammas) + 1), L, clock)
@@ -372,10 +311,23 @@ def solve_autocorr_lp(
     # fixed cushion: larger than typical between-grid-point excursions at
     # the default density, so the result barely depends on grid_density
     floor = margin = 3e-5 * scale
-    a_ub = np.vstack([-a_low, a_seg])
-    b_ub = np.concatenate([np.full(len(a_low), -floor / scale), (gvals - margin) / scale])
+    # the start: at the Chebyshev angles theta_j = pi (j + 1/2) / L, the rows
+    # phi(nu_j) at nu_j = theta_j / (2 pi clock) form a DCT-II matrix Phi
+    # (orthogonal columns, condition sqrt 2).  With alpha = Phi^-T (-c), the
+    # floor row -phi(nu_j) where alpha_j <= 0, and the row of the lowest
+    # ceiling at nu_j where alpha_j > 0, carry the multipliers |alpha|
+    nu = (np.arange(L) + 0.5) * mask.f_top / L
+    phi = cosine_basis(nu, L, clock)
+    held = [(a <= nu) & (nu <= b) for a, b in segments]
+    ceiling = np.min([np.where(h, gam(nu), np.inf) for gam, h in zip(gammas, held)], axis=0)
+    c = -weights / np.max(np.abs(weights))
+    a_ub = np.vstack([-a_low, a_seg, -phi, phi])
+    b_ub = np.concatenate(
+        [np.full(len(a_low), -floor), gvals - margin, np.full(L, -floor), ceiling - margin]
+    ) / scale
+    basis = len(a_low) + len(a_seg) + np.arange(L) + L * (np.linalg.solve(phi.T, -c) > 0.0)
 
-    res = linprog(-weights / np.max(np.abs(weights)), A_ub=a_ub, b_ub=b_ub)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, basis=basis)
     if res.status == 2:
         # floor and margin are fixed shares of the highest ceiling, so a
         # positive ceiling can sit too low to clear them; a fitted ceiling
@@ -397,8 +349,6 @@ def solve_autocorr_lp(
             "empty constraint intersection; the mask fits are inconsistent with "
             "positivity on this grid: use a denser grid_density (--grid-density)"
         )
-    if res.status == 3:
-        raise UnboundedError("objective unbounded; an upper-bound segment is missing")
     if res.status != 0:
         raise ConfigurationError(f"LP solver failed: {res.message}")
     r = res.x * scale

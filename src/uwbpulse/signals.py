@@ -1,4 +1,4 @@
-"""Uniform-grid pulses: spectra, inner products, lag autocorrelation, CSV files.
+"""Uniform-grid pulses: spectra, lag autocorrelation, CSV files.
 
 A pulse is its samples on a uniform grid with an integer index marking
 t = 0; it is zero off the grid, so its duration is the grid's span, and
@@ -117,23 +117,6 @@ class Spectrum:
     def power_at(self, f) -> np.ndarray:
         """Interpolated |p^(f)|^2; grid must be dense enough for the caller."""
         return np.interp(f, self.freqs, self.power())
-
-
-def _overlap(a: TimeGrid, b: TimeGrid) -> tuple[slice, slice]:
-    """Index ranges of ``a`` and ``b`` holding their common times (empty if
-    the grids are disjoint); the steps must match."""
-    if abs(a.dt - b.dt) > 1e-15 * a.dt:
-        raise GridAlignmentError("inner product requires identical grid steps")
-    # align global indices k - n0
-    lo = max(-a.n0, -b.n0)
-    hi = max(lo, min(a.size - a.n0, b.size - b.n0))
-    return slice(lo + a.n0, hi + a.n0), slice(lo + b.n0, hi + b.n0)
-
-
-def inner(p: SampledPulse, q: SampledPulse) -> float:
-    """Rectangle-rule L2 inner product of two pulses on matching grids."""
-    ip, iq = _overlap(p.grid, q.grid)
-    return float(np.dot(p.samples[ip], q.samples[iq]) * p.dt)
 
 
 def triangle_window(t: np.ndarray, width: float) -> np.ndarray:
@@ -398,18 +381,6 @@ def _power_at(p: SampledPulse, f) -> np.ndarray:
     with r the pulse's lag autocorrelation."""
     r = lag_autocorrelation(p.samples, 1, p.grid.size - 1)
     return p.dt**2 * cosine_series(r, np.asarray(f, dtype=float) * p.dt)
-
-
-def gram_symbol(p: SampledPulse, shift: float, nu) -> np.ndarray | float:
-    """Folded power spectrum sum_n r(n*T) exp(-2i pi n nu), real by symmetry.
-
-    ``nu`` is in cycles per shift; the function is 1-periodic and even.
-    Its range over [0, 1) gives the translate family's stability bounds,
-    and its samples at l/N are the circulant approximant's eigenvalues.
-    It is a polyphase sum of squares, so it is nonnegative up to rounding.
-    """
-    vals = cosine_series(autocorr_samples(p, shift), nu)
-    return float(vals) if np.ndim(vals) == 0 else vals
 
 
 @contextlib.contextmanager

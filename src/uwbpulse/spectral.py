@@ -36,7 +36,8 @@ _STABLE_TOL = 3e-6  # a fit column whose new direction is below this share of it
 class SpectralMask:
     """Piecewise-constant PSD ceiling: segments of (f_lo, f_hi, level).
 
-    Segments must partition [0, f_top] contiguously with positive levels.
+    Segments must partition [0, f_top] contiguously, with f_top and the
+    levels positive and finite.
     ``passband`` marks the band whose allowed power normalizes the
     effective-power ratio.
     """
@@ -51,10 +52,10 @@ class SpectralMask:
         for f_lo, f_hi, level in self.segments:
             if abs(f_lo - prev) > 1e-6 * max(f_hi, 1.0):
                 raise ConfigurationError("mask segments must partition [0, f_top]")
-            if f_hi <= f_lo:
-                raise ConfigurationError("empty mask segment")
-            if level <= 0:
-                raise ConfigurationError("mask levels must be positive")
+            if not f_lo < f_hi < math.inf:
+                raise ConfigurationError("mask segments must be non-empty and finite")
+            if not 0 < level < math.inf:
+                raise ConfigurationError("mask levels must be positive and finite")
             prev = f_hi
         lo, hi = self.passband
         if not (0.0 <= lo < hi <= prev):
@@ -120,8 +121,8 @@ class CosinePoly:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if self.clock <= 0:
-            raise ConfigurationError("clock period must be positive")
+        if not 0 < self.clock < math.inf:
+            raise ConfigurationError("clock period must be positive and finite")
 
     @property
     def order(self) -> int:

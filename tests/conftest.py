@@ -7,7 +7,9 @@ Gram-Schmidt comparator ``gram_schmidt_family``, ``summed_distortion``,
 ``lowdin_optimality_probe`` and the Nyquist-power identity
 ``nyquist_spectrum_power``), the sampled-waveform link that
 ``simulate_ser``'s correlator law must reproduce, the full and Zak forms
-of the autocorrelation, and the delta = 2 filter diagnostics.
+of the autocorrelation, the rectangle-rule inner product ``inner``, the
+folded power spectrum ``gram_symbol``, and the delta = 2 filter
+diagnostics.
 """
 
 import math
@@ -18,7 +20,7 @@ import scipy.linalg
 
 import uwbpulse as up
 from uwbpulse import defaults
-from uwbpulse.errors import ConfigurationError
+from uwbpulse.errors import ConfigurationError, GridAlignmentError
 from uwbpulse.lowdin import OrthogonalFamily, _family, orthonormal_generator, translates
 from uwbpulse.modem import LinkConfig, _check_source, _slot_step
 from uwbpulse.optimizer import FilterTaps
@@ -28,14 +30,11 @@ from uwbpulse.signals import (
     TimeGrid,
     _cosine_extrema,
     _grid_steps,
-    _overlap,
     _power_at,
     _translate_sum,
     _write_csv,
     autocorr_samples,
     cosine_series,
-    gram_symbol,
-    inner,
     shift_samples,
 )
 from uwbpulse.spectral import CosinePoly, SpectralMask
@@ -264,6 +263,35 @@ def zak_transform(p: SampledPulse, shift: float, t: float, nu: float) -> complex
         if 0 <= idx < p.grid.size:
             total += p.samples[idx] * np.exp(2j * np.pi * n * nu)
     return complex(total)
+
+
+def _overlap(a: TimeGrid, b: TimeGrid) -> tuple[slice, slice]:
+    """Index ranges of ``a`` and ``b`` holding their common times (empty if
+    the grids are disjoint); the steps must match."""
+    if abs(a.dt - b.dt) > 1e-15 * a.dt:
+        raise GridAlignmentError("inner product requires identical grid steps")
+    # align global indices k - n0
+    lo = max(-a.n0, -b.n0)
+    hi = max(lo, min(a.size - a.n0, b.size - b.n0))
+    return slice(lo + a.n0, hi + a.n0), slice(lo + b.n0, hi + b.n0)
+
+
+def inner(p: SampledPulse, q: SampledPulse) -> float:
+    """Rectangle-rule L2 inner product of two pulses on matching grids."""
+    ip, iq = _overlap(p.grid, q.grid)
+    return float(np.dot(p.samples[ip], q.samples[iq]) * p.dt)
+
+
+def gram_symbol(p: SampledPulse, shift: float, nu) -> np.ndarray | float:
+    """Folded power spectrum sum_n r(n*T) exp(-2i pi n nu), real by symmetry.
+
+    ``nu`` is in cycles per shift; the function is 1-periodic and even.
+    Its range over [0, 1) gives the translate family's stability bounds,
+    and its samples at l/N are the circulant approximant's eigenvalues.
+    It is a polyphase sum of squares, so it is nonnegative up to rounding.
+    """
+    vals = cosine_series(autocorr_samples(p, shift), nu)
+    return float(vals) if np.ndim(vals) == 0 else vals
 
 
 # ------------------------------------------------------------- CSV writers

@@ -18,6 +18,7 @@ from uwbpulse.signals import autocorr_samples, monocycle_sigma
 
 from conftest import (
     gram_schmidt_family,
+    gram_symbol,
     lowdin_optimality_probe,
     nyquist_spectrum_power,
     strang_circulant,
@@ -69,7 +70,7 @@ def test_c04_circulant_eigenvalue_identity(pulse25):
     for m_half in (k, 2 * k, 4 * k):
         lam = np.linalg.eigvalsh(strang_circulant(up.translates(pulse25, shift).gram(m_half)))
         n = 2 * m_half + 1
-        other = np.sort(up.gram_symbol(pulse25, shift, np.arange(n) / n))
+        other = np.sort(gram_symbol(pulse25, shift, np.arange(n) / n))
         worst = max(worst, float(np.abs(lam - other).max()))
     ok = worst <= 1e-12
     verdict(4, ok, f"max eigenvalue mismatch across M in {{K,2K,4K}}: {worst:.2e}")
@@ -123,7 +124,7 @@ def test_c07_near_nyquist_autocorrelation(pulse25):
 def test_c08_limit_pulse_orthonormality(limit_k2, pulse25):
     shift = pulse25.duration() / 2
     nu = np.linspace(0.0, 0.5, 4096)
-    dev = float(np.abs(np.asarray(up.gram_symbol(limit_k2.pulse, shift, nu)) - 1.0).max())
+    dev = float(np.abs(np.asarray(gram_symbol(limit_k2.pulse, shift, nu)) - 1.0).max())
     ok = dev <= 1e-9
     verdict(8, ok, f"folded spectrum deviation from 1: {dev:.2e}")
 

@@ -76,7 +76,9 @@ def test_design_report_fields(design_dir):
     assert abs(report["objective"] - report["dual_bound"]) <= 1e-5 * report["objective"]
     assert report["lower_floor"] > 0.0
     assert 0 < report["lp_rows_priced"] <= report["lp_rows"]
-    assert report["lp_pivots"] >= 24  # at least one per basis row but the first
+    # the start's 25 rows, at the band's Chebyshev nodes, are not the
+    # optimum's basis: each leaves it by a pivot (all 25 do at L = 25)
+    assert report["lp_pivots"] >= 24
     assert len(report["fit_orders_kept"]) == 5
     assert all(1 <= k <= 25 for k in report["fit_orders_kept"])
     assert 0.0 <= report["factorization_error"] <= 1e-7
@@ -98,7 +100,7 @@ def test_design_rerun_byte_identical(tmp_path):
 def test_manifest_lists_outputs_with_hashes(design_dir):
     manifest = json.loads((design_dir / "manifest.json").read_text())
     assert manifest["command"] == "design"
-    assert manifest["schema_version"] == 15
+    assert manifest["schema_version"] == 16
     for name in ("taps.csv", "pulse.csv", "achieved_spectrum.csv", "design_report.json"):
         assert name in manifest["outputs"]
         assert len(manifest["outputs"][name]) == 64
@@ -267,6 +269,19 @@ def test_sweep_records_failures_and_continues(tmp_path):
     assert [r["K"] for r in rows] == ["2"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert "7" in manifest["errors"]
+
+
+def test_sweep_that_fails_at_every_k_exits_2(tmp_path, capsys):
+    # a sweep with no row writes no table and no manifest: the first K's
+    # error is the command's, and it exits 2
+    out = tmp_path / "s"
+    assert run(["sweep", "--order", "1", "--outdir", out, "--m-multiple", "0"]) == 2
+    assert "m_multiple must be at least 1" in capsys.readouterr().err
+    # neither K = 7 nor K = 11 divides the pulse duration in grid steps
+    assert run(["sweep", "--order", "1", "--outdir", out, "--k-list", "11,7"]) == 2
+    err = capsys.readouterr().err
+    assert "Tp/11" in err and "Tp/7" not in err, err
+    assert not (out / "sweep.csv").exists() and not (out / "manifest.json").exists()
 
 
 def test_simulate_ser_csv(tmp_path):
@@ -612,15 +627,14 @@ PACKAGE_SURFACE = [
     "AutocorrVector", "ConfigurationError", "CosinePoly", "DivisionHazardError",
     "FactorizationError", "FilterTaps", "GridAlignmentError", "InfeasibleError", "LinkConfig",
     "MaskFitError", "OrthogonalFamily", "ResolutionError", "SampledPulse", "SerResult",
-    "SingularGramError", "SpectralMask", "Spectrum", "TimeGrid", "Translates", "UnboundedError",
-    "UnstableGeneratorError", "UwbPulseError", "analyze_pulse", "approx_lowdin_family",
-    "bit_rate", "build_family", "design_pulse", "fcc_indoor_mask", "fit_mask_polynomials",
-    "gaussian_monocycle", "gram_symbol", "inner", "inverse_sqrt_spd", "load_mask_csv",
-    "load_pulse_csv", "lowdin_family", "max_compliant_scale", "nesp", "orthonormal_generator",
-    "passband_weights", "psd_pam_ppm", "psd_th_framed", "save_pulse_csv",
-    "semi_discrete_convolve", "simulate_ser", "solve_autocorr_lp", "spectral_factorize",
-    "spectrum", "translates", "uncoded_bit_rate", "union_bound_correlated",
-    "union_bound_orthogonal",
+    "SingularGramError", "SpectralMask", "Spectrum", "TimeGrid", "Translates",
+    "UnstableGeneratorError", "UwbPulseError", "analyze_pulse", "approx_lowdin_family", "bit_rate",
+    "build_family", "design_pulse", "fcc_indoor_mask", "fit_mask_polynomials",
+    "gaussian_monocycle", "inverse_sqrt_spd", "load_mask_csv", "load_pulse_csv", "lowdin_family",
+    "max_compliant_scale", "nesp", "orthonormal_generator", "passband_weights", "psd_pam_ppm",
+    "psd_th_framed", "save_pulse_csv", "semi_discrete_convolve", "simulate_ser",
+    "solve_autocorr_lp", "spectral_factorize", "spectrum", "translates", "uncoded_bit_rate",
+    "union_bound_correlated", "union_bound_orthogonal",
 ]
 
 
@@ -664,13 +678,10 @@ def test_every_src_function_is_reached_from_src():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     if names.get(node.id, own) != own:
                         reached.add(names[node.id])
-    # gram_symbol and inner stay until the benchmark's per-layer probes
-    # that name them are dropped with them (ROADMAP item 1); the PSD models
-    # and their 2^20-bin input have no consumer in the chain yet, but the
-    # benchmark's link op runs them (ROADMAP items 5 and 20)
+    # the PSD models and their 2^20-bin input have no consumer in the
+    # chain yet, but the benchmark's link op runs them (ROADMAP items 5
+    # and 20)
     assert public - reached == {
-        ("signals", "gram_symbol"),
-        ("signals", "inner"),
         ("pipeline", "band_spectrum"),
         ("spectral", "psd_pam_ppm"),
         ("spectral", "psd_th_framed"),

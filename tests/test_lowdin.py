@@ -21,7 +21,6 @@ from uwbpulse.signals import (
     _translate_sum,
     autocorr_samples,
     cosine_series,
-    inner,
     semi_discrete_convolve,
     shift_samples,
 )
@@ -29,6 +28,8 @@ from uwbpulse.signals import (
 from conftest import (
     direct_power,
     gram_schmidt_family,
+    gram_symbol,
+    inner,
     lowdin_optimality_probe,
     nyquist_spectrum_power,
     strang_circulant,
@@ -287,7 +288,7 @@ def test_strang_eigenvalues_match_folded_spectrum(pulse25):
         for m_half in (k, 2 * k, 4 * k):
             lam = np.linalg.eigvalsh(strang_circulant(up.translates(pulse25, shift).gram(m_half)))
             n = 2 * m_half + 1
-            expect = np.sort(up.gram_symbol(pulse25, shift, np.arange(n) / n))
+            expect = np.sort(gram_symbol(pulse25, shift, np.arange(n) / n))
             assert np.abs(lam - expect).max() <= 1e-12
 
 
@@ -433,7 +434,7 @@ def test_alo_lo_difference_shrinks_with_family_size(pulse25):
 def test_limit_pulse_is_shift_orthonormal(limit_k2, pulse25):
     shift = pulse25.duration() / 2
     nu = np.linspace(0.0, 0.5, 4096)
-    vals = np.asarray(up.gram_symbol(limit_k2.pulse, shift, nu))
+    vals = np.asarray(gram_symbol(limit_k2.pulse, shift, nu))
     assert np.abs(vals - 1.0).max() <= 1e-9
     assert limit_k2.tail_level <= 1e-12
 

@@ -13,9 +13,9 @@ import uwbpulse as up
 from uwbpulse import defaults, modem
 from uwbpulse.errors import ConfigurationError, SingularGramError
 from uwbpulse.modem import LinkConfig
-from uwbpulse.signals import SampledPulse, TimeGrid, inner, shift_samples
+from uwbpulse.signals import SampledPulse, TimeGrid, shift_samples
 
-from conftest import add_awgn, measured_correlations, modulate, receive_oppm, receive_psm
+from conftest import add_awgn, inner, measured_correlations, modulate, receive_oppm, receive_psm
 
 T0 = defaults.CLOCK_T0
 TS = defaults.SYMBOL_CLOCKS * T0

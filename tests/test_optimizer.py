@@ -12,12 +12,7 @@ from scipy.optimize import linprog
 
 import uwbpulse as up
 from uwbpulse import defaults, optimizer
-from uwbpulse.errors import (
-    ConfigurationError,
-    FactorizationError,
-    InfeasibleError,
-    UnboundedError,
-)
+from uwbpulse.errors import ConfigurationError, FactorizationError, InfeasibleError
 from uwbpulse.optimizer import (
     AutocorrVector,
     FilterTaps,
@@ -31,6 +26,7 @@ from conftest import (
     DEEP_SEGMENT_DRIFT,
     direct_power,
     drifted_fcc_mask,
+    gram_symbol,
     reconciliation_filter_delta2,
     shift_orthogonality_defect,
 )
@@ -133,12 +129,13 @@ def test_lp_monotone_in_order(monocycle, mask):
 
 
 def test_lp_is_one_grid_at_every_order(design1, design5, design15, design25, mask):
-    # the LP's rows are the grid alone, whatever the order
+    # the LP's rows are the grid and the start's floor and ceiling rows
+    # at L nodes, whatever the order
     sols = {d.taps.order: d.solution for d in (design1, design5, design15, design25)}
     n = 512 * optimizer.GRID_REFINE
     segments = len(segment_bounds(mask))
     for order, sol in sols.items():
-        assert sol.lp_rows == n * segments + 1 + segments * (n + 1), order
+        assert sol.lp_rows == n * segments + 1 + segments * (n + 1) + 2 * order, order
         assert sol.backoff_rounds == 1, order
 
 
@@ -207,14 +204,14 @@ def _assert_matches_highs(c, a_ub, b_ub, res, ref=None, label=None):
 
 class _RecordLinprog:
     """Within the block, each optimizer.linprog call is recorded as
-    (c, A_ub, b_ub, result) before it returns."""
+    (c, A_ub, b_ub, basis, result) before it returns."""
 
     def __enter__(self):
         self.calls, self.solve = [], optimizer.linprog
 
-        def record(c, *, A_ub, b_ub):
-            res = self.solve(c, A_ub=A_ub, b_ub=b_ub)
-            self.calls.append((c, A_ub, b_ub, res))
+        def record(c, *, A_ub, b_ub, basis):
+            res = self.solve(c, A_ub=A_ub, b_ub=b_ub, basis=basis)
+            self.calls.append((c, A_ub, b_ub, basis, res))
             return res
 
         optimizer.linprog = record
@@ -231,8 +228,8 @@ def test_row_generation_re_solves_on_about_the_active_rows():
     for order in (1, 5, 15, 25):
         with _RecordLinprog() as calls:
             sol = up.design_pulse(order=order).solution
-        assert [len(b_ub) for _, _, b_ub, _ in calls] == [sol.lp_rows], order
-        res = calls[0][3]
+        assert [len(b_ub) for _, _, b_ub, _, _ in calls] == [sol.lp_rows], order
+        res = calls[0][4]
         assert sol.lp_rows_priced == res.rows_priced <= 8 * order, (order, res.rows_priced)
         assert sol.lp_pivots == res.nit >= order - 1, order
 
@@ -240,13 +237,13 @@ def test_row_generation_re_solves_on_about_the_active_rows():
 @pytest.mark.parametrize("density", [32, 64])
 @pytest.mark.parametrize("order", [15, 25])
 def test_row_generation_starts_bounded_on_a_coarse_grid(order, density):
-    # phase 1 starts from a basis whose multipliers are feasible, so a
+    # the simplex starts from a basis whose multipliers are feasible, so a
     # coarse grid, whose segments hold few rows, needs no dense start and
     # no fallback: its one solve is HiGHS's optimum and prices a fraction
     # of the rows
     with _RecordLinprog() as calls:
         up.design_pulse(order=order, grid_density=density)
-    ((c, a_ub, b_ub, res),) = calls
+    ((c, a_ub, b_ub, _, res),) = calls
     _assert_matches_highs(c, a_ub, b_ub, res, label=(order, density))
     assert res.rows_priced < len(b_ub) // 4, res.rows_priced
 
@@ -254,19 +251,19 @@ def test_row_generation_starts_bounded_on_a_coarse_grid(order, density):
 @pytest.fixture(scope="module")
 def design_lps():
     """The shaping LP of the designs at L = 1, 5, 15, 25, as
-    (L, c, a_ub, b_ub), recorded from solve_autocorr_lp."""
+    (L, c, a_ub, b_ub, basis), recorded from solve_autocorr_lp."""
     lps = []
     for order in (1, 5, 15, 25):
         with _RecordLinprog() as calls:
             up.design_pulse(order=order)
-        lps += [(order, c, a_ub, b_ub) for c, a_ub, b_ub, _ in calls]
+        lps += [(order, c, a_ub, b_ub, basis) for c, a_ub, b_ub, basis, _ in calls]
     return lps
 
 
 def test_row_generation_finds_the_full_lp_optimum(design_lps):
     assert sorted({lp[0] for lp in design_lps}) == [1, 5, 15, 25]
-    for order, c, a_ub, b_ub in design_lps:
-        res = optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub)
+    for order, c, a_ub, b_ub, basis in design_lps:
+        res = optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub, basis=basis)
         _assert_matches_highs(c, a_ub, b_ub, res, label=order)
         # and it got there pricing a fraction of the rows at each pivot
         assert res.rows_priced <= len(b_ub) // 2, (order, res.rows_priced, len(b_ub))
@@ -282,7 +279,10 @@ def test_row_generation_finds_the_one_row_that_bounds_a_variable():
     b_ub = rng.uniform(1.0, 2.0, n)
     a_ub[5] = [0.0, 0.0, 1.0]
     c = np.array([-1.0, -0.5, -1.0])
-    res = optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub)
+    # the start: row 5 and the two polygon rows whose angles bracket -c's
+    k = int(np.searchsorted(theta, math.atan2(0.5, 1.0)))
+    assert k - 1 > 5
+    res = optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub, basis=[k - 1, k, 5])
     _assert_matches_highs(c, a_ub, b_ub, res, _full_linprog(c, a_ub, b_ub, {"presolve": True}))
     assert res.ineqlin.marginals[5] == pytest.approx(-1.0, rel=1e-12)
 
@@ -302,31 +302,40 @@ def test_row_generation_terminates_on_a_degenerate_lp():
         b_ub[i : i + 3] = [5.0, 1.0, 1.0]
     a_ub, b_ub = np.repeat(a_ub, 2, axis=0), np.repeat(b_ub, 2)
     c = np.array([0.0, -1.0])
-    res = optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub)
+    # the start: y <= 1 and x <= 10, at multipliers 1 and 0
+    res = optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub, basis=[0, 64])
     _assert_matches_highs(c, a_ub, b_ub, res, _full_linprog(c, a_ub, b_ub, {"presolve": True}))
 
 
+# each LP lists its start first: len(c) rows with nonnegative multipliers
 @pytest.mark.parametrize(
     "a_ub, b_ub, c, status",
     [
-        # x <= -1 and -x <= -1 (x >= 1)
-        ([[1.0], [-1.0]], [-1.0, -1.0], [1.0], 2),
-        # x0 + x1 <= 1 and x0 + x1 >= 2, with c in the rows' span
-        ([[1.0, 1.0], [-1.0, -1.0]], [1.0, -2.0], [-1.0, -1.0], 2),
-        # no row holds x1 back
-        ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0], [0.0, -1.0], 3),
-        # a cone: x0 >= |x1|, minimize -x0
-        ([[-1.0, 1.0], [-1.0, -1.0]], [0.0, 0.0], [-1.0, 0.0], 3),
-        # infeasible and no row holds x1 back either
-        ([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0], [0.0, -1.0], 2),
-        # x1 is in no row and not in c: optimal, with x1 pinned at 0
-        ([[-1.0, 0.0]], [0.0], [1.0, 0.0], 0),
+        # -x <= -1 (x >= 1) and x <= -1
+        ([[-1.0], [1.0]], [-1.0, -1.0], [1.0], 2),
+        # x0 + x1 <= 1, x0 - x1 <= 0 and x0 + x1 >= 2, with c in the rows' span
+        ([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]], [1.0, 0.0, -2.0], [-1.0, -1.0], 2),
     ],
 )
 def test_simplex_tells_infeasible_from_unbounded(a_ub, b_ub, c, status):
+    # a dual-feasible start proves the LP bounded, so an LP with no
+    # feasible point is the one that ends on a dual ray
     a_ub, b_ub, c = np.asarray(a_ub), np.asarray(b_ub), np.asarray(c)
-    assert optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub).status == status
+    assert optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub, basis=range(len(c))).status == status
     assert _full_linprog(c, a_ub, b_ub, {"presolve": False}).status == status
+
+
+def test_simplex_refuses_a_start_with_a_negative_multiplier():
+    # minimize -x0 - x1 with x0 <= 1, x1 <= 1 and x0 + x1 <= 1.5: each
+    # start of two of those rows, at multipliers (0, 1), (1, 1) and (0, 1),
+    # reaches the optimum; on -x0 <= 0 and x1 <= 1 they are (-1, 1)
+    a_ub = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]])
+    b_ub = np.array([1.0, 1.0, 1.5, 0.0])
+    c = np.array([-1.0, -1.0])
+    for basis in ([0, 2], [0, 1], [1, 2]):
+        assert optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub, basis=basis).fun == -1.5
+    with pytest.raises(ConfigurationError, match="negative multiplier"):
+        optimizer.linprog(c, A_ub=a_ub, b_ub=b_ub, basis=[3, 1])
 
 
 def test_singular_basis_is_a_refused_lp(monkeypatch, monocycle, mask):
@@ -336,7 +345,7 @@ def test_singular_basis_is_a_refused_lp(monkeypatch, monocycle, mask):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(optimizer._DualSimplex, "refactor", singular)
-    res = optimizer.linprog(np.array([0.0, -1.0]), A_ub=np.eye(2), b_ub=np.ones(2))
+    res = optimizer.linprog(np.array([0.0, -1.0]), A_ub=np.eye(2), b_ub=np.ones(2), basis=[0, 1])
     assert res.status == 4 and "singular" in res.message
     gammas = up.fit_mask_polynomials(mask, monocycle, 5)
     weights = passband_weights(monocycle, mask.passband, 5, T0)
@@ -393,7 +402,7 @@ def test_simplex_matches_highs_on_drawn_masks(monocycle, edges, db, order, densi
             refused = False
         except InfeasibleError:
             refused = True
-    ((c, a_ub, b_ub, res),) = calls
+    ((c, a_ub, b_ub, _, res),) = calls
     assert res.status in (0, 2) and refused == (res.status == 2), res.status
     if res.status == 0:
         _assert_matches_highs(c, a_ub, b_ub, res)
@@ -429,12 +438,27 @@ def test_lp_needs_one_ceiling_per_segment(mask):
         solve_autocorr_lp(np.ones(L), [gam], mask, 128)
 
 
-def test_lp_unbounded_signals():
-    # ceiling only over a sliver of the band leaves the rest uncontrolled
+def test_lp_refuses_ceilings_at_another_clock():
+    # a mask over a sliver of the band, and a ceiling at the full band's
+    # clock: the ceiling's nodes would leave the rest of its period
+    # uncontrolled, and the start's nodes would not span its basis
     gam = CosinePoly(np.concatenate([[1.0], np.zeros(L - 1)]), T0)
-    weights = np.ones(L)
-    with pytest.raises(UnboundedError):
-        solve_autocorr_lp(weights, [gam], one_segment_mask(0.5e9), 128)
+    with pytest.raises(ConfigurationError, match="mask's clock"):
+        solve_autocorr_lp(np.ones(L), [gam], one_segment_mask(0.5e9), 128)
+
+
+@pytest.mark.parametrize("order", [1, 5, 15, 25, 30])
+def test_lp_starts_from_a_well_conditioned_dual_feasible_basis(order):
+    # the start's rows are +-phi at the band's Chebyshev nodes: a DCT-II
+    # matrix up to row signs, with condition sqrt 2 at every order, and
+    # the signs make every multiplier nonnegative
+    with _RecordLinprog() as calls:
+        up.design_pulse(order=order)
+    ((c, a_ub, b_ub, basis, res),) = calls
+    start = a_ub[basis]
+    assert np.linalg.cond(start) <= math.sqrt(2.0) * (1.0 + 1e-12), order
+    assert np.all(np.linalg.solve(start.T, -c) >= 0.0), order
+    assert res.status == 0
 
 
 # ---------------------------------------------------------- factorization
@@ -578,8 +602,6 @@ def test_orthogonality_defect_design_vs_family(design25):
 
 
 def test_reconciliation_impulse_formula(monocycle):
-    from uwbpulse.signals import autocorr_samples, gram_symbol
-
     g = FilterTaps(np.array([1.0]), T0)
     poly = reconciliation_filter_delta2(g, monocycle)
     nu = np.linspace(0.0, 0.5 / T0, 257)

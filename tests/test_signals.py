@@ -30,7 +30,15 @@ from uwbpulse.signals import (
 )
 from uwbpulse.spectral import save_psd_csv
 
-from conftest import autocorrelation, direct_transform, save_lines_csv, save_mask_csv, zak_transform
+from conftest import (
+    autocorrelation,
+    direct_transform,
+    gram_symbol,
+    inner,
+    save_lines_csv,
+    save_mask_csv,
+    zak_transform,
+)
 
 T0 = defaults.CLOCK_T0
 TQ = defaults.MONOCYCLE_CLOCKS * T0
@@ -194,7 +202,7 @@ def test_power_at_matches_fft_grid(monocycle):
 
 
 def test_gram_symbol_nonoverlapping_is_one(monocycle):
-    vals = up.gram_symbol(monocycle, TQ + 4 * monocycle.dt, np.linspace(0, 1, 64))
+    vals = gram_symbol(monocycle, TQ + 4 * monocycle.dt, np.linspace(0, 1, 64))
     assert np.allclose(vals, 1.0, atol=1e-12)
 
 
@@ -203,7 +211,7 @@ def test_gram_symbol_matches_riesz_extrema(pulse25):
     t = up.translates(pulse25, shift)
     a, b = t.a, t.b
     nu = np.linspace(0, 1, 8192)
-    vals = np.asarray(up.gram_symbol(pulse25, shift, nu))
+    vals = np.asarray(gram_symbol(pulse25, shift, nu))
     r0 = autocorr_samples(pulse25, shift)[0]
     assert vals.min() >= a - 1e-15 * r0
     assert vals.max() <= b + 1e-15 * r0
@@ -214,11 +222,11 @@ def test_gram_symbol_matches_riesz_extrema(pulse25):
 def test_gram_symbol_nonnegative_and_sum(pulse25):
     shift = pulse25.duration() / 3
     r = autocorr_samples(pulse25, shift)
-    val0 = up.gram_symbol(pulse25, shift, 0.0)
+    val0 = gram_symbol(pulse25, shift, 0.0)
     assert val0 == pytest.approx(r[0] + 2 * np.sum(r[1:]), rel=1e-12)
     assert val0 >= 0.0
     nu = np.linspace(0, 1, 4096)
-    assert np.min(np.asarray(up.gram_symbol(pulse25, shift, nu))) >= -1e-9
+    assert np.min(np.asarray(gram_symbol(pulse25, shift, nu))) >= -1e-9
 
 
 def test_gram_symbol_lipschitz_first_differences(pulse25):
@@ -226,7 +234,7 @@ def test_gram_symbol_lipschitz_first_differences(pulse25):
     r = autocorr_samples(pulse25, shift)
     lip = 4.0 * np.pi * np.sum(np.arange(1, len(r)) * np.abs(r[1:]))
     nu = np.linspace(0.0, 1.0, 4096)
-    vals = np.asarray(up.gram_symbol(pulse25, shift, nu))
+    vals = np.asarray(gram_symbol(pulse25, shift, nu))
     dnu = nu[1] - nu[0]
     assert np.max(np.abs(np.diff(vals))) <= lip * dnu * (1 + 1e-9)
 
@@ -269,7 +277,7 @@ def test_zak_of_autocorr_matches_circulant_eigenvalues(pulse25):
     # the circulant's eigenvalues are the folded spectrum at l/N
     shift = pulse25.duration() / 2
     n = 9
-    lam = up.gram_symbol(pulse25, shift, np.arange(n) / n)
+    lam = gram_symbol(pulse25, shift, np.arange(n) / n)
     r = autocorrelation(pulse25)
     for l in range(n):
         z = zak_transform(r, shift, 0.0, l / n)
@@ -306,10 +314,10 @@ def test_quadrature_consistency_on_refined_grid(design25):
     grid64 = TimeGrid(q32.dt / 2, q32.grid.n0 * 2, (q32.grid.size - 1) * 2 + 1)
     q64 = up.gaussian_monocycle(FC, TQ, grid64)
     p64 = semi_discrete_convolve(q64, taps.taps, taps.clock).normalized()
-    ref = up.inner(p64, q64)
-    got = up.inner(p32, q32)
+    ref = inner(p64, q64)
+    got = inner(p32, q32)
     assert got == pytest.approx(ref, rel=1e-6)
-    assert up.inner(p32, p32) == pytest.approx(up.inner(p64, p64), rel=1e-6)
+    assert inner(p32, p32) == pytest.approx(inner(p64, p64), rel=1e-6)
 
 
 def test_pulse_csv_roundtrip(tmp_path, monocycle):

@@ -106,6 +106,37 @@ def test_mask_rejects_gaps():
         SpectralMask(((0.0, 1e9, 1.0), (2e9, 3e9, 1.0)), (0.0, 1e9))
 
 
+_LINK = {"n_symbols": 2, "shift": 1e-9, "symbol_period": 1e-8, "noise_density": 1.0}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SpectralMask(((0.0, math.inf, 1.0),), (0.0, 1e9)),  # clock 0
+        lambda: SpectralMask(((0.0, 14e9, math.nan),), (0.0, 1e9)),
+        lambda: SpectralMask(((0.0, 14e9, math.inf),), (0.0, 1e9)),
+        lambda: up.FilterTaps([1.0], math.nan),
+        lambda: up.FilterTaps([1.0], math.inf),
+        lambda: up.AutocorrVector([1.0], math.nan),
+        lambda: up.AutocorrVector([1.0], math.inf),
+        lambda: up.CosinePoly([1.0], math.nan),
+        lambda: up.CosinePoly([1.0], math.inf),
+        lambda: up.LinkConfig(energy=math.inf, **_LINK),
+        lambda: up.union_bound_correlated([math.nan], 1.0, 1.0),
+    ],
+    ids=[
+        "mask-f_top-inf", "mask-level-nan", "mask-level-inf", "taps-clock-nan", "taps-clock-inf",
+        "autocorr-clock-nan", "autocorr-clock-inf", "cosine-poly-clock-nan",
+        "cosine-poly-clock-inf", "link-energy-inf", "union-bound-rho-nan",
+    ],
+)
+def test_non_finite_library_input_is_refused(build):
+    # a non-finite level, band edge, clock, energy or correlation would
+    # pass through to a silent NaN, zero or infinity downstream
+    with pytest.raises(ConfigurationError):
+        build()
+
+
 def test_mask_integrate(mask):
     total = mask.integrate(0.0, 14e9)
     manual = sum(lv * (hi - lo) for lo, hi, lv in mask.segments)
