@@ -103,10 +103,18 @@ def _erfc_sqrt(num, den: float) -> np.ndarray:
     return np.reshape([math.erfc(v) for v in np.ravel(arg)], np.shape(arg))
 
 
+def _check_levels(energy: float, noise_density: float) -> None:
+    """Refuse a non-finite or negative energy or noise level; a bound
+    reads noise_density = 0 as a link without noise."""
+    if not (0.0 <= energy < math.inf and 0.0 <= noise_density < math.inf):
+        raise ConfigurationError("energy and noise density must be finite and nonnegative")
+
+
 def union_bound_orthogonal(n_symbols: int, energy: float, noise_density: float) -> float:
     """(N-1) erfc(sqrt(E/N0)), clamped to one; 0 without noise."""
     if n_symbols < 2:
         raise ConfigurationError("need at least two symbols for an error bound")
+    _check_levels(energy, noise_density)
     return min(1.0, (n_symbols - 1) * float(_erfc_sqrt(energy, noise_density)))
 
 
@@ -116,6 +124,7 @@ def union_bound_correlated(rho, energy: float, noise_density: float) -> float:
     ``rho`` holds the normalized correlations between the reference
     symbol and each other symbol (N-1 values).
     """
+    _check_levels(energy, noise_density)
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.abs(rho) <= 1.0 + 1e-12):
         raise ConfigurationError("correlations must lie in [-1, 1]; normalize first")

@@ -5,13 +5,15 @@ t = 0; it is zero off the grid, so its duration is the grid's span, and
 a clip is zeros in the samples.  All quadrature is the rectangle rule
 (samples are treated as exact point values), and all shifts used by the
 orthogonalization machinery are integer numbers of grid steps; there is
-no interpolation anywhere.
+no interpolation anywhere.  CSV numbers are exactly ``"%.17g" % x``, made
+in blocks by one NumPy kernel (:func:`_format17`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridAlignmentError, ResolutionError
 
-_CSV_BLOCK = 4096  # pulse-CSV rows formatted per write
+_CSV_BLOCK = 8192  # CSV rows formatted per block
 
 
 @dataclass(frozen=True)
@@ -402,19 +404,147 @@ def _output(path):
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    """Write a header and then ``rows`` (one column per header name) with
-    17 significant digits, in one write.
+_DEKKER = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into 26-bit halves
 
-    The bytes are those of :class:`csv.writer` fed the ``f"{x:.17g}"``
-    strings: CRLF line ends, and numbers never need quoting.
+
+@functools.lru_cache(maxsize=64)
+def _pow10(e0: int, e1: int) -> np.ndarray:
+    """Row e - e0 for e = e0..e1: 10^(16 - e) = hi + lo, each correctly
+    rounded by int / int, and hi's Veltkamp halves: (hi, hi_high, hi_low, lo)."""
+    rows = []
+    for k in range(16 - e0, 15 - e1, -1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den
+        hn, hd = hi.as_integer_ratio()
+        c = _DEKKER * hi
+        rows.append((hi, c - (c - hi), hi - (c - (c - hi)), (num * hd - hn * den) / (den * hd)))
+    return np.array(rows)
+
+
+def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(d, e, exact)``: |x| rounds to d * 10^(e - 16) wherever ``exact``.
+
+    e = floor(log10|x|); |x| * 10^(16 - e) is Dekker's (1971) exact product
+    p + r of |x| and hi, plus |x| * lo, to 1e-13.  ``exact`` is false where
+    its fraction is within 2^-30 of 1/2, outside [1e-280, 1e280) and where
+    d is not in (10^16, 10^17), as when log10 is one off."""
+    a = np.abs(x)
+    exact = (a >= 1e-280) & (a < 1e280)
+    a = np.where(exact, a, 1.5)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    e0 = int(e.min())
+    hi, high, low, lo = _pow10(e0, int(e.max())).take(e - e0, axis=0).T
+    p = a * hi
+    c = a * _DEKKER
+    ah = c - (c - a)
+    al = a - ah
+    r = ((ah * high - p) + ah * low + al * high) + al * low + a * lo
+    whole = np.floor(r)
+    r -= whole
+    d = p.astype(np.int64) + whole.astype(np.int64) + (r > 0.5)  # p is whole where exact
+    exact &= (np.abs(r - 0.5) > 2.0**-30) & ((d - (10**16 + 1)).view(np.uint64) < 9 * 10**16 - 1)
+    return d, e, exact
+
+
+@functools.cache
+def _format_tables():
+    """4-digit groups g as uint32 with trailing zeros NUL (``trail``), the
+    same as uint64 after a point, with no point for 0 (``point``), and with
+    leading zeros NUL (``lead``), each whole at g + 10000; "0.", its zeros
+    and the first digit, right-aligned, at 10 (-1 - e) + digit for
+    e = -1..-4; the exponent suffix at e + 400, NUL in fixed notation;
+    10^0..10^17."""
+    quads = [b"%04d" % g for g in range(10000)]
+    dots = [b"." + q.rstrip(b"0") if g else b"" for g, q in enumerate(quads)]
+    below = [(b"0.%s%d" % (b"0" * z, g)).rjust(8, b"\0") for z in range(4) for g in range(10)]
+    exps = [b"" if -4 <= e <= 16 else b"e%+03d" % e for e in range(-400, 401)]
+    return (
+        np.array([q.rstrip(b"0") for q in quads] + quads, "S4").view(np.uint32),
+        np.array(dots + [b"." + q for q in quads], "S8").view(np.uint64),
+        np.array([q.lstrip(b"0").rjust(4, b"\0") for q in quads] + quads, "S4").view(np.uint32),
+        np.array(below, "S8").view(np.uint64),
+        np.array(exps, "S8").view(np.uint64),
+        10 ** np.arange(18, dtype=np.int64),
+    )
+
+
+def _format17(x: np.ndarray) -> np.ndarray:
+    """The bytes of ``"%.17g" % v`` for each float v of x: one uint8 row per
+    value, NUL where no character goes, and two NUL columns last for the
+    separator.  Python formats v where :func:`_decimal17` is not exact.
+
+    Columns are aligned on the point at 19: the integer part in 4-digit
+    groups up to 18 (the 17th digit at 2), the fraction from 20 and the
+    exponent from 36.  Below one, "0.", its zeros and the first digit end
+    at 19.  The sign takes the first column: the NULs between it and the
+    first digit go when a row is joined.  Python's text starts at 16.
     """
-    cols = len(header)
-    flat = np.asarray(rows, dtype=float).reshape(-1, cols).ravel().tolist()
-    line = ",".join(["%.17g"] * cols) + "\r\n"
-    body = (line * (len(flat) // cols)) % tuple(flat)
+    trail, point, lead, below, exps, p10 = _format_tables()
+    d, e, exact = _decimal17(x)
+    e0, e1 = int(e.min()), int(e.max())
+    s = e * ((e >= -4) & (e <= 16))  # the exponent in fixed notation, else 0
+    k = np.maximum(s, 0)  # k + 1 integer digits
+    kmax, cut = int(k.max()), 17 - int(np.abs(s).max())
+    ip, frac = np.divmod(d, p10[16 - k])
+    frac *= p10[k]  # the fraction's digits left-aligned in 16
+    f = np.zeros((len(x), 44), np.uint8)
+    high = frac // 10**8
+    low = frac - high * 10**8
+    g0, g2 = high // 10**4, low // 10**4
+    g1, g3 = high - g0 * 10**4, low - g2 * 10**4
+    # each group whole where a later digit is nonzero
+    f[:, 19:27].view(np.uint64)[:, 0] = point.take(g0 + 10000 * ((g1 | low) != 0))
+    groups = f[:, 24:36].view(np.uint32)
+    groups[:, 0] = trail.take(g1 + 10000 * (low != 0))
+    groups[:, 1] = trail.take(g2 + 10000 * (g3 != 0))
+    groups[:, 2] = trail.take(g3)
+    top = ip
+    for j in range(min(4, kmax // 4 + 1)):  # integer groups from the right
+        rest = top // 10000
+        group = top - rest * 10000 + 10000 * (rest != 0)
+        f[:, 15 - 4 * j : 19 - 4 * j].view(np.uint32)[:, 0] = lead.take(group)
+        top = rest
+    if kmax == 16:
+        f[:, 2] = (top + 48) * (top != 0)
+    if e0 < 0:
+        np.copyto(f[:, 12:20].view(np.uint64)[:, 0], below.take(ip - 10 * s - 10, mode="clip"), where=s < 0)
+    sci = e0 < -4 or e1 > 16
+    if sci:
+        f[:, 36:44].view(np.uint64)[:, 0] = exps.take(e + 400)
+    f[:, cut] = np.signbit(x).view(np.uint8) * np.uint8(45)
+    end = 40 + (e0 <= -100 or e1 >= 100) if sci else 36
+    bad = np.flatnonzero(~exact)
+    if len(bad):  # zeros repeat, so each distinct value is formatted once
+        bits, at = np.unique(x[bad].view(np.int64), return_inverse=True)
+        text = np.array(["%.17g" % v for v in bits.view(float).tolist()], "S24")
+        f[bad] = 0
+        f[bad, 16:40] = text.view(np.uint8).reshape(-1, 24)[at]
+        cut, end = min(cut, 16), max(end, 40)
+    return f[:, cut : end + 2]
+
+
+def _csv_text(fields) -> str:
+    """CSV rows from :func:`_format17` blocks, one per column: fields joined
+    by commas in their separator columns, CRLF line ends, NULs removed."""
+    rows = np.concatenate(fields, axis=1)
+    at = 0
+    for f in fields[:-1]:
+        at += f.shape[1]
+        rows[:, at - 1] = 44
+    rows[:, -2] = 13
+    rows[:, -1] = 10
+    return rows[rows != 0].tobytes().decode("ascii")
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write a header and then ``rows``, one column per header name, with
+    each value exactly ``"%.17g" % v`` and CRLF line ends: the bytes of
+    :class:`csv.writer` fed those strings, since none needs quoting."""
+    values = np.asarray(rows, dtype=float).reshape(-1, len(header))
     with _output(path) as fh:
-        fh.write(",".join(header) + "\r\n" + body)
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(values), _CSV_BLOCK):
+            fh.write(_csv_text([_format17(c) for c in values[i : i + _CSV_BLOCK].T]))
 
 
 def save_pulse_csv(path, p: SampledPulse) -> None:
@@ -426,27 +556,22 @@ def save_family_csv(paths, grid: TimeGrid, samples) -> None:
     """Write row m of ``samples``, a pulse on ``grid``, to ``paths[m]`` as
     `t_seconds,amplitude` rows: the bytes of :func:`_write_csv`.
 
-    The time column is formatted once: each block of up to ``_CSV_BLOCK``
-    times becomes one template of ``t,%.17g`` rows that every member fills
-    with its amplitudes.  Two or more members keep the templates of the
-    whole grid; one member formats a block at a time.
+    The time column is formatted once, in blocks of ``_CSV_BLOCK`` rows
+    that every member shares; one member formats a block at a time.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (len(paths), grid.size):
         raise ConfigurationError("one row of grid samples per path required")
     starts = range(0, grid.size, _CSV_BLOCK)
     times = grid.times()
-    templates = (
-        ("%.17g,%%.17g\r\n" * len(block)) % tuple(block)
-        for block in (times[i : i + _CSV_BLOCK].tolist() for i in starts)
-    )
+    blocks = (_format17(times[i : i + _CSV_BLOCK]) for i in starts)
     if len(paths) > 1:
-        templates = list(templates)
+        blocks = list(blocks)
     for path, row in zip(paths, samples):
         with _output(path) as fh:
             fh.write("t_seconds,amplitude\r\n")
-            for i, template in zip(starts, templates):
-                fh.write(template % tuple(row[i : i + _CSV_BLOCK].tolist()))
+            for i, t in zip(starts, blocks):
+                fh.write(_csv_text([t, _format17(row[i : i + _CSV_BLOCK])]))
 
 
 def _read_csv(path, header: list[str]) -> np.ndarray:

@@ -688,6 +688,27 @@ def test_every_src_function_is_reached_from_src():
     }
 
 
+def test_floats_become_csv_text_only_through_the_kernel():
+    # a 17-digit format anywhere in src/ but the kernel's per-value
+    # fallback would be a second float-to-text path; docstrings may name it
+    found = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "uwbpulse").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docs = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body
+            and isinstance(node.body[0], ast.Expr)
+        }
+        for top in tree.body:
+            for node in ast.walk(top):
+                text = getattr(node, "value", None) if isinstance(node, ast.Constant) else None
+                if isinstance(text, (str, bytes)) and ".17g" in str(text) and id(node) not in docs:
+                    found.append((path.stem, getattr(top, "name", None)))
+    assert found == [("signals", "_format17")]
+
+
 def test_scipy_only_where_numpy_has_no_equal():
     # NumPy does all the numerics, the shaping LP included, so src/ imports
     # no SciPy at all, and optimizer calls its own linprog from one place.

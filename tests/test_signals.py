@@ -1,6 +1,7 @@
 """Pulse, spectrum, autocorrelation, folded spectrum, and Zak transform."""
 
 import csv
+import math
 import os
 
 import numpy as np
@@ -19,7 +20,11 @@ from uwbpulse.signals import (
     SampledPulse,
     TimeGrid,
     _cosine_extrema,
+    _csv_text,
+    _decimal17,
+    _format17,
     _power_at,
+    _write_csv,
     autocorr_samples,
     cosine_series,
     lag_autocorrelation,
@@ -421,6 +426,39 @@ def test_bulk_csv_writer_matches_csv_writer(tmp_path, pulse25):
     )
 
 
+def test_kernel_matches_percent_on_random_bits_and_powers_of_ten(tmp_path):
+    # seeded random bit patterns (NaN payloads, infinities, subnormals and
+    # both zeros among them), then every power of ten a double can hold
+    # with its one-ulp neighbours, through the block writer
+    bits = np.random.default_rng(33).integers(0, 2**64, 200_000, np.uint64, endpoint=False)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    values = np.concatenate([bits.view(float), tens, -tens])
+    _write_csv(tmp_path / "x.csv", ["x"], values[:, np.newaxis])
+    got = (tmp_path / "x.csv").read_bytes().decode().split("\r\n")
+    want = ["x", *("%.17g" % v for v in values.tolist()), ""]
+    assert len(got) == len(want)
+    wrong = [(g, w) for g, w in zip(got, want) if g != w]
+    assert wrong == [], wrong[:5]
+
+
+def test_kernel_fallback_is_rare_on_the_chain_outputs(design25, pulse25):
+    # the Dekker digits are exact for all but a few of the values the CLI
+    # writes; zeros always take Python's formatting and are not counted
+    pulse = pulse25.normalized()
+    spectrum = design25.spectrum
+    columns = [pulse25.times(), pulse25.samples, spectrum.freqs, spectrum.power()]
+    for kind in ("lo", "alo"):
+        family, _, _ = build_family(pulse, 2, 2, kind)
+        columns += [family.grid.times(), family.samples.ravel()]
+    _, limit, _ = build_family(pulse, 12, 2, "limit")
+    columns += [limit.times(), limit.samples]
+    for column in columns:
+        counted = (column != 0) & np.isfinite(column)
+        _, _, exact = _decimal17(column)
+        assert np.count_nonzero(counted & ~exact) <= 1e-3 * np.count_nonzero(counted)
+
+
 def test_pulse_csv_roundtrip_long_pulse(tmp_path):
     # ~2.6e5 samples at the default grid step, like the K = 15 limit pulse:
     # t[1] - t[0] alone would misplace t = 0 by over 1e-6 steps
@@ -605,3 +643,24 @@ def test_cosine_extrema_bracket_dense_values(c):
     tol += 4 * len(c) * 2.0**-1074
     assert lo <= vals.min() + tol
     assert vals.max() <= hi + tol
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats())
+@example(1e-5)
+@example(math.nextafter(1e-5, 0.0))
+@example(math.nextafter(1e-5, 1.0))
+@example(1e-4)
+@example(math.nextafter(1e-4, 0.0))
+@example(math.nextafter(1e-4, 1.0))
+@example(1e16)
+@example(math.nextafter(1e16, 0.0))
+@example(math.nextafter(1e16, math.inf))
+@example(1e17)
+@example(math.nextafter(1e17, 0.0))
+@example(math.nextafter(1e17, math.inf))
+@example(9.999999999999999e22)
+@example(5e-324)
+@example(-0.0)
+def test_kernel_formats_any_float_as_percent_does(x):
+    assert _csv_text([_format17(np.array([x]))]) == "%.17g\r\n" % x

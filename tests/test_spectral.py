@@ -123,16 +123,26 @@ _LINK = {"n_symbols": 2, "shift": 1e-9, "symbol_period": 1e-8, "noise_density": 
         lambda: up.CosinePoly([1.0], math.inf),
         lambda: up.LinkConfig(energy=math.inf, **_LINK),
         lambda: up.union_bound_correlated([math.nan], 1.0, 1.0),
+        lambda: up.union_bound_orthogonal(4, math.nan, 1.0),
+        lambda: up.union_bound_orthogonal(4, 1.0, math.inf),
+        lambda: up.union_bound_orthogonal(4, -1.0, 1.0),
+        lambda: up.union_bound_correlated([0.5], math.nan, 1.0),
+        lambda: up.union_bound_correlated([0.5], 1.0, math.nan),
+        lambda: up.union_bound_correlated([0.5], 1.0, -1.0),
     ],
     ids=[
         "mask-f_top-inf", "mask-level-nan", "mask-level-inf", "taps-clock-nan", "taps-clock-inf",
         "autocorr-clock-nan", "autocorr-clock-inf", "cosine-poly-clock-nan",
         "cosine-poly-clock-inf", "link-energy-inf", "union-bound-rho-nan",
+        "union-bound-orthogonal-energy-nan", "union-bound-orthogonal-noise-inf",
+        "union-bound-orthogonal-energy-negative", "union-bound-correlated-energy-nan",
+        "union-bound-correlated-noise-nan", "union-bound-correlated-noise-negative",
     ],
 )
 def test_non_finite_library_input_is_refused(build):
-    # a non-finite level, band edge, clock, energy or correlation would
-    # pass through to a silent NaN, zero or infinity downstream
+    # a non-finite (or negative) level, band edge, clock, energy or
+    # correlation would pass through to a silent NaN, zero or infinity
+    # downstream; the bounds' zero-noise case stays allowed
     with pytest.raises(ConfigurationError):
         build()
 
