@@ -145,7 +145,7 @@ class _DualSimplex:
         self.basis = basis
         self.basic = np.zeros(len(a), dtype=bool)
         self.basic[basis] = True
-        self.work = np.zeros(len(a), dtype=bool)
+        self.work = np.zeros(0, dtype=np.intp)  # sorted row indices
         self.nit = 0
 
     def multipliers(self) -> np.ndarray:
@@ -172,7 +172,7 @@ class _DualSimplex:
     def price(self, b: np.ndarray, x: np.ndarray, bland: bool) -> int:
         """The row to bring in at point x, or -1 if none prices in."""
         if not bland:
-            rows = np.flatnonzero(self.work & ~self.basic)
+            rows = self.work[~self.basic[self.work]]
             slack = b[rows] - self.a[rows] @ x
             if len(rows) and slack.min() < -_LP_TOL:
                 return int(rows[np.argmin(slack)])
@@ -184,8 +184,8 @@ class _DualSimplex:
         if bland:
             return int(np.argmax(violated))  # the first violated row
         runs = np.flatnonzero(np.diff(np.concatenate([[0], violated.view(np.int8), [0]])))
-        for start, stop in runs.reshape(-1, 2):
-            self.work[start + int(np.argmin(slack[start:stop]))] = True
+        most = [start + np.argmin(slack[start:stop]) for start, stop in runs.reshape(-1, 2)]
+        self.work = np.union1d(self.work, most)
         return int(np.argmin(slack))
 
     def run(self, b: np.ndarray) -> int:
@@ -262,7 +262,7 @@ def linprog(c, *, A_ub, b_ub, basis):
         status=status,
         message=_LP_MESSAGES[status],
         nit=lp.nit,
-        rows_priced=int(np.count_nonzero(lp.work)),
+        rows_priced=len(lp.work),
         ineqlin=SimpleNamespace(marginals=-y if status == 0 else None),
     )
 
@@ -300,9 +300,8 @@ def solve_autocorr_lp(
         raise ConfigurationError("the ceilings must be fitted at the mask's clock")
 
     n = grid_density * GRID_REFINE
-    a_low = cosine_basis(np.linspace(0.0, mask.f_top, n * len(gammas) + 1), L, clock)
+    n_low, n_seg = n * len(gammas) + 1, (n + 1) * len(gammas)
     seg_nodes = [np.linspace(a, b, n + 1) for a, b in segments]
-    a_seg = cosine_basis(np.concatenate(seg_nodes), L, clock)
     gvals = np.concatenate([gam(nu) for gam, nu in zip(gammas, seg_nodes)])
 
     scale = float(np.max(gvals))
@@ -317,15 +316,20 @@ def solve_autocorr_lp(
     # floor row -phi(nu_j) where alpha_j <= 0, and the row of the lowest
     # ceiling at nu_j where alpha_j > 0, carry the multipliers |alpha|
     nu = (np.arange(L) + 0.5) * mask.f_top / L
-    phi = cosine_basis(nu, L, clock)
+    # the rows -phi(floor nodes), phi(segment nodes), -phi(nu), phi(nu),
+    # built once and negated in place
+    low_nodes = np.linspace(0.0, mask.f_top, n_low)
+    a_ub = cosine_basis(np.concatenate([low_nodes, *seg_nodes, nu, nu]), L, clock)
+    a_ub[:n_low] *= -1.0
+    a_ub[n_low + n_seg : n_low + n_seg + L] *= -1.0
+    a_seg, phi = a_ub[n_low : n_low + n_seg], a_ub[-L:]
     held = [(a <= nu) & (nu <= b) for a, b in segments]
     ceiling = np.min([np.where(h, gam(nu), np.inf) for gam, h in zip(gammas, held)], axis=0)
     c = -weights / np.max(np.abs(weights))
-    a_ub = np.vstack([-a_low, a_seg, -phi, phi])
     b_ub = np.concatenate(
-        [np.full(len(a_low), -floor), gvals - margin, np.full(L, -floor), ceiling - margin]
+        [np.full(n_low, -floor), gvals - margin, np.full(L, -floor), ceiling - margin]
     ) / scale
-    basis = len(a_low) + len(a_seg) + np.arange(L) + L * (np.linalg.solve(phi.T, -c) > 0.0)
+    basis = n_low + n_seg + np.arange(L) + L * (np.linalg.solve(phi.T, -c) > 0.0)
 
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, basis=basis)
     if res.status == 2:
@@ -360,7 +364,7 @@ def solve_autocorr_lp(
         autocorr=AutocorrVector(r, clock),
         objective=float(weights @ r),
         dual_bound=dual_bound,
-        feasibility_margin=min(float(np.min(a_low @ r)), float(np.min(gvals - a_seg @ r))),
+        feasibility_margin=min(-float(np.max(a_ub[:n_low] @ r)), float(np.min(gvals - a_seg @ r))),
         lower_floor=floor,
         backoff_rounds=1,
         lp_rows=len(b_ub),

@@ -305,11 +305,14 @@ def _train_psd(
     what) factors.  Line powers interpolate the grid's |p^|^2 as
     :meth:`Spectrum.power_at` does.
 
-    g repeats every lcm over its factors of m / gcd(s, m) bins (see
+    g repeats every b = lcm over its factors of m / gcd(s, m) bins (see
     :func:`psd_pam_ppm`), which divides m.  It is evaluated on that
     period's bins nearest nu = 0, listed by index mod the period, where
     nu * shift is smallest and the sines' arguments carry the least
-    rounding, and tiled.  Each factor's n must be at least 1, else
+    rounding.  Those b values of (total - g^2) energy / period scale |p^|^2
+    in place through its (m / b, b) view, so the one m-point buffer that
+    :meth:`Spectrum.power` returns becomes the continuum; no grid-sized
+    gain array is made.  Each factor's n must be at least 1, else
     :class:`ConfigurationError`.
     """
     for _, n, what in factors:
@@ -326,19 +329,18 @@ def _train_psd(
     dt = 1.0 / (m * p.df)
     bins = math.lcm(*(m // math.gcd(_grid_steps(s, dt, what), m) for s, _, what in factors))
     first = min(max(round(-freqs[0] / p.df) - bins // 2, 0), m - bins)
-    g = np.resize(gain(freqs[first + (np.arange(bins) - first) % bins]), m)
-    # all in g's buffer, which becomes the real continuum: on a 2^20-point
-    # grid each fresh temporary is 8 MB of page faults
+    g = gain(freqs[first + (np.arange(bins) - first) % bins])
     np.square(g, out=g)
     np.subtract(total, g, out=g)
     g *= energy / period
-    psq = p.power()
-    g *= psq
+    psq = p.power().astype(float, copy=False)
     n_max = int(math.floor(max(abs(freqs[0]), abs(freqs[-1])) * period))
     f = np.arange(-n_max, n_max + 1) / period
     w = energy * np.interp(f, freqs, psq) / period**2 * gain(f) ** 2
     keep = w > 0.0
-    return Spectrum(freqs, g), list(zip(f[keep].tolist(), w[keep].tolist()))
+    # the lines are read; psq's buffer, a fresh array, becomes the continuum
+    psq.reshape(-1, bins)[...] *= g
+    return Spectrum(freqs, psq), list(zip(f[keep].tolist(), w[keep].tolist()))
 
 
 def psd_pam_ppm(
@@ -362,7 +364,8 @@ def psd_pam_ppm(
     must be a whole number s of those steps, else
     :class:`GridAlignmentError`.  The position factor is 1/shift-periodic
     in frequency, so it repeats every m / gcd(s, m) bins: it is evaluated
-    on one such period and tiled over the grid.
+    on one such period, which scales |p^|^2 in place, in the one output
+    buffer.
 
     Only independent symbol streams are covered; correlated-symbol
     spectra are out of scope for this model.

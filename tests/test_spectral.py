@@ -1,6 +1,7 @@
 """Mask model, polynomial ceilings, effective power, scaling, PSD models."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -659,6 +660,47 @@ def test_psd_evaluates_one_dirichlet_period(monkeypatch, spec25):
     n_lines = 2 * int(np.max(np.abs(spec25.freqs)) * ts) + 1
     assert sum(sizes) <= 32768 + n_lines
     assert len(power_calls) == 1
+
+
+# both models on the benchmark link's inputs: unipolar 4-PPM at Ts = 10 T0,
+# and framed time hopping at Tf = 12 T0
+LINK_PSDS = [
+    lambda spec: psd_pam_ppm(spec, 1.0, 10 * T0, 1.0, 0.0, T0, 4),
+    lambda spec: psd_th_framed(spec, 1.0, 12 * T0, Nc=3, Tc=4 * T0, n_positions=4, shift=T0),
+]
+
+
+@pytest.mark.parametrize("model", LINK_PSDS, ids=["pam_ppm", "th_framed"])
+def test_psd_allocates_about_one_output_buffer(spec25, model):
+    # a memory guard with no timing: the continuum is |p^|^2's own buffer,
+    # scaled in place by one Dirichlet period; a gain tiled over the grid
+    # would be a second 8 m-byte array
+    out_bytes = 8 * len(spec25.freqs)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        model(spec25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out_bytes, peak / out_bytes
+
+
+def test_psd_leaves_its_input_spectrum_unchanged(pulse25):
+    # the continuum is built in place in power()'s buffer, which must never
+    # alias the input's values, complex or real; a single-precision input
+    # still gets a float64 continuum
+    spec = up.spectrum(pulse25, 2**12)
+    real = Spectrum(spec.freqs, np.abs(spec.values))
+    single = Spectrum(spec.freqs, spec.values.astype(np.complex64))
+    for given in (spec, real, single):
+        before = given.values.copy()
+        for model in LINK_PSDS:
+            cont, _ = model(given)
+            assert not np.shares_memory(cont.values, given.values)
+            assert cont.values.dtype == np.float64
+        assert given.values.dtype == before.dtype
+        assert given.values.tobytes() == before.tobytes()
 
 
 def test_psd_csv_writers(tmp_path, spec25):
